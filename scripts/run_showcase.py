@@ -2,7 +2,7 @@
 """Worked examples, end to end: ergodic projections, envelopes, boundaries.
 
 Runs the library on the small systems whose answers are known in closed
-form and prints one summary line per case. Takes about half a minute.
+form and prints one summary line per case. Takes a few seconds.
 """
 
 import time

@@ -52,16 +52,14 @@ class RunConfig:
 
     ``tol`` is the solver (Dykstra/membership) tolerance and is fixed at
     1e-8; ``report_tol`` is the certification threshold applied to residuals
-    and probe violations and must stay strictly above it: a certificate
+    and minimality bounds and must stay strictly above it: a certificate
     cannot be tighter than the accuracy of the iterates behind it.
     """
 
     seed: int = 0
     tol: float = 1e-8
     report_tol: float = 1e-6
-    starts: int = 8
     dykstra_budget: int = 100_000
-    probe_budget: int = 200
     mode: str = "auto"
     parallel: int = 1
     parallel_source: str = "default"
@@ -75,7 +73,7 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("starts", "dykstra_budget", "probe_budget", "parallel"):
+        for name in ("dykstra_budget", "parallel"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.json_indent < 0:
@@ -236,14 +234,7 @@ def _run_channel_cesaro(args, config: RunConfig) -> tuple[str, dict]:
 def _run_envelope_compute(args, config: RunConfig) -> tuple[str, dict]:
     space, file_mode = read_space(args.space)
     mode = file_mode if config.mode == "auto" else config.mode
-    res = compute_envelope(
-        space,
-        mode=mode,
-        seed=config.seed,
-        tol=config.report_tol,
-        budget=config.probe_budget,
-        ascent_starts=config.starts,
-    )
+    res = compute_envelope(space, mode=mode, seed=config.seed, tol=config.report_tol)
     result = res.to_json()
     result["input_dim"] = space.dim
     result["ambient"] = space.ambient
@@ -253,14 +244,7 @@ def _run_envelope_compute(args, config: RunConfig) -> tuple[str, dict]:
 def _run_boundary_compute(args, config: RunConfig) -> tuple[str, dict]:
     phi = read_channel(args.channel)
     space, _ = read_space(args.fix)
-    res = compute_boundary(
-        space,
-        phi,
-        seed=config.seed,
-        tol=config.report_tol,
-        budget=config.probe_budget,
-        ascent_starts=config.starts,
-    )
+    res = compute_boundary(space, phi, seed=config.seed, tol=config.report_tol)
     result = res.to_json()
     result["input_dim"] = space.dim
     result["ambient"] = space.ambient
@@ -297,11 +281,9 @@ def _add_compute_opts(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=1e-6,
-        help="certification tolerance for residuals and probe violations "
+        help="certification tolerance for residuals and minimality bounds "
         "(default 1e-6; must stay above the 1e-8 solver tolerance)",
     )
-    p.add_argument("--starts", type=int, default=8, metavar="K", help="ascent starts per probe direction (default 8)")
-    p.add_argument("--budget", type=int, default=200, metavar="B", help="total probed members per descent (default 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,8 +374,6 @@ def _config_from_args(args) -> RunConfig:
     config = RunConfig(
         seed=getattr(args, "seed", 0),
         report_tol=getattr(args, "tol", 1e-6),
-        starts=getattr(args, "starts", 8),
-        probe_budget=getattr(args, "budget", 200),
         mode=getattr(args, "mode", "auto"),
         parallel=parallel,
         parallel_source=source,
@@ -426,7 +406,8 @@ def main(argv=None) -> int:
         command = f"{args.command} {args.subcommand}"
         text = dump_report(_wrap(command, config, certificate, result), config.json_indent)
     except NonConvergenceError as exc:
-        history = [float(h) for h in getattr(exc, "history", [])[-5:]]
+        # strict JSON has no Infinity: a step that failed outright reports null
+        history = [[step, float(r) if np.isfinite(r) else None] for step, r in exc.history[-5:]]
         diag = {"error": "non-convergence", "detail": str(exc), "history_tail": history}
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
         return 2

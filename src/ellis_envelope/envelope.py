@@ -3,19 +3,21 @@
 The feasible set of unital CP maps fixing an operator system E is a compact
 convex semigroup; minimal idempotents in it exist, and their ranges are the
 injective envelopes of E. This module finds one by rank descent: starting
-from the ergodic idempotent of a sampled member, it probes the compression
-violation sup ||e . theta . e - e|| over members theta, and whenever a
-violating theta is found, replaces e by the ergodic idempotent of
-e . theta . e, which has strictly smaller rank whenever it differs from e.
+from the ergodic idempotent of a sampled member, it bounds the compression
+violation sup ||e . theta . e - e|| over members theta exactly (the map is
+affine in theta, and the set lies in a known affine slice), and while the
+bound exceeds tolerance, builds a member theta along the violating direction
+and replaces e by the ergodic idempotent of e . theta . e, which has
+strictly smaller rank whenever it differs from e.
 
 Plain operator spaces (not unital or not selfadjoint) are handled through
 the two-by-two corner lift: E is embedded off-diagonally into an operator
 system in M_{2n}, the system machinery runs there, and the envelope is read
 back off the upper-right corner of the minimal idempotent.
 
-Minimality certificates are probe-limited and reported as such: "certified"
-means no violation above tolerance was found at the configured probe
-strength, not a proof of global minimality.
+"certified" means the bound on sup ||e . theta . e - e|| is at most the
+tolerance: a proof of minimality up to the facial-reduction and solver
+tolerances.
 """
 
 from __future__ import annotations
@@ -29,18 +31,10 @@ from .channels import (
     NonConvergenceError,
     _require_unital_cp,
     cesaro_idempotent,
-    choi_to_superop,
     compose,
-    superop_to_choi,
 )
-from .linalg import SubspaceBasis, frobenius, matrix_to_json
-from .spectrahedron import (
-    FeasibleSet,
-    OperatorSubspace,
-    build_system_set,
-    maximize_linear,
-    sample,
-)
+from .linalg import SubspaceBasis, frobenius, herm, hermitian_eig, matrix_to_json
+from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
 
 IDEMPOTENT_TOL = 1e-7
 
@@ -146,39 +140,7 @@ def corner_extract(big: ChannelMap, tol: float = 1e-8) -> ChannelMap:
 
 
 # ------------------------------------------------------------------------
-# minimality probe and rank descent
-
-
-def _coordinate_directions(d: int):
-    """The d^2 Hermitian coordinate directions of M_d (diagonal, Re, Im)."""
-    out = []
-    for r in range(d):
-        w = np.zeros((d, d), dtype=complex)
-        w[r, r] = 1.0
-        out.append(w)
-    for r in range(d):
-        for q in range(r + 1, d):
-            w = np.zeros((d, d), dtype=complex)
-            w[r, q] = w[q, r] = 1.0 / np.sqrt(2.0)
-            out.append(w)
-            w = np.zeros((d, d), dtype=complex)
-            w[r, q] = 1.0j / np.sqrt(2.0)
-            w[q, r] = -1.0j / np.sqrt(2.0)
-            out.append(w)
-    return out
-
-
-def _compression_objective(e: ChannelMap, w: np.ndarray) -> np.ndarray:
-    """Choi-space objective C with <C, J_theta> = <W, Choi(e.theta.e)>.
-
-    The Choi/superoperator reshuffle is an entry permutation, hence unitary
-    for the Frobenius pairing, so the pullback of W through
-    theta -> e.theta.e is reshuffle(S_e* reshuffle^-1(W) S_e*).
-    """
-    n = e.dim_in
-    se = e.superop
-    mid = se.conj().T @ choi_to_superop(w, n, n) @ se.conj().T
-    return superop_to_choi(mid, n, n)
+# exact minimality test and rank descent
 
 
 def _violation(e: ChannelMap, theta: ChannelMap) -> float:
@@ -186,48 +148,75 @@ def _violation(e: ChannelMap, theta: ChannelMap) -> float:
     return frobenius(se @ theta.superop @ se - se)
 
 
-def probe_minimality(
-    e: ChannelMap,
-    fset: FeasibleSet,
-    n_samples: int = 32,
-    seed: int = 0,
-    ascent_starts: int = 1,
-    ascent_steps: int = 12,
-    transform=None,
-    keep: int = 8,
-) -> list[tuple[float, ChannelMap]]:
-    """Search members theta maximizing ||e . theta . e - e||.
+def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarray | None]:
+    """Upper bound on sup ||e . theta . e - e||_F over the members theta of ``fset``.
 
-    Two candidate sources: random members, and linear ascent along every
-    Hermitian coordinate of Choi(e . theta . e) (the violation is a norm, so
-    any coordinate of the compression that can be pushed away from Choi(e)
-    witnesses non-minimality). ``transform`` post-processes each candidate
-    before evaluation (used for ergodic absorption of boundary probes).
-    Returns the ``keep`` worst offenders, sorted by decreasing violation;
-    violations are evaluated exactly, so the search being heuristic can only
-    weaken the probe, never produce a false violation.
+    g(theta) = S_e S_theta S_e - S_e is affine in theta, and every member is
+    theta0 + D for the reference member theta0 = ``fset.center`` and some D
+    in the span of ``fset.null_directions``. A member's Choi matrix is PSD
+    with trace n, so ||D||_F <= 2n, and with sigma the largest singular
+    value of D -> S_e S_D S_e on that span,
+
+        ||g(theta)|| <= ||g(theta0)|| + 2 n sigma.
+
+    Returns that bound and the unit Choi direction attaining sigma (None
+    when the slice is a single point). The bound is a proof up to the
+    facial-reduction and solver tolerances, not a search result.
     """
-    candidates: list[ChannelMap] = []
-    for k in range(n_samples):
-        candidates.append(sample(fset, seed + k))
-    for idx, w in enumerate(_coordinate_directions(fset.choi_dim)):
-        theta, _ = maximize_linear(
-            fset,
-            _compression_objective(e, w),
-            n_starts=ascent_starts,
-            seed=seed + 100_000 + 131 * idx,
-            ascent_steps=ascent_steps,
-        )
-        candidates.append(theta)
-    if transform is not None:
-        candidates = [transform(t) for t in candidates]
-    scored = sorted(
-        ((_violation(e, t), t) for t in candidates), key=lambda p: -p[0]
-    )
-    return scored[:keep]
+    se = e.superop
+    bound = _violation(e, fset.center)
+    dirs = fset.null_directions
+    if not len(dirs):
+        return bound, None
+    k, n = len(dirs), fset.n
+    s_dirs = dirs.reshape(k, n, n, n, n).transpose(0, 2, 4, 1, 3).reshape(k, n * n, n * n)
+    g = (se @ s_dirs @ se).reshape(k, -1)
+    u, sv, _ = np.linalg.svd(np.hstack([g.real, g.imag]), full_matrices=False)
+    direction = np.tensordot(u[:, 0], dirs, axes=1)
+    return bound + 2 * n * float(sv[0]), direction
+
+
+def _smaller_idempotent(
+    e: ChannelMap, fset: FeasibleSet, direction: np.ndarray
+) -> tuple[ChannelMap, float] | None:
+    """An idempotent member of strictly smaller rank than e, or None.
+
+    Steps from theta0 = ``fset.center`` along ``direction`` by half the
+    largest step keeping the compressed Choi matrix PSD (one eigenvalue
+    problem against the Cholesky factor of Y0), trying both signs. The
+    ergodic idempotent f of e . theta . e has rank(f) < rank(e) unless
+    e . theta . e = e. None means no member along the direction could be
+    built: Y0 is singular (the face is incomplete) or no step dropped the
+    rank. Returns f with the violation of the theta that produced it.
+    """
+    theta0 = fset.center
+    try:
+        chol = np.linalg.cholesky(fset.compress(theta0.choi))
+    except np.linalg.LinAlgError:
+        return None
+    linv = np.linalg.inv(chol)
+    mu = hermitian_eig(herm(linv @ fset.compress(direction) @ linv.conj().T)).values
+    for sign in (1.0, -1.0):
+        worst = float(np.max(-sign * mu))  # Y0 + t sign D is PSD iff t * worst <= 1
+        if worst <= 0:
+            continue
+        theta = ChannelMap(fset.n, fset.n, herm(theta0.choi + (0.5 * sign / worst) * direction))
+        if not fset.membership(theta).ok:
+            continue
+        try:
+            f = seed_idempotent(compose(e, compose(theta, e)), fset)
+        except NonConvergenceError:
+            continue
+        if f.rank() < e.rank():
+            return f, _violation(e, theta)
+    return None
 
 
 def _member_idempotent(e: ChannelMap, fset: FeasibleSet) -> bool:
+    try:
+        _require_unital_cp(e, "idempotent")
+    except ValueError:
+        return False
     return (
         fset.membership(e, tol=1e-6).ok
         and frobenius(e.superop @ e.superop - e.superop) <= IDEMPOTENT_TOL
@@ -240,8 +229,9 @@ def seed_idempotent(theta: ChannelMap, fset: FeasibleSet) -> ChannelMap:
     A member produced by Dykstra is only accurate to ~1e-8; when its
     spectrum clusters that close to 1 (near-identity samples from very rigid
     sets), the default fixed-space threshold misreads noise as dynamics.
-    Retry with coarser thresholds until the result is a certified idempotent
-    member; every rung is checked, so loosening cannot produce a bad seed.
+    Retry with coarser thresholds until the result is an idempotent unital
+    CP member to the tolerances ``choi_effros_table`` requires later; every
+    rung is checked, so loosening cannot produce a bad seed.
     """
     failures: list[tuple[int, float]] = []
     for k, sv_rtol in enumerate((1e-9, 1e-6, 1e-4)):
@@ -262,10 +252,11 @@ def seed_idempotent(theta: ChannelMap, fset: FeasibleSet) -> ChannelMap:
 class DescentResult:
     """Outcome of the rank descent.
 
-    certificate: "certified" (no violation above tol at probe strength),
-    "unverified" (probe budget exhausted with violations outstanding), or
-    "failed" (the iterate stopped being an idempotent member; indicates a
-    numerical breakdown, not a mathematical state).
+    certificate: "certified" (``violation``, the bound of
+    ``probe_minimality`` on sup ||e . theta . e - e||, is at most tol) or
+    "unverified" (the bound exceeds tol, but no member along the violating
+    direction could be built). ``trace`` holds (round, rank, violation of
+    the member that drove the step), starting with (0, rank(e0), 0.0).
     """
 
     idempotent: ChannelMap
@@ -274,26 +265,13 @@ class DescentResult:
     trace: tuple[tuple[int, int, float], ...]
 
 
-def descend_to_minimal(
-    fset: FeasibleSet,
-    e0: ChannelMap,
-    tol: float = 1e-6,
-    budget: int = 200,
-    seed: int = 0,
-    n_samples: int = 32,
-    ascent_starts: int = 1,
-    ascent_steps: int = 12,
-    transform=None,
-) -> DescentResult:
+def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = 1e-6) -> DescentResult:
     """Rank descent from the idempotent member ``e0`` to a minimal one.
 
-    Each round probes for a violating member theta; the ergodic idempotent f
-    of e . theta . e satisfies f = e f e, so rank(f) <= rank(e), and equality
-    forces f = e. Candidates are therefore accepted only on strict rank
-    decrease, which bounds the number of acceptances by the ambient rank and
-    prevents cycling; rank-preserving candidates are discarded and the probe
-    rerun with fresh seeds. ``budget`` caps the total number of probed
-    members across rounds.
+    Each round bounds the violation exactly; above tol, a member theta along
+    the violating direction gives the ergodic idempotent f of e . theta . e,
+    with f = e f e and rank(f) < rank(e). Strict rank decrease bounds the
+    number of rounds by rank(e0).
     """
     if not _member_idempotent(e0, fset):
         raise ValueError(
@@ -303,38 +281,15 @@ def descend_to_minimal(
         )
     e = e0
     trace: list[tuple[int, int, float]] = [(0, e.rank(), 0.0)]
-    probes_used = 0
-    round_idx = 0
-    last_v = np.inf
-    while probes_used < budget:
-        found = probe_minimality(
-            e,
-            fset,
-            n_samples=n_samples,
-            seed=seed + 7919 * round_idx,
-            ascent_starts=ascent_starts,
-            ascent_steps=ascent_steps,
-            transform=transform,
-        )
-        probes_used += n_samples + fset.choi_dim**2
-        round_idx += 1
-        last_v = found[0][0] if found else 0.0
-        if last_v <= tol:
-            if not _member_idempotent(e, fset):
-                return DescentResult(e, "failed", last_v, tuple(trace))
-            return DescentResult(e, "certified", last_v, tuple(trace))
-        for vk, theta in found:
-            if vk <= tol:
-                break
-            try:
-                f = seed_idempotent(compose(e, compose(theta, e)), fset)
-            except NonConvergenceError:
-                continue
-            if f.rank() < e.rank():
-                e = f
-                trace.append((round_idx, e.rank(), vk))
-                break
-    return DescentResult(e, "unverified", last_v, tuple(trace))
+    while True:
+        bound, direction = probe_minimality(e, fset)
+        if bound <= tol:
+            return DescentResult(e, "certified", bound, tuple(trace))
+        step = None if direction is None else _smaller_idempotent(e, fset, direction)
+        if step is None:
+            return DescentResult(e, "unverified", bound, tuple(trace))
+        e, v = step
+        trace.append((len(trace), e.rank(), v))
 
 
 # ------------------------------------------------------------------------
@@ -461,16 +416,13 @@ def compute_envelope(
     mode: str = "auto",
     seed: int = 0,
     tol: float = 1e-6,
-    budget: int = 200,
-    n_samples: int = 32,
-    ascent_starts: int = 1,
-    ascent_steps: int = 12,
 ) -> EnvelopeResult:
     """Injective envelope of an operator space or system.
 
     mode "auto" dispatches on the structure flags: unital selfadjoint spaces
     run directly ("system"), everything else goes through the corner lift
-    ("space"). The returned certificate is inherited from the descent.
+    ("space"). ``seed`` picks the sampled member the descent starts from.
+    The returned certificate is inherited from the descent.
     """
     if mode not in ("auto", "system", "space"):
         raise ValueError(f"compute_envelope: unknown mode {mode!r}")
@@ -478,16 +430,7 @@ def compute_envelope(
         mode = "system" if (space.unital and space.selfadjoint) else "space"
     if mode == "space":
         lifted = paulsen_lift(space)
-        inner = compute_envelope(
-            lifted,
-            mode="system",
-            seed=seed,
-            tol=tol,
-            budget=budget,
-            n_samples=n_samples,
-            ascent_starts=ascent_starts,
-            ascent_steps=ascent_steps,
-        )
+        inner = compute_envelope(lifted, mode="system", seed=seed, tol=tol)
         corner = corner_extract(inner.idempotent)
         env = corner.range_basis()
         inclusion = max(env.distance(x) for x in space.basis.mats)
@@ -507,16 +450,7 @@ def compute_envelope(
         )
     fset = build_system_set(space)
     e0 = seed_idempotent(sample(fset, seed), fset)
-    des = descend_to_minimal(
-        fset,
-        e0,
-        tol=tol,
-        budget=budget,
-        seed=seed,
-        n_samples=n_samples,
-        ascent_starts=ascent_starts,
-        ascent_steps=ascent_steps,
-    )
+    des = descend_to_minimal(fset, e0, tol=tol)
     e = des.idempotent
     f_basis = e.range_basis()
     inclusion = max(f_basis.distance(x) for x in space.basis.mats)
@@ -535,31 +469,3 @@ def compute_envelope(
         seed=seed,
         tol=tol,
     )
-
-
-def rigidity_check(
-    result: EnvelopeResult,
-    fset: FeasibleSet,
-    seed: int = 1,
-    n_samples: int = 32,
-    ascent_starts: int = 1,
-    ascent_steps: int = 12,
-    transform=None,
-) -> float:
-    """Re-probe the result's idempotent over ``fset`` with fresh seeds.
-
-    Returns the largest compression violation found; at or below tolerance
-    this re-certifies both minimality and the rigidity of the inclusion
-    E in F (the only probed member acting as the identity on F is the
-    identity). For space-mode results pass the lifted system's set.
-    """
-    found = probe_minimality(
-        result.idempotent,
-        fset,
-        n_samples=n_samples,
-        seed=seed,
-        ascent_starts=ascent_starts,
-        ascent_steps=ascent_steps,
-        transform=transform,
-    )
-    return found[0][0] if found else 0.0

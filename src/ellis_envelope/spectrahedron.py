@@ -16,6 +16,7 @@ the represented maps is structural rather than a penalty term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,13 @@ from .linalg import (
 )
 
 SPAN_FLAG_TOL = 1e-9
+
+# Relative singular-value cutoff of the compressed affine system: below it a
+# row combination counts as dependent, in the projector and the null space alike.
+AFFINE_RCOND = 1e-12
+
+# Sampled members averaged into ``FeasibleSet.center``.
+CENTER_SAMPLES = 4
 
 
 # ------------------------------------------------------------------------
@@ -208,6 +216,9 @@ def _find_exposing_vector(
     constraint normals A^T y restricted to y . b = 0, normalized to trace 1;
     alternating projections between that affine slice and the PSD cone either
     find one or stall, in which case None is returned (no reduction claimed).
+    Past ``pocs_iter`` iterations a start goes on, up to ten times as long,
+    while its PSD gap shrinks by a tenth every hundred iterations: a linear
+    rate means the two sets meet, a flat gap that they do not.
     """
     u, s, _ = np.linalg.svd(a.T @ _b_orth_complement(a, b), full_matrices=False)
     q = u[:, s > 1e-10 * max(1.0, s[0] if s.size else 1.0)]
@@ -227,25 +238,37 @@ def _find_exposing_vector(
     for start in range(3):
         rng = np.random.default_rng(start)
         w = rng.standard_normal(d * d) if start else tr_vec / d
-        for _ in range(pocs_iter):
+        last_gap = np.inf
+        for it in range(1, 10 * pocs_iter + 1):
             w = onto_slice(w)
             w = herm_to_real(psd_project(real_to_herm(w, d)))
-        wm = real_to_herm(onto_slice(w), d)
-        gap = max(0.0, -float(hermitian_eig(herm(wm)).values[0]))
-        if gap <= tol and abs(np.trace(wm).real - 1.0) <= 1e-8:
-            return herm(wm)
+            if it < pocs_iter or it % 100:
+                continue
+            wm = herm(real_to_herm(onto_slice(w), d))
+            gap = max(0.0, -float(hermitian_eig(wm).values[0]))
+            if gap <= tol and abs(np.trace(wm).real - 1.0) <= 1e-8:
+                return wm
+            if gap > 0.9 * last_gap:
+                break
+            last_gap = gap
     return None
 
 
 def _b_orth_complement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {y : y . b = 0} as columns (identity if b = 0)."""
+    """Orthonormal basis of {y : y . b = 0} as columns (identity if b = 0).
+
+    The Householder reflection H sending b to a multiple of the first unit
+    vector is orthogonal and symmetric, so its other columns are orthonormal
+    and orthogonal to b.
+    """
     rows = a.shape[0]
     nb = np.linalg.norm(b)
     if nb < 1e-14:
         return np.eye(rows)
-    u = b / nb
-    q, r = np.linalg.qr(np.eye(rows) - np.outer(u, u))
-    return q[:, np.abs(np.diag(r)) > 1e-10]
+    w = b / nb
+    w[0] += 1.0 if w[0] >= 0 else -1.0
+    h = np.eye(rows) - np.outer(w, w) * (2.0 / (w @ w))
+    return h[:, 1:]
 
 
 def _compress_rows(t: np.ndarray, d: int, v: np.ndarray) -> np.ndarray:
@@ -302,7 +325,7 @@ class FeasibleSet:
             q, _ = np.linalg.qr(v)
             v = q
         a, b = _stack_compressed(cgroups, d, v)
-        return cls(n, real_groups, v, a, b, np.linalg.pinv(a, rcond=1e-12))
+        return cls(n, real_groups, v, a, b, np.linalg.pinv(a, rcond=AFFINE_RCOND))
 
     @property
     def choi_dim(self) -> int:
@@ -317,6 +340,30 @@ class FeasibleSet:
 
     def expand(self, y: np.ndarray) -> np.ndarray:
         return self.face @ y @ self.face.conj().T
+
+    @cached_property
+    def null_directions(self) -> np.ndarray:
+        """Orthonormal basis, shape (k, d, d), of the Choi directions V D V^* with A_c D = 0.
+
+        Every member differs from every other by a combination of these:
+        they span the affine slice the set lies in, with the null space
+        taken at the cutoff of ``a_c_pinv``.
+        """
+        m, cols = self.a_c.shape
+        padded = np.vstack([self.a_c, np.zeros((max(0, cols - m), cols))])
+        _, s, vh = np.linalg.svd(padded, full_matrices=False)
+        rank = int(np.sum(s > AFFINE_RCOND * s[0])) if s[0] > 0 else 0
+        return np.array([self.expand(real_to_herm(row, self.face_dim)) for row in vh[rank:]])
+
+    @cached_property
+    def center(self) -> ChannelMap:
+        """Average of ``CENTER_SAMPLES`` sampled members (fixed seeds).
+
+        Interior to the face whenever the facial reduction found the smallest
+        face, so its compression is then positive definite.
+        """
+        choi = sum(sample(self, k).choi for k in range(CENTER_SAMPLES)) / CENTER_SAMPLES
+        return ChannelMap(self.n, self.n, herm(choi))
 
     def project_affine_compressed(self, y: np.ndarray) -> np.ndarray:
         r = herm_to_real(herm(y))
@@ -403,7 +450,10 @@ def _face_polish(y: np.ndarray, fset: FeasibleSet, tol: float) -> np.ndarray | N
         a_face, b_face = _rows_to_real(t, np.zeros(k * r, dtype=complex), r)
         a_aug = np.vstack([fset.a_c, a_face])
         b_aug = np.concatenate([fset.b_c, b_face])
-        delta, *_ = np.linalg.lstsq(a_aug, a_aug @ rv - b_aug, rcond=None)
+        try:
+            delta, *_ = np.linalg.lstsq(a_aug, a_aug @ rv - b_aug, rcond=None)
+        except np.linalg.LinAlgError:
+            continue  # polishing is optional; Dykstra carries on
         cand = fset.expand(real_to_herm(rv - delta, r))
         if fset.membership(cand, tol).ok:
             return cand
@@ -481,7 +531,7 @@ def maximize_linear(
     n_starts: int = 8,
     seed: int = 0,
     tol: float = 1e-8,
-    ascent_steps: int = 60,
+    steps: int = 60,
     max_iter: int = 100_000,
 ) -> tuple[ChannelMap, float]:
     """Best-effort maximizer of Re<objective, J> over the set.
@@ -501,7 +551,7 @@ def maximize_linear(
         j = sample(fset, seed + k, tol=tol, max_iter=max_iter).choi
         v = value(j)
         step = 1.0
-        for _ in range(ascent_steps):
+        for _ in range(steps):
             cand = dykstra_project(j + step * c, fset, tol, max_iter).choi
             cv = value(cand)
             if cv > v + 1e-12:

@@ -9,12 +9,14 @@ import json
 import numpy as np
 import pytest
 
+from ellis_envelope import channels, envelope, spectrahedron
 from ellis_envelope.channels import ChannelMap
 from ellis_envelope.cli import RunConfig, main
 from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
 
 I2 = np.eye(2, dtype=complex)
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -40,6 +42,7 @@ def inputs(tmp_path_factory):
         "nonunital": put("nonunital.json", ChannelMap.from_kraus([I2 / 2.0]).to_json()),
         "d2": put("d2.json", diag.to_json("system")),
         "span_i": put("span_i.json", OperatorSubspace.from_matrices([I2]).to_json("system")),
+        "rigid": put("rigid.json", OperatorSubspace.from_matrices([I2, SX, SZ]).to_json("system")),
         "table": put("table.json", cyclic_group(3).to_json()),
         "badtable": put("badtable.json", {"order": 2, "table": [[1, 1], [0, 0]]}),
         "badjson": _put_text(d, "badjson.json", "{not json"),
@@ -89,7 +92,7 @@ def test_runconfig_rejects_inverted_tolerances():
 
 def test_runconfig_rejects_nonpositive_counts():
     with pytest.raises(ValueError, match="positive"):
-        RunConfig(starts=0).validate()
+        RunConfig(dykstra_budget=0).validate()
 
 
 # ------------------------------------------------------------------------
@@ -151,20 +154,29 @@ def test_channel_cesaro_both_modes(capsys, inputs):
 
 
 def test_envelope_compute(capsys, inputs):
-    code, out, _ = run(capsys, ["envelope", "compute", inputs["d2"], "--starts", "1"])
+    code, out, _ = run(capsys, ["envelope", "compute", inputs["d2"]])
     assert code == 0
     rep = report_of(out)
     assert rep["certificate"] == "certified"
     assert rep["result"]["rank"] == 2
     assert rep["result"]["mode"] == "system"
     assert rep["result"]["ambient"] == 2
-    assert rep["config"]["starts"] == 1
+    assert set(rep["config"]) == {
+        "seed",
+        "tol",
+        "report_tol",
+        "dykstra_budget",
+        "mode",
+        "parallel",
+        "parallel_source",
+        "json_indent",
+    }
 
 
 def test_boundary_compute(capsys, inputs):
     code, out, _ = run(
         capsys,
-        ["boundary", "compute", inputs["halfsz"], "--fix", inputs["span_i"], "--starts", "1"],
+        ["boundary", "compute", inputs["halfsz"], "--fix", inputs["span_i"]],
     )
     assert code == 0
     rep = report_of(out)
@@ -178,7 +190,7 @@ def test_boundary_compute(capsys, inputs):
 
 
 def test_envelope_reports_are_byte_identical(capsys, inputs):
-    args = ["envelope", "compute", inputs["d2"], "--starts", "1", "--seed", "3"]
+    args = ["envelope", "compute", inputs["d2"], "--seed", "3"]
     code1, out1, _ = run(capsys, args)
     code2, out2, _ = run(capsys, args)
     assert code1 == code2 == 0
@@ -201,26 +213,63 @@ def test_out_flag_writes_file_and_silences_stdout(capsys, inputs, tmp_path):
 # exit code 2: unverified results
 
 
-def test_exhausted_probe_budget_exits_two(capsys, inputs):
-    code, out, _ = run(
-        capsys,
-        [
-            "boundary",
-            "compute",
-            inputs["halfsz"],
-            "--fix",
-            inputs["span_i"],
-            "--starts",
-            "1",
-            "--budget",
-            "1",
-        ],
-    )
+def test_incomplete_face_exits_two(capsys, inputs, monkeypatch):
+    # with facial reduction disabled the rigid system's set keeps violating
+    # directions but has no interior point to step from
+    monkeypatch.setattr(spectrahedron, "_find_exposing_vector", lambda *a, **k: None)
+    code, out, _ = run(capsys, ["envelope", "compute", inputs["rigid"]])
     assert code == 2
     rep = report_of(out)
     assert rep["certificate"] == "unverified"
-    # the descent still made progress before running out
-    assert rep["result"]["descent_trace"][-1][1] == 1
+    assert rep["result"]["rigidity_violation"] > 1e-6
+    assert rep["result"]["descent_trace"] == [[0, 4, 0.0]]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def nonconvergence_diagnostics(err):
+    diag = json.loads(err, parse_constant=_reject_constant)
+    assert diag["error"] == "non-convergence"
+    assert diag["history_tail"]
+    for step, residual in diag["history_tail"]:
+        assert isinstance(step, int) and (residual is None or isinstance(residual, float))
+    return diag
+
+
+def test_cesaro_nonconvergence_exits_two(capsys, inputs, monkeypatch):
+    # an unreachable stopping tolerance makes the doubling loop run out
+    monkeypatch.setattr(channels, "CESARO_ITER_TOL", -1.0)
+    code, out, err = run(capsys, ["channel", "cesaro", inputs["halfsz"], "--mode", "iterative"])
+    assert code == 2
+    assert out == ""
+    nonconvergence_diagnostics(err)
+
+
+def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
+    # every rung of seed_idempotent fails outright and its history marks each
+    # with an infinite residual, which strict JSON cannot carry
+    def refuse(*args, **kwargs):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(envelope, "cesaro_idempotent", refuse)
+    code, out, err = run(capsys, ["envelope", "compute", inputs["d2"]])
+    assert code == 2
+    assert out == ""
+    diag = nonconvergence_diagnostics(err)
+    assert [r for _, r in diag["history_tail"]] == [None, None, None]
+
+
+def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):
+    # one Dykstra iteration cannot reach the solver tolerance
+    monkeypatch.setattr(
+        envelope, "sample", lambda fset, seed: spectrahedron.sample(fset, seed, max_iter=1)
+    )
+    code, out, err = run(capsys, ["envelope", "compute", inputs["d2"]])
+    assert code == 2
+    assert out == ""
+    assert "dykstra_project" in nonconvergence_diagnostics(err)["detail"]
 
 
 # ------------------------------------------------------------------------

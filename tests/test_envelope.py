@@ -20,9 +20,10 @@ from ellis_envelope.channels import (
     compose,
     random_unital_channel,
 )
+from ellis_envelope import spectrahedron
+from ellis_envelope.channels import _require_unital_cp
 from ellis_envelope.envelope import (
     ChoiEffrosTable,
-    _compression_objective,
     choi_effros_table,
     compute_envelope,
     corner_extract,
@@ -30,7 +31,6 @@ from ellis_envelope.envelope import (
     lift_map,
     paulsen_lift,
     probe_minimality,
-    rigidity_check,
     seed_idempotent,
 )
 from ellis_envelope.linalg import SubspaceBasis, frobenius, subspace_equal
@@ -156,30 +156,35 @@ def test_corner_extract_needs_even_ambient():
 
 
 # ------------------------------------------------------------------------
-# probe machinery
+# exact minimality test
 
 
-def test_compression_objective_is_exact_pullback(d2_set):
-    rng = np.random.default_rng(5)
-    e = ChannelMap.pinching(2)
-    theta = sample(d2_set, seed=9)
-    for _ in range(4):
-        w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        w = w + w.conj().T
-        compressed = compose(e, compose(theta, e))
-        lhs = np.vdot(w, compressed.choi)
-        rhs = np.vdot(_compression_objective(e, w), theta.choi)
-        assert abs(lhs - rhs) <= 1e-10
-
-
-def test_probe_scores_are_sorted_and_exact(d2_set):
-    e = ChannelMap.pinching(2)
-    found = probe_minimality(e, d2_set, n_samples=6, seed=0)
-    scores = [v for v, _ in found]
-    assert scores == sorted(scores, reverse=True)
-    v, theta = found[0]
+def violation(e, theta):
     se = e.superop
-    assert abs(v - frobenius(se @ theta.superop @ se - se)) <= 1e-12
+    return frobenius(se @ theta.superop @ se - se)
+
+
+def test_minimality_bound_dominates_every_sampled_member(d2_set):
+    # the identity is not minimal: the bound must be positive and no member
+    # may exceed it; at the minimal pinching it vanishes
+    e = ChannelMap.identity(2)
+    bound, _ = probe_minimality(e, d2_set)
+    assert bound > 1e-3
+    for seed in range(6):
+        assert violation(e, sample(d2_set, seed=seed)) <= bound + 1e-8
+    assert violation(e, ChannelMap.pinching(2)) <= bound + 1e-8
+    assert probe_minimality(ChannelMap.pinching(2), d2_set)[0] <= 1e-9
+
+
+def test_minimality_direction_stays_in_the_affine_slice(d2_set):
+    # a unit Hermitian Choi direction that moves no constraint: the center
+    # shifted along it keeps every affine residual at working precision
+    _, direction = probe_minimality(ChannelMap.identity(2), d2_set)
+    assert abs(frobenius(direction) - 1.0) <= 1e-12
+    assert frobenius(direction - direction.conj().T) <= 1e-12
+    moved = d2_set.center.choi + 0.1 * direction
+    res = d2_set.membership(moved).residuals
+    assert max(v for k, v in res.items() if k != "psd") <= 1e-12
 
 
 def test_seed_idempotent_from_sampled_member(d2_set):
@@ -195,10 +200,22 @@ def test_descent_rejects_non_idempotent_start(d2_set):
         descend_to_minimal(d2_set, random_unital_channel(rng, 2))
 
 
+def test_seed_idempotent_passes_the_choi_effros_precondition():
+    # seed 153 once gave a rank-1 member 2.7e-7 away from unital, which the
+    # multiplication table then refused; the seed check now applies the same test
+    space = OperatorSubspace.from_matrices([I2])
+    fset = build_system_set(space)
+    e = seed_idempotent(sample(fset, seed=153), fset)
+    _require_unital_cp(e, "test")
+    res = compute_envelope(space, seed=153)
+    assert res.certificate == "certified"
+    assert res.rank == 1
+
+
 def test_descent_from_identity_reaches_pinching(d2_set):
     # identity is a member of every system set and has full rank 4; the
-    # probes must strictly descend it to the rank-2 diagonal projection
-    res = descend_to_minimal(d2_set, ChannelMap.identity(2), seed=0)
+    # descent must strictly lower it to the rank-2 diagonal projection
+    res = descend_to_minimal(d2_set, ChannelMap.identity(2))
     assert res.certificate == "certified"
     assert res.idempotent.rank() == 2
     assert res.trace[0] == (0, 4, 0.0)
@@ -207,10 +224,17 @@ def test_descent_from_identity_reaches_pinching(d2_set):
     assert frobenius(res.idempotent.superop - ChannelMap.pinching(2).superop) <= 1e-6
 
 
-def test_descent_budget_exhaustion_is_unverified(d2_set):
-    res = descend_to_minimal(d2_set, ChannelMap.identity(2), seed=0, budget=1)
+def test_descent_on_incomplete_face_is_unverified(monkeypatch):
+    # without facial reduction the rigid system's set (the identity alone)
+    # keeps a slice with violating directions but no interior point, so no
+    # violating member can be built
+    monkeypatch.setattr(spectrahedron, "_find_exposing_vector", lambda *a, **k: None)
+    fset = build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ]))
+    assert fset.face_dim == 4
+    res = descend_to_minimal(fset, ChannelMap.identity(2))
     assert res.certificate == "unverified"
     assert res.violation > 1e-6
+    assert res.trace == ((0, 4, 0.0),)
 
 
 # ------------------------------------------------------------------------
@@ -283,6 +307,26 @@ def test_envelope_space_mode_one_corner():
     assert res.rigidity_violation <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_corner_envelope_is_certified_for_every_seed(seed):
+    res = compute_envelope(OperatorSubspace.from_matrices([E12]), seed=seed)
+    assert res.certificate == "certified"
+    assert res.rigidity_violation <= 1e-6
+    assert res.rank == 1
+
+
+@pytest.mark.parametrize(
+    "mats, rank",
+    [(diag_units(4), 4), ([np.eye(3, dtype=complex)], 1)],
+    ids=["diag_m4", "span_i_m3"],
+)
+def test_closed_form_envelopes_are_certified(mats, rank):
+    res = compute_envelope(OperatorSubspace.from_matrices(mats), seed=0)
+    assert res.certificate == "certified"
+    assert res.rigidity_violation <= 1e-6
+    assert res.rank == rank
+
+
 def test_envelope_mode_validation(d2_space):
     with pytest.raises(ValueError, match="unknown mode"):
         compute_envelope(d2_space, mode="banana")
@@ -294,8 +338,22 @@ def test_space_mode_refuses_nothing_system_mode_requires_flags():
         compute_envelope(space, mode="system")
 
 
-def test_rigidity_check_fresh_seed(d2_result, d2_set):
-    assert rigidity_check(d2_result, d2_set, seed=5) <= 1e-6
+def test_minimality_bound_of_the_result_recomputes(d2_result, d2_set):
+    bound, _ = probe_minimality(d2_result.idempotent, d2_set)
+    assert bound <= 1e-6
+    assert abs(bound - d2_result.rigidity_violation) <= 1e-9
+
+
+def test_random_rigid_system_reduces_to_a_point_and_certifies():
+    # span{I, x, y} with random Hermitian x, y is rigid in M_2: the set is
+    # {id}, facial reduction must reach face 1 and the envelope is all of M_2
+    rng = np.random.default_rng(0)
+    x, y = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    space = OperatorSubspace.from_matrices([I2, x + x.conj().T, y + y.conj().T])
+    assert build_system_set(space).face_dim == 1
+    res = compute_envelope(space, seed=0)
+    assert res.certificate == "certified"
+    assert res.rank == 4
 
 
 def test_envelope_is_deterministic(d2_space):

@@ -23,7 +23,11 @@ from ellis_envelope.channels import (
 from ellis_envelope.linalg import frobenius, herm, hermitian_eig, subspace_equal
 from ellis_envelope.spectrahedron import (
     OperatorSubspace,
+    _b_orth_complement,
+    _fix_rows,
     _rows_to_real,
+    _stack_compressed,
+    _unital_rows,
     build_system_set,
     cb_norm,
     cb_norm_bracket,
@@ -203,6 +207,44 @@ def test_face_dimensions(d2_set, ucp2_set, singleton_set):
     assert full.face_dim == 1
 
 
+def test_b_orth_complement_is_orthonormal_and_orthogonal_to_b():
+    # the stacked right-hand side of a random rigid span{I, x, y} in M_2 is
+    # where an unpivoted QR of I - u u^T kept a column 1.5e-3 off the
+    # complement; the other vectors cover both signs of the leading entry
+    rng = np.random.default_rng(0)
+    x, y = (random_complex(rng, 2, 2) for _ in range(2))
+    space = OperatorSubspace.from_matrices([I2, x + x.conj().T, y + y.conj().T])
+    groups = [("unital", *_unital_rows(2))]
+    groups += [(f"fix:{k}", *_fix_rows(m, 2)) for k, m in enumerate(space.basis.mats)]
+    _, rhs = _stack_compressed(groups, 4, np.eye(4, dtype=complex))
+    for b in (rhs, rng.standard_normal(7), -np.abs(rng.standard_normal(7)), np.eye(7)[-1]):
+        q = _b_orth_complement(np.zeros((len(b), 1)), b)
+        assert q.shape == (len(b), len(b) - 1)
+        assert np.max(np.abs(q.T @ q - np.eye(len(b) - 1))) <= 1e-12
+        assert np.linalg.norm(q.T @ b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_null_directions_span_the_affine_slice(d2_set, ucp2_set, singleton_set):
+    # D_2: members are schur_choi(c), a slice of real dimension 2
+    assert d2_set.null_directions.shape == (2, 4, 4)
+    assert singleton_set.null_directions.shape[0] == 0
+    for fset in (d2_set, ucp2_set):
+        dirs = fset.null_directions
+        gram = np.einsum("kij,lij->kl", dirs.conj(), dirs)
+        assert np.max(np.abs(gram - np.eye(len(dirs)))) <= 1e-12
+        for dj in dirs:
+            assert frobenius(dj - dj.conj().T) <= 1e-12
+            moved = fset.membership(fset.center.choi + 0.1 * dj).residuals
+            assert max(v for k, v in moved.items() if k != "psd") <= 1e-12
+
+
+def test_center_is_an_interior_member(d2_set, ucp2_set):
+    for fset in (d2_set, ucp2_set):
+        assert fset.membership(fset.center).ok
+        y0 = fset.compress(fset.center.choi)
+        assert float(hermitian_eig(herm(y0)).values[0]) > 1e-3
+
+
 # ------------------------------------------------------------- projection
 
 
@@ -254,6 +296,25 @@ def test_small_perturbation_projects_to_member(d2_set):
     out = dykstra_project(j0, d2_set, tol=1e-8)
     rep = d2_set.membership(out)
     assert rep.ok and rep.worst <= 1e-8
+
+
+def test_projection_survives_a_failed_polish(d2_set, monkeypatch):
+    # polishing is optional: a LAPACK failure inside it must leave Dykstra
+    # running to a member
+    calls = []
+
+    def failing_lstsq(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+    rng = np.random.default_rng(12)
+    j0 = ChannelMap.identity(2).choi + 0.4 * random_hermitian(rng, 4)
+    j0 = j0 + 1.5 * (schur_choi(1.0) - np.diag([1.0, 0, 0, 1.0]))
+    out = dykstra_project(j0, d2_set, polish_every=1)
+    assert calls
+    assert d2_set.membership(out).ok
+    assert frobenius(out.choi - d2_projection_oracle(j0)) < 1e-7
 
 
 def test_nonconvergence_carries_residual_history(d2_set):
