@@ -72,7 +72,7 @@ def corner_envelope():
 
 def sz_boundary():
     res = compute_boundary(
-        OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ), seed=0
+        OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)
     )
     return f"rank={res.rank} fixed dim={res.fixed_space.dim} certificate={res.certificate}"
 

@@ -24,7 +24,6 @@ from .channels import (
     _require_unital_cp,
     cesaro_idempotent,
     check_absorption,
-    compose,
 )
 from .envelope import (
     ChoiEffrosTable,
@@ -34,9 +33,10 @@ from .envelope import (
 )
 from .linalg import SubspaceBasis, frobenius, matrix_to_json
 from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
+from .tolerances import TOL
 
 
-def build_T_set(space: OperatorSubspace, phi: ChannelMap, fix_tol: float = 1e-8) -> FeasibleSet:
+def build_T_set(space: OperatorSubspace, phi: ChannelMap) -> FeasibleSet:
     """Feasible set {theta UCP : phi . theta = theta, theta fixes ``space``}.
 
     Requires every basis element of the space to be fixed by ``phi``; members
@@ -48,23 +48,12 @@ def build_T_set(space: OperatorSubspace, phi: ChannelMap, fix_tol: float = 1e-8)
         raise ValueError("build_T_set: channel and space have different ambient dimensions")
     for k, x in enumerate(space.basis.mats):
         res = frobenius(phi.apply(x) - x)
-        if res > fix_tol:
+        if res > TOL.solver:
             raise ValueError(
                 f"build_T_set: basis element {k} is not fixed by the channel "
-                f"(residual {res:.3e} > {fix_tol:.1e})"
+                f"(residual {res:.3e} > {TOL.solver:.1e})"
             )
     return build_system_set(space, absorb=phi)
-
-
-def tau_absorb(theta: ChannelMap, phi: ChannelMap) -> ChannelMap:
-    """Ergodic absorption: compose the Cesaro idempotent of phi after theta.
-
-    The result is absorbed by phi (phi . out = out) and agrees with theta on
-    everything theta sends into the fixed space of phi. This is how members
-    of the plain system set are pushed into the absorbed semigroup.
-    """
-    e = cesaro_idempotent(phi).idempotent
-    return compose(e, theta)
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,7 @@ class BoundaryResult:
     lies in F_phi ("range_in_fixed"), the idempotent is absorbed by the
     channel ("absorbed"), and the space is fixed by the channel
     ("space_in_fixed"). ``absorption_violation`` is max_k ||e phi^k e - e||
-    for k up to 20.
+    for k up to ``ABSORPTION_POWERS``.
     """
 
     channel: ChannelMap
@@ -89,7 +78,6 @@ class BoundaryResult:
     certificate: str
     descent_trace: tuple[tuple[int, int, float], ...]
     residuals: dict[str, float]
-    seed: int
     tol: float
 
     @property
@@ -109,7 +97,6 @@ class BoundaryResult:
             "fixed_basis": [matrix_to_json(m) for m in self.fixed_space.mats],
             "descent_trace": [[it, rk, float(res)] for it, rk, res in self.descent_trace],
             "choi_effros": self.choi_effros.to_json(),
-            "seed": self.seed,
             "tol": self.tol,
         }
 
@@ -118,7 +105,7 @@ def compute_boundary(
     space: OperatorSubspace,
     phi: ChannelMap,
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = TOL.certify,
 ) -> BoundaryResult:
     """Minimal idempotent of the absorbed semigroup, with certificates.
 
@@ -129,7 +116,8 @@ def compute_boundary(
     e . e0 . theta . e = e is tested exactly over all of them. Each descent
     step f of e satisfies f = e f e, hence f . e = f; by induction e . e0 = e,
     so the test is ``probe_minimality`` of e over the plain set. The
-    descent is deterministic; ``seed`` is recorded in the report.
+    descent is deterministic, so ``seed`` is unused: it is accepted only for
+    callers that still pass one.
     """
     tset = build_T_set(space, phi)
     ergodic = cesaro_idempotent(phi)
@@ -159,6 +147,5 @@ def compute_boundary(
         certificate=des.certificate,
         descent_trace=des.trace,
         residuals=residuals,
-        seed=seed,
         tol=tol,
     )

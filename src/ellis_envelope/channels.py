@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    ATOL_ITERATIVE,
     SubspaceBasis,
     as_matrix,
     frobenius,
@@ -33,13 +32,13 @@ from .linalg import (
     unvec,
     vec,
 )
+from .tolerances import TOL
 
-# Singular values above this count toward the rank of an idempotent's superoperator.
-RANK_SV_CUTOFF = 1e-7
-
-# Iterative Cesaro averaging: stopping tolerance and doubling cap.
-CESARO_ITER_TOL = 1e-10
+# Iterative Cesaro averaging: doubling cap on the power of the map.
 CESARO_MAX_N = 2**20
+
+# check_absorption compares e phi^k e with e for k = 1 .. ABSORPTION_POWERS.
+ABSORPTION_POWERS = 20
 
 
 class NonConvergenceError(RuntimeError):
@@ -150,24 +149,18 @@ class ChannelMap:
         x = as_matrix(x, self.dim_in, self.dim_in)
         return unvec(self.superop @ vec(x), self.dim_out, self.dim_out)
 
-    def apply_via_choi(self, x: np.ndarray) -> np.ndarray:
-        """Same map evaluated from the Choi tensor; used to cross-check the reshuffle."""
-        x = as_matrix(x, self.dim_in, self.dim_in)
-        c4 = self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-        return np.einsum("iajb,ij->ab", c4, x)
-
     def adjoint(self) -> "ChannelMap":
         """Hilbert-Schmidt adjoint: <phi*(y), x> = <y, phi(x)>."""
         return ChannelMap.from_superop(self.superop.conj().T, self.dim_out, self.dim_in, self.cp_hint)
 
-    def rank(self, sv_cutoff: float = RANK_SV_CUTOFF) -> int:
-        """Number of superoperator singular values above the cutoff."""
-        return int(np.sum(np.linalg.svd(self.superop, compute_uv=False) > sv_cutoff))
+    def rank(self) -> int:
+        """Number of superoperator singular values above ``TOL.rank``."""
+        return int(np.sum(np.linalg.svd(self.superop, compute_uv=False) > TOL.rank))
 
-    def range_basis(self, sv_cutoff: float = RANK_SV_CUTOFF) -> SubspaceBasis:
+    def range_basis(self) -> SubspaceBasis:
         """Orthonormal basis (as matrices) of the range of the map."""
         u, s, _ = np.linalg.svd(self.superop)
-        r = int(np.sum(s > sv_cutoff))
+        r = int(np.sum(s > TOL.rank))
         mats = [unvec(u[:, k], self.dim_out, self.dim_out) for k in range(r)]
         return SubspaceBasis(np.stack(mats))
 
@@ -220,11 +213,12 @@ class StructureReport:
     cb_bound: float
 
 
-def check_structure(phi: ChannelMap, tol: float = 1e-9, compute_cb: bool = True) -> StructureReport:
+def check_structure(phi: ChannelMap) -> StructureReport:
     """Structural flags with their residuals; never raises on a 'bad' map."""
     n, m = phi.dim_in, phi.dim_out
+    tol = TOL.structure
     choi_min = float(hermitian_eig(herm(phi.choi)).values[0])
-    cp = _is_hermitian(phi.choi, tol) and choi_min >= -1e-9 * max(1.0, frobenius(phi.choi))
+    cp = _is_hermitian(phi.choi, tol) and choi_min >= -tol * max(1.0, frobenius(phi.choi))
     unital_res = frobenius(phi.apply(np.eye(n)) - np.eye(m))
     c4 = phi.choi.reshape(n, m, n, m)
     trace_res = frobenius(np.einsum("iaja->ij", c4) - np.eye(n))
@@ -233,18 +227,16 @@ def check_structure(phi: ChannelMap, tol: float = 1e-9, compute_cb: bool = True)
         idem_res = frobenius(phi.superop @ phi.superop - phi.superop)
     if cp:
         cb = _spectral_norm(phi.apply(np.eye(n)))
-    elif compute_cb:
+    else:
         from .spectrahedron import cb_norm
 
         cb = cb_norm(phi)
-    else:
-        cb = float("inf")
     return StructureReport(
         cp=bool(cp),
         unital=bool(unital_res <= tol * max(1.0, np.sqrt(m))),
         trace_preserving=bool(trace_res <= tol * max(1.0, np.sqrt(n))),
-        idempotent=None if idem_res is None else bool(idem_res <= ATOL_ITERATIVE),
-        cb_contraction=bool(cb <= 1.0 + 1e-6),
+        idempotent=None if idem_res is None else bool(idem_res <= TOL.solver),
+        cb_contraction=bool(cb <= 1.0 + TOL.certify),
         choi_min_eig=choi_min,
         unital_residual=unital_res,
         trace_residual=trace_res,
@@ -253,25 +245,25 @@ def check_structure(phi: ChannelMap, tol: float = 1e-9, compute_cb: bool = True)
     )
 
 
-def _is_hermitian(a: np.ndarray, tol: float = 1e-9) -> bool:
+def _is_hermitian(a: np.ndarray, tol: float) -> bool:
     return frobenius(a - a.conj().T) <= tol * max(1.0, frobenius(a))
 
 
-def _require_unital_cp(phi: ChannelMap, who: str, tol: float = 1e-7) -> None:
+def _require_unital_cp(phi: ChannelMap, who: str) -> None:
     if phi.dim_in != phi.dim_out:
         raise ValueError(f"{who}: map must be square (got {phi.dim_in} -> {phi.dim_out})")
     n = phi.dim_in
     unital_res = frobenius(phi.apply(np.eye(n)) - np.eye(n))
-    if unital_res > tol:
+    if unital_res > TOL.ucp:
         raise ValueError(f"{who}: map is not unital (residual {unital_res:.3e})")
-    if not _is_hermitian(phi.choi, 1e-8):
+    if not _is_hermitian(phi.choi, TOL.solver):
         raise ValueError(f"{who}: Choi matrix is not Hermitian")
     wmin = float(hermitian_eig(herm(phi.choi)).values[0])
-    if wmin < -1e-7 * max(1.0, frobenius(phi.choi)):
+    if wmin < -TOL.ucp * max(1.0, frobenius(phi.choi)):
         raise ValueError(f"{who}: map is not CP (min Choi eigenvalue {wmin:.3e})")
 
 
-def fixed_space(phi: ChannelMap, sv_rtol: float = 1e-9) -> SubspaceBasis:
+def fixed_space(phi: ChannelMap, sv_rtol: float = TOL.fixed_space) -> SubspaceBasis:
     """Orthonormal basis of F_phi = {x : phi(x) = x} for a unital CP map.
 
     Computed as the null space of (superop - I); singular values below
@@ -305,7 +297,7 @@ class ErgodicResult:
     agreement: float | None = None
 
 
-def _spectral_ergodic_projection(s: np.ndarray, sv_rtol: float = 1e-9) -> np.ndarray:
+def _spectral_ergodic_projection(s: np.ndarray, sv_rtol: float) -> np.ndarray:
     """Projection onto ker(I - s) along ran(I - s), from the SVD of (I - s)."""
     d = s.shape[0]
     a = np.eye(d) - s
@@ -345,23 +337,23 @@ def _iterative_ergodic_projection(s: np.ndarray) -> tuple[np.ndarray, list[tuple
         b2 = b @ b
         res = frobenius(b2 - b)
         history.append((total, res))
-        if res <= CESARO_ITER_TOL:
+        if res <= TOL.cesaro:
             return b2, history
         b = b2
         total *= 2
     raise NonConvergenceError(
-        f"cesaro_idempotent: no convergence to {CESARO_ITER_TOL:.1e} within a power budget of {CESARO_MAX_N}",
+        f"cesaro_idempotent: no convergence to {TOL.cesaro:.1e} within a power budget of {CESARO_MAX_N}",
         history,
     )
 
 
 def cesaro_idempotent(
-    phi: ChannelMap, mode: str = "spectral", sv_rtol: float = 1e-9
+    phi: ChannelMap, mode: str = "spectral", sv_rtol: float = TOL.fixed_space
 ) -> ErgodicResult:
     """Ergodic (Cesaro) idempotent of a unital CP map.
 
     mode: "spectral" (exact up to linear algebra, default), "iterative"
-    (doubling Cesaro averages), or "both" (run both, cross-check to 1e-7,
+    (doubling Cesaro averages), or "both" (run both, cross-check to ``TOL.ucp``,
     report the spectral result with the agreement distance). ``sv_rtol`` is
     the fixed-space detection threshold of the spectral mode; callers working
     with maps known only to ~1e-8 (e.g. projected samples) may loosen it.
@@ -379,7 +371,7 @@ def cesaro_idempotent(
         p = _spectral_ergodic_projection(s, sv_rtol)
         p_iter, _ = _iterative_ergodic_projection(s)
         agreement = frobenius(p - p_iter)
-        if agreement > 1e-7:
+        if agreement > TOL.ucp:
             raise NonConvergenceError(
                 f"cesaro_idempotent: spectral and iterative modes disagree ({agreement:.3e})",
                 [(0, agreement)],
@@ -422,10 +414,10 @@ def random_unital_channel(rng: np.random.Generator, n: int, n_kraus: int = 3) ->
     return ChannelMap.from_kraus(unitalize_kraus(ops))
 
 
-def check_absorption(e: ChannelMap, phi: ChannelMap, k_max: int = 20) -> float:
-    """max_{1<=k<=k_max} || e phi^k e - e ||_F for an ergodic idempotent e of phi.
+def check_absorption(e: ChannelMap, phi: ChannelMap) -> float:
+    """max_{1<=k<=ABSORPTION_POWERS} || e phi^k e - e ||_F for an ergodic idempotent e of phi.
 
-    Preconditions (checked to 1e-7): e is idempotent and absorbs phi on both
+    Preconditions (checked to ``TOL.ucp``): e is idempotent and absorbs phi on both
     sides, which makes the returned value a numerical-consistency certificate.
     """
     se, sp = e.superop, phi.superop
@@ -435,11 +427,11 @@ def check_absorption(e: ChannelMap, phi: ChannelMap, k_max: int = 20) -> float:
     left = frobenius(sp @ se - se)
     right = frobenius(se @ sp - se)
     worst = max(idem_res, left, right)
-    if worst > 1e-7:
+    if worst > TOL.ucp:
         raise ValueError(f"check_absorption: precondition violated (residual {worst:.3e})")
     out = 0.0
     spk = np.eye(sp.shape[0])
-    for _ in range(k_max):
+    for _ in range(ABSORPTION_POWERS):
         spk = sp @ spk
         out = max(out, frobenius(se @ spk @ se - se))
     return out

@@ -10,14 +10,14 @@ file given by --out) and exits with
        invalid flag combinations.
 
 Reports are deterministic for a fixed configuration: keys are sorted, no
-timestamps, and every report records the seed, the tolerances, and the
+timestamps, and every report records the seed, the certification tolerance,
+every threshold of ``tolerances.TOL`` (as ``config.tolerances``), and the
 package/python/numpy versions it was produced with.  Runs over non-trivial
 inputs stay at desk scale; ambient dimensions are capped at 64.
 """
 
 import argparse
 import json
-import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -44,43 +44,37 @@ from .semigroups import (
     minimal_idempotent_below,
     minimal_left_ideals,
 )
+from .tolerances import TOL
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run's output, recorded in every report.
+    """The settings of a run; every report records them with ``TOL``.
 
-    ``tol`` is the solver (Dykstra/membership) tolerance and is fixed at
-    1e-8; ``report_tol`` is the certification threshold applied to residuals
-    and minimality bounds and must stay strictly above it: a certificate
-    cannot be tighter than the accuracy of the iterates behind it.
+    ``report_tol`` is the certification threshold applied to residuals and
+    minimality bounds and must stay strictly above the solver tolerance
+    ``TOL.solver``: a certificate cannot be tighter than the accuracy of the
+    iterates behind it.
     """
 
     seed: int = 0
-    tol: float = 1e-8
-    report_tol: float = 1e-6
-    dykstra_budget: int = 100_000
+    report_tol: float = TOL.certify
     mode: str = "auto"
-    parallel: int = 1
-    parallel_source: str = "default"
     json_indent: int = 2
 
     def validate(self) -> None:
-        if not self.tol < self.report_tol:
+        if not TOL.solver < self.report_tol:
             raise ValueError(
                 f"report tolerance ({self.report_tol:g}) must be strictly above "
-                f"the solver tolerance ({self.tol:g})"
+                f"the solver tolerance ({TOL.solver:g})"
             )
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("dykstra_budget", "parallel"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
         if self.json_indent < 0:
             raise ValueError("json indent must be nonnegative")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "tolerances": asdict(TOL)}
 
 
 def _versions() -> dict:
@@ -195,7 +189,7 @@ def _run_channel_info(args, config: RunConfig) -> tuple[str, dict]:
     result = {
         "dim_in": phi.dim_in,
         "dim_out": phi.dim_out,
-        "choi_rank": phi.rank(),
+        "choi_rank": int(np.sum(np.linalg.svd(phi.choi, compute_uv=False) > TOL.rank)),
         "cp": rep.cp,
         "unital": rep.unital,
         "trace_preserving": rep.trace_preserving,
@@ -244,7 +238,7 @@ def _run_envelope_compute(args, config: RunConfig) -> tuple[str, dict]:
 def _run_boundary_compute(args, config: RunConfig) -> tuple[str, dict]:
     phi = read_channel(args.channel)
     space, _ = read_space(args.fix)
-    res = compute_boundary(space, phi, seed=config.seed, tol=config.report_tol)
+    res = compute_boundary(space, phi, tol=config.report_tol)
     result = res.to_json()
     result["input_dim"] = space.dim
     result["ambient"] = space.ambient
@@ -266,23 +260,15 @@ class _Parser(argparse.ArgumentParser):
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", default=None, help="write the report here instead of stdout")
     p.add_argument("--json-indent", type=int, default=2, metavar="N", help="report indentation (default 2)")
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="K",
-        help="worker count to record (ELLIS_ENVELOPE_THREADS overrides; execution is sequential either way)",
-    )
 
 
-def _add_compute_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the report (default 0)")
+def _add_tol_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-6,
+        default=TOL.certify,
         help="certification tolerance for residuals and minimality bounds "
-        "(default 1e-6; must stay above the 1e-8 solver tolerance)",
+        f"(default {TOL.certify:g}; must stay above the {TOL.solver:g} solver tolerance)",
     )
 
 
@@ -291,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellis-envelope",
         description="Idempotent structure of unital CP maps: ergodic projections, "
         "injective envelopes, and noncommutative boundaries.",
-        epilog="Reports are deterministic: the same command line yields byte-identical "
-        "output. --parallel and ELLIS_ENVELOPE_THREADS are recorded but execution "
-        "is always sequential.",
+        epilog="Reports are deterministic: the same command line yields byte-identical output.",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -343,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the input as an operator system or a plain space "
         "(default auto: follow the mode recorded in the file)",
     )
-    _add_compute_opts(env_c)
+    env_c.add_argument(
+        "--seed", type=int, default=0, help="seed of the sampled member the descent starts from (default 0)"
+    )
+    _add_tol_opt(env_c)
     _add_output_opts(env_c)
 
     bd = sub.add_parser("boundary", help="noncommutative boundary of a space inside the fixed algebra of a map")
@@ -351,32 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     bd_c = bd_sub.add_parser("compute", help="descend to a minimal absorbing idempotent")
     bd_c.add_argument("channel", help="channel JSON; the map whose fixed space hosts the boundary")
     bd_c.add_argument("--fix", required=True, metavar="SPACE", help="operator space JSON, must be fixed elementwise")
-    _add_compute_opts(bd_c)
+    _add_tol_opt(bd_c)
     _add_output_opts(bd_c)
 
     return p
 
 
-def _resolve_parallel(flag_value) -> tuple[int, str]:
-    env = os.environ.get("ELLIS_ENVELOPE_THREADS")
-    if env is not None:
-        try:
-            return int(env), "env"
-        except ValueError:
-            raise ValueError(f"ELLIS_ENVELOPE_THREADS={env!r} is not an integer") from None
-    if flag_value is not None:
-        return int(flag_value), "flag"
-    return 1, "default"
-
-
 def _config_from_args(args) -> RunConfig:
-    parallel, source = _resolve_parallel(getattr(args, "parallel", None))
     config = RunConfig(
         seed=getattr(args, "seed", 0),
-        report_tol=getattr(args, "tol", 1e-6),
+        report_tol=getattr(args, "tol", TOL.certify),
         mode=getattr(args, "mode", "auto"),
-        parallel=parallel,
-        parallel_source=source,
         json_indent=getattr(args, "json_indent", 2),
     )
     config.validate()

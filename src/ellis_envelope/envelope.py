@@ -35,8 +35,10 @@ from .channels import (
 )
 from .linalg import SubspaceBasis, frobenius, herm, hermitian_eig, matrix_to_json
 from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
+from .tolerances import TOL
 
-IDEMPOTENT_TOL = 1e-7
+# Fixed-space thresholds ``seed_idempotent`` tries in turn, finest first.
+SEED_SV_RTOLS = (TOL.fixed_space, 1e-6, 1e-4)
 
 
 # ------------------------------------------------------------------------
@@ -71,39 +73,7 @@ def _embed_diag(x: np.ndarray, which: int, n: int) -> np.ndarray:
     return z
 
 
-def lift_map(phi: ChannelMap) -> ChannelMap:
-    """Blockwise ampliation of ``phi`` to M_{2n} = M_2(M_n).
-
-    Sends [[A, X], [Y, B]] to [[phi(A), phi(X)], [phi(Y), phi(B)]], i.e.
-    id_2 (x) phi. Unital CP exactly when phi is, fixes both block
-    projections, and restricts to phi on the upper-right corner; when phi
-    fixes E elementwise the ampliation fixes the lifted system, which makes
-    it the standard feasibility witness for lifted sets.
-    """
-    if phi.dim_in != phi.dim_out:
-        raise ValueError("lift_map: need a square map")
-    n = phi.dim_in
-    d = 2 * n
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        for q in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[r, q] = 1.0
-            s[:, r * d + q] = _lift_apply(phi, unit).reshape(-1)
-    return ChannelMap.from_superop(s, d, d)
-
-
-def _lift_apply(phi: ChannelMap, z: np.ndarray) -> np.ndarray:
-    n = phi.dim_in
-    out = np.zeros_like(z)
-    out[:n, :n] = phi.apply(z[:n, :n])
-    out[n:, n:] = phi.apply(z[n:, n:])
-    out[:n, n:] = phi.apply(z[:n, n:])
-    out[n:, :n] = phi.apply(z[n:, :n])
-    return out
-
-
-def corner_extract(big: ChannelMap, tol: float = 1e-8) -> ChannelMap:
+def corner_extract(big: ChannelMap) -> ChannelMap:
     """Upper-right corner compression x -> [big([[0, x], [0, 0]])]_{12}.
 
     ``big`` must fix the two corner projections (automatic for maps fixing a
@@ -118,7 +88,7 @@ def corner_extract(big: ChannelMap, tol: float = 1e-8) -> ChannelMap:
     for which in (0, 1):
         p = _embed_diag(np.eye(n), which, n)
         drift = frobenius(big.apply(p) - p)
-        if drift > 1e-6:
+        if drift > TOL.certify:
             raise ValueError(
                 f"corner_extract: map moves corner projection {which} by {drift:.3e}"
             )
@@ -134,8 +104,8 @@ def corner_extract(big: ChannelMap, tol: float = 1e-8) -> ChannelMap:
             rest[:n, n:] = 0.0
             worst = max(worst, frobenius(rest))
             s[:, r * n + q] = block.reshape(-1)
-    if worst > tol:
-        raise ValueError(f"corner_extract: corner leakage {worst:.3e} > {tol:.1e}")
+    if worst > TOL.solver:
+        raise ValueError(f"corner_extract: corner leakage {worst:.3e} > {TOL.solver:.1e}")
     return ChannelMap.from_superop(s, n, n)
 
 
@@ -218,8 +188,8 @@ def _member_idempotent(e: ChannelMap, fset: FeasibleSet) -> bool:
     except ValueError:
         return False
     return (
-        fset.membership(e, tol=1e-6).ok
-        and frobenius(e.superop @ e.superop - e.superop) <= IDEMPOTENT_TOL
+        fset.membership(e, tol=TOL.certify).ok
+        and frobenius(e.superop @ e.superop - e.superop) <= TOL.ucp
     )
 
 
@@ -234,7 +204,7 @@ def seed_idempotent(theta: ChannelMap, fset: FeasibleSet) -> ChannelMap:
     rung is checked, so loosening cannot produce a bad seed.
     """
     failures: list[tuple[int, float]] = []
-    for k, sv_rtol in enumerate((1e-9, 1e-6, 1e-4)):
+    for k, sv_rtol in enumerate(SEED_SV_RTOLS):
         try:
             e = cesaro_idempotent(theta, sv_rtol=sv_rtol).idempotent
         except (ValueError, NonConvergenceError):
@@ -265,7 +235,7 @@ class DescentResult:
     trace: tuple[tuple[int, int, float], ...]
 
 
-def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = 1e-6) -> DescentResult:
+def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = TOL.certify) -> DescentResult:
     """Rank descent from the idempotent member ``e0`` to a minimal one.
 
     Each round bounds the violation exactly; above tol, a member theta along
@@ -302,8 +272,8 @@ class ChoiEffrosTable:
 
     For a unital CP idempotent e with range F this is an associative product
     with unit e(I); the residuals measure how far the computed e is from
-    that ideal. An associativity residual above 1e-6 flags that e is not an
-    idempotent UCP map to tolerance.
+    that ideal. An associativity residual above ``TOL.certify`` flags that e
+    is not an idempotent UCP map to tolerance.
     """
 
     coefficients: np.ndarray
@@ -313,7 +283,7 @@ class ChoiEffrosTable:
 
     @property
     def ok(self) -> bool:
-        return self.associativity_residual <= 1e-6
+        return self.associativity_residual <= TOL.certify
 
     def to_json(self) -> dict:
         return {
@@ -330,7 +300,7 @@ def choi_effros_table(e: ChannelMap, f_basis: SubspaceBasis) -> ChoiEffrosTable:
     _require_unital_cp(e, "choi_effros_table")
     mats = f_basis.mats
     drift = max(frobenius(e.apply(m) - m) for m in mats)
-    if drift > 1e-6:
+    if drift > TOL.certify:
         raise ValueError(
             f"choi_effros_table: basis is not fixed by e (drift {drift:.3e}); "
             "pass the range of e"
@@ -415,7 +385,7 @@ def compute_envelope(
     space: OperatorSubspace,
     mode: str = "auto",
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = TOL.certify,
 ) -> EnvelopeResult:
     """Injective envelope of an operator space or system.
 

@@ -2,8 +2,9 @@
 
 Loaders wrap the per-class ``from_json`` constructors so that every failure
 message names the offending file.  Ambient dimensions are capped at 64x64;
-beyond that the dense solvers stop being desk-scale and the cap fails fast
-instead of letting a run crawl.
+beyond that the dense solvers stop being desk-scale and the cap fails fast,
+on the declared dimensions and before any matrix is decoded, instead of
+letting a run crawl.
 """
 
 import json
@@ -34,23 +35,21 @@ def load_json(path: str) -> dict:
 
 def read_channel(path: str) -> ChannelMap:
     obj = load_json(path)
+    _check_ambient(path, obj, ("dim_in", "dim_out"))
     try:
-        phi = ChannelMap.from_json(obj)
+        return ChannelMap.from_json(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    _check_ambient(path, max(phi.dim_in, phi.dim_out))
-    return phi
 
 
 def read_space(path: str) -> tuple[OperatorSubspace, str]:
     """Operator subspace plus its declared mode ("system" or "space")."""
     obj = load_json(path)
+    _check_ambient(path, obj, ("ambient",))
     try:
-        space, mode = OperatorSubspace.from_json(obj)
+        return OperatorSubspace.from_json(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    _check_ambient(path, space.ambient)
-    return space, mode
 
 
 def read_table(path: str) -> CayleyTable:
@@ -61,7 +60,12 @@ def read_table(path: str) -> CayleyTable:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _check_ambient(path: str, n: int) -> None:
+def _check_ambient(path: str, obj: dict, keys: tuple[str, ...]) -> None:
+    """Reject declared dimensions above the cap; ``from_json`` reports bad values."""
+    try:
+        n = max(int(obj[k]) for k in keys)
+    except (KeyError, TypeError, ValueError):
+        return
     if n > MAX_AMBIENT:
         raise ValueError(
             f"{path}: ambient dimension {n} exceeds the {MAX_AMBIENT}x{MAX_AMBIENT} cap"

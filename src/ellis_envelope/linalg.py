@@ -6,9 +6,8 @@ stacks of matrices that are orthonormal under the Frobenius inner product
 ``<a, b> = tr(a^* b)``, which coincides with the l2 inner product of their
 vectorizations.
 
-Tolerance hierarchy: 1e-10 for algebraic identities, 1e-8 for iterative
-limits, 1e-6 for subspace/certificate reporting.  Callers may override per
-call; these are the defaults used across the package.
+Tolerances: every threshold shared across the package is a field of
+``tolerances.TOL``.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOL_ALGEBRAIC = 1e-10
-ATOL_ITERATIVE = 1e-8
-ATOL_REPORT = 1e-6
-
-# Relative cutoffs fixed by the module contracts.
-HERMITICITY_RTOL = 1e-9
-ORTHONORMALIZE_DROP_RTOL = 1e-10
+from .tolerances import TOL
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -61,18 +54,18 @@ class HermitianEig:
     vectors: np.ndarray
 
 
-def hermitian_eig(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermitianEig:
+def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises ValueError if the input is not square or deviates from Hermitian
-    by more than ``rtol * max(1, ||a||_F)``.
+    by more than ``TOL.hermiticity * max(1, ||a||_F)``.
     """
     a = as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError(f"hermitian_eig: matrix is {n}x{m}, not square")
     dev = frobenius(a - a.conj().T)
-    if dev > rtol * max(1.0, frobenius(a)):
+    if dev > TOL.hermiticity * max(1.0, frobenius(a)):
         raise ValueError(f"hermitian_eig: not Hermitian (||a - a^*||_F = {dev:.3e})")
     w, v = np.linalg.eigh(herm(a))
     return HermitianEig(values=w, vectors=v)
@@ -87,11 +80,7 @@ def psd_project(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Frobenius-orthonormal basis of a subspace of M_n.
-
-    ``mats`` has shape (dim, n, n); ``ambient_dim`` is n^2, the dimension of
-    the ambient matrix space.
-    """
+    """Frobenius-orthonormal basis of a subspace of M_n; ``mats`` has shape (dim, n, n)."""
 
     mats: np.ndarray
 
@@ -109,18 +98,9 @@ class SubspaceBasis:
     def n(self) -> int:
         return self.mats.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.n * self.n
-
     def vecs(self) -> np.ndarray:
         """Row-stacked vectorizations, shape (dim, n^2)."""
         return self.mats.reshape(self.dim, -1)
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, acting on vectorized matrices."""
-        v = self.vecs()
-        return v.T @ v.conj()
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Orthogonal projection of a matrix onto the subspace."""
@@ -132,15 +112,12 @@ class SubspaceBasis:
         """Frobenius distance from a matrix to the subspace."""
         return frobenius(as_matrix(a, self.n, self.n) - self.project(a))
 
-    def contains(self, a: np.ndarray, tol: float = ATOL_ITERATIVE) -> bool:
-        return self.distance(a) <= tol
 
-
-def orthonormalize(mats, drop_rtol: float = ORTHONORMALIZE_DROP_RTOL) -> SubspaceBasis:
+def orthonormalize(mats) -> SubspaceBasis:
     """Gram-Schmidt a list of matrices into a SubspaceBasis.
 
     Modified Gram-Schmidt with one reorthogonalization pass; vectors whose
-    residual norm falls below ``drop_rtol * max input norm`` are dropped, so
+    residual norm falls below ``TOL.span_rtol * max input norm`` are dropped, so
     the output dimension is the numerical rank of the span.
     """
     arr = [as_matrix(m) for m in mats]
@@ -160,25 +137,11 @@ def orthonormalize(mats, drop_rtol: float = ORTHONORMALIZE_DROP_RTOL) -> Subspac
             for b in kept:
                 v = v - (b.conj() @ v) * b
         norm = np.linalg.norm(v)
-        if norm >= drop_rtol * scale:
+        if norm >= TOL.span_rtol * scale:
             kept.append(v / norm)
     if not kept:
         raise ValueError("orthonormalize: span is numerically zero")
     return SubspaceBasis(np.stack(kept).reshape(len(kept), n, n))
-
-
-def subspace_equal(a: SubspaceBasis, b: SubspaceBasis, tol: float = ATOL_REPORT) -> tuple[bool, float]:
-    """Compare subspaces via their orthogonal projectors.
-
-    Returns (equal within tol, Frobenius distance of the projectors).
-    """
-    if a.n != b.n:
-        raise ValueError("subspace_equal: ambient dimensions differ")
-    va, vb = a.vecs(), b.vecs()
-    pa = va.T @ va.conj()
-    pb = vb.T @ vb.conj()
-    dist = frobenius(pa - pb)
-    return dist <= tol, dist
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -32,15 +32,34 @@ from .linalg import (
     orthonormalize,
     psd_project,
 )
-
-SPAN_FLAG_TOL = 1e-9
-
-# Relative singular-value cutoff of the compressed affine system: below it a
-# row combination counts as dependent, in the projector and the null space alike.
-AFFINE_RCOND = 1e-12
+from .tolerances import TOL
 
 # Sampled members averaged into ``FeasibleSet.center``.
 CENTER_SAMPLES = 4
+
+# Alternating projections for an exposing vector: a start is not given up
+# before POCS_PATIENCE iterations, and runs up to ten times as many while its
+# PSD gap keeps shrinking.
+POCS_PATIENCE = 600
+
+# Dykstra: iteration budget, and how often an active-face polish is tried.
+DYKSTRA_MAX_ITER = 100_000
+POLISH_EVERY = 100
+# Relative eigenvalue cutoffs at which the polish pins the near-null space.
+POLISH_CUTS = (1e-6, 1e-9)
+
+# Smallest increase an ascent step must make to be accepted.
+ASCENT_MIN_GAIN = 1e-12
+
+# cb-norm witness ascent: random unitary starts (besides two fixed ones) and
+# steps per start; the draws use a fixed seed.
+WITNESS_STARTS = 3
+WITNESS_ITERS = 60
+
+# Block completion by alternating projections: budget per bisection step and
+# the accuracy at which a completion counts as found.
+COMPLETION_ITERS = 3000
+COMPLETION_TOL = 1e-9
 
 
 # ------------------------------------------------------------------------
@@ -104,10 +123,10 @@ class OperatorSubspace:
         if self.basis.n != n:
             raise ValueError(f"OperatorSubspace: basis is {self.basis.n}x{self.basis.n}, ambient {n}")
         eye_dist = self.basis.distance(np.eye(n))
-        if self.unital != bool(eye_dist <= SPAN_FLAG_TOL * np.sqrt(n)):
+        if self.unital != bool(eye_dist <= TOL.structure * np.sqrt(n)):
             raise ValueError(f"OperatorSubspace: unital flag contradicts basis (distance {eye_dist:.3e})")
         adj_dist = max(self.basis.distance(m.conj().T) for m in self.basis.mats)
-        if self.selfadjoint != bool(adj_dist <= SPAN_FLAG_TOL):
+        if self.selfadjoint != bool(adj_dist <= TOL.structure):
             raise ValueError(f"OperatorSubspace: selfadjoint flag contradicts basis (distance {adj_dist:.3e})")
 
     @classmethod
@@ -115,8 +134,8 @@ class OperatorSubspace:
         stack = np.stack([np.asarray(m, dtype=complex) for m in mats])
         basis = orthonormalize(stack)
         n = basis.n
-        unital = basis.distance(np.eye(n)) <= SPAN_FLAG_TOL * np.sqrt(n)
-        selfadjoint = max(basis.distance(m.conj().T) for m in basis.mats) <= SPAN_FLAG_TOL
+        unital = basis.distance(np.eye(n)) <= TOL.structure * np.sqrt(n)
+        selfadjoint = max(basis.distance(m.conj().T) for m in basis.mats) <= TOL.structure
         return cls(n, basis, bool(unital), bool(selfadjoint))
 
     @property
@@ -206,9 +225,7 @@ class MembershipReport:
         return max(self.residuals.values())
 
 
-def _find_exposing_vector(
-    a: np.ndarray, b: np.ndarray, d: int, pocs_iter: int = 600, tol: float = 1e-10
-) -> np.ndarray | None:
+def _find_exposing_vector(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray | None:
     """A PSD matrix W != 0 with <W, J> = 0 for every J in the affine set, if any.
 
     Such a W certifies that the whole feasible set lies in the face
@@ -216,12 +233,14 @@ def _find_exposing_vector(
     constraint normals A^T y restricted to y . b = 0, normalized to trace 1;
     alternating projections between that affine slice and the PSD cone either
     find one or stall, in which case None is returned (no reduction claimed).
-    Past ``pocs_iter`` iterations a start goes on, up to ten times as long,
-    while its PSD gap shrinks by a tenth every hundred iterations: a linear
-    rate means the two sets meet, a flat gap that they do not.
+    The PSD gap is tested every hundred iterations and a start returns as
+    soon as it has converged. Past ``POCS_PATIENCE`` iterations a start goes
+    on, up to ten times as long, only while its gap shrinks by a tenth every
+    hundred iterations: a linear rate means the two sets meet, a flat gap
+    that they do not.
     """
     u, s, _ = np.linalg.svd(a.T @ _b_orth_complement(a, b), full_matrices=False)
-    q = u[:, s > 1e-10 * max(1.0, s[0] if s.size else 1.0)]
+    q = u[:, s > TOL.span_rtol * max(1.0, s[0] if s.size else 1.0)]
     if q.shape[1] == 0:
         return None
     tr_vec = np.zeros(d * d)
@@ -239,16 +258,16 @@ def _find_exposing_vector(
         rng = np.random.default_rng(start)
         w = rng.standard_normal(d * d) if start else tr_vec / d
         last_gap = np.inf
-        for it in range(1, 10 * pocs_iter + 1):
+        for it in range(1, 10 * POCS_PATIENCE + 1):
             w = onto_slice(w)
             w = herm_to_real(psd_project(real_to_herm(w, d)))
-            if it < pocs_iter or it % 100:
+            if it % 100:
                 continue
             wm = herm(real_to_herm(onto_slice(w), d))
             gap = max(0.0, -float(hermitian_eig(wm).values[0]))
-            if gap <= tol and abs(np.trace(wm).real - 1.0) <= 1e-8:
+            if gap <= TOL.pocs and abs(np.trace(wm).real - 1.0) <= TOL.solver:
                 return wm
-            if gap > 0.9 * last_gap:
+            if it > POCS_PATIENCE and gap > 0.9 * last_gap:
                 break
             last_gap = gap
     return None
@@ -303,7 +322,7 @@ class FeasibleSet:
     a_c_pinv: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def from_complex_groups(cls, n: int, cgroups, reduce_face: bool = True) -> "FeasibleSet":
+    def from_complex_groups(cls, n: int, cgroups) -> "FeasibleSet":
         d = n * n
         real_groups = tuple(
             (name, *_rows_to_real(t, rhs, d)) for name, t, rhs in cgroups
@@ -312,20 +331,20 @@ class FeasibleSet:
         for _ in range(d):  # singularity degree is at most the dimension
             r = v.shape[1]
             a, b = _stack_compressed(cgroups, d, v)
-            if not reduce_face or r == 1:
+            if r == 1:
                 break
             w = _find_exposing_vector(a, b, r)
             if w is None:
                 break
             eig = hermitian_eig(herm(w))
-            keep = eig.values <= 1e-7 * max(1.0, float(eig.values[-1]))
+            keep = eig.values <= TOL.rank * max(1.0, float(eig.values[-1]))
             if not keep.any() or keep.all():
                 break
             v = v @ eig.vectors[:, keep]
             q, _ = np.linalg.qr(v)
             v = q
         a, b = _stack_compressed(cgroups, d, v)
-        return cls(n, real_groups, v, a, b, np.linalg.pinv(a, rcond=AFFINE_RCOND))
+        return cls(n, real_groups, v, a, b, np.linalg.pinv(a, rcond=TOL.affine_rcond))
 
     @property
     def choi_dim(self) -> int:
@@ -352,7 +371,7 @@ class FeasibleSet:
         m, cols = self.a_c.shape
         padded = np.vstack([self.a_c, np.zeros((max(0, cols - m), cols))])
         _, s, vh = np.linalg.svd(padded, full_matrices=False)
-        rank = int(np.sum(s > AFFINE_RCOND * s[0])) if s[0] > 0 else 0
+        rank = int(np.sum(s > TOL.affine_rcond * s[0])) if s[0] > 0 else 0
         return np.array([self.expand(real_to_herm(row, self.face_dim)) for row in vh[rank:]])
 
     @cached_property
@@ -370,7 +389,7 @@ class FeasibleSet:
         r = r - self.a_c_pinv @ (self.a_c @ r - self.b_c)
         return real_to_herm(r, self.face_dim)
 
-    def membership(self, j, tol: float = 1e-8) -> MembershipReport:
+    def membership(self, j, tol: float = TOL.solver) -> MembershipReport:
         j = j.choi if isinstance(j, ChannelMap) else as_matrix(j, self.choi_dim, self.choi_dim)
         res: dict[str, float] = {"hermitian": frobenius(j - j.conj().T)}
         r = herm_to_real(herm(j))
@@ -415,7 +434,7 @@ def build_system_set(
         cgroups.append(("absorb", *_absorb_rows(absorb.superop, n)))
     fset = FeasibleSet.from_complex_groups(n, cgroups)
     if absorb is None:
-        rep = fset.membership(ChannelMap.identity(n), tol=1e-8)
+        rep = fset.membership(ChannelMap.identity(n))
         if not rep.ok:
             raise RuntimeError(f"build_system_set: identity fails membership ({rep.residuals})")
     return fset
@@ -425,7 +444,7 @@ def build_system_set(
 # projection, sampling, linear ascent
 
 
-def _face_polish(y: np.ndarray, fset: FeasibleSet, tol: float) -> np.ndarray | None:
+def _face_polish(y: np.ndarray, fset: FeasibleSet) -> np.ndarray | None:
     """Try to finish a stalled projection by pinning the active sub-face.
 
     Once the compressed iterate is close to the solution, its small
@@ -438,7 +457,7 @@ def _face_polish(y: np.ndarray, fset: FeasibleSet, tol: float) -> np.ndarray | N
     eig = hermitian_eig(herm(y))
     scale = max(float(eig.values[-1]), 1.0)
     rv = herm_to_real(herm(y))
-    for cut in (1e-6, 1e-9):
+    for cut in POLISH_CUTS:
         k = int(np.sum(eig.values < cut * scale))
         if k == 0:
             continue
@@ -455,33 +474,28 @@ def _face_polish(y: np.ndarray, fset: FeasibleSet, tol: float) -> np.ndarray | N
         except np.linalg.LinAlgError:
             continue  # polishing is optional; Dykstra carries on
         cand = fset.expand(real_to_herm(rv - delta, r))
-        if fset.membership(cand, tol).ok:
+        if fset.membership(cand).ok:
             return cand
     return None
 
 
-def dykstra_project(
-    j0: np.ndarray,
-    fset: FeasibleSet,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    polish_every: int = 100,
-) -> ChannelMap:
+def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
     """Frobenius-nearest member of the set, by two-set Dykstra.
 
     Runs in the facially reduced coordinates, alternating the PSD cone and
     the aggregated affine projector with the standard correction vectors.
     The affine iterate is expanded and returned, so affine residuals are at
-    working precision and the PSD defect is what ``tol`` controls. Every
-    ``polish_every`` iterations an active-face refinement is attempted, which
-    turns near-converged iterates into exact solutions.
+    working precision and the PSD defect is what ``TOL.solver`` controls.
+    Every ``POLISH_EVERY`` iterations an active-face refinement is attempted,
+    which turns near-converged iterates into exact solutions.
     """
     d = fset.choi_dim
     x = fset.compress(herm(as_matrix(j0, d, d)))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
+    tol = TOL.solver
     history: list[tuple[int, float]] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, DYKSTRA_MAX_ITER + 1):
         x_prev = x
         y = psd_project(x + p)
         p = x + p - y
@@ -496,33 +510,26 @@ def dykstra_project(
         # for the two projected iterates to coalesce.
         converged = gap <= tol * scale and step <= tol * scale
         full = fset.expand(x)
-        rep = fset.membership(full, tol)
+        rep = fset.membership(full)
         history.append((it, max(rep.worst, gap)))
         if converged and rep.ok:
             return ChannelMap(fset.n, fset.n, herm(full))
-        if it % polish_every == 0 and gap <= 1e-4 * scale:
-            z = _face_polish(x, fset, tol)
+        if it % POLISH_EVERY == 0 and gap <= 1e-4 * scale:
+            z = _face_polish(x, fset)
             if z is not None:
                 return ChannelMap(fset.n, fset.n, herm(z))
     raise NonConvergenceError(
-        f"dykstra_project: residual {history[-1][1]:.3e} > {tol:.1e} after {max_iter} iterations",
+        f"dykstra_project: residual {history[-1][1]:.3e} > {tol:.1e} after {DYKSTRA_MAX_ITER} iterations",
         history,
     )
 
 
-def sample(
-    fset: FeasibleSet,
-    seed: int,
-    scale: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> ChannelMap:
+def sample(fset: FeasibleSet, seed: int) -> ChannelMap:
     """Random member: project a Gaussian Hermitian perturbation of Choi(id)."""
     rng = np.random.default_rng(seed)
     d = fset.choi_dim
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    j0 = ChannelMap.identity(fset.n).choi + scale * herm(g)
-    return dykstra_project(j0, fset, tol, max_iter)
+    return dykstra_project(ChannelMap.identity(fset.n).choi + herm(g), fset)
 
 
 def maximize_linear(
@@ -530,9 +537,7 @@ def maximize_linear(
     objective: np.ndarray,
     n_starts: int = 8,
     seed: int = 0,
-    tol: float = 1e-8,
     steps: int = 60,
-    max_iter: int = 100_000,
 ) -> tuple[ChannelMap, float]:
     """Best-effort maximizer of Re<objective, J> over the set.
 
@@ -548,13 +553,13 @@ def maximize_linear(
 
     best_j, best_v = None, -np.inf
     for k in range(n_starts):
-        j = sample(fset, seed + k, tol=tol, max_iter=max_iter).choi
+        j = sample(fset, seed + k).choi
         v = value(j)
         step = 1.0
         for _ in range(steps):
-            cand = dykstra_project(j + step * c, fset, tol, max_iter).choi
+            cand = dykstra_project(j + step * c, fset).choi
             cv = value(cand)
-            if cv > v + 1e-12:
+            if cv > v + ASCENT_MIN_GAIN:
                 j, v = cand, cv
                 step *= 1.5
             else:
@@ -586,9 +591,7 @@ def _swap_matrix(n: int) -> np.ndarray:
     return x
 
 
-def witness_lower_bound(
-    phi: ChannelMap, n_starts: int = 3, seed: int = 0, iters: int = 60
-) -> tuple[float, np.ndarray]:
+def witness_lower_bound(phi: ChannelMap) -> tuple[float, np.ndarray]:
     """Certified lower bound on ||phi||_cb by ascent over norm-1 witnesses.
 
     Alternates (a) the top singular pair of (phi (x) id)(X) and (b) the
@@ -597,10 +600,10 @@ def witness_lower_bound(
     Starts: the swap witness, the maximally entangled witness, random unitaries.
     """
     n = phi.dim_in
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     vec_eye = np.eye(n, dtype=complex).reshape(-1) / np.sqrt(n)
     starts = [_swap_matrix(n), np.outer(vec_eye, vec_eye.conj())]
-    for _ in range(n_starts):
+    for _ in range(WITNESS_STARTS):
         g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
         q, r = np.linalg.qr(g)
         starts.append(q * (np.diag(r) / np.abs(np.diag(r))))
@@ -608,7 +611,7 @@ def witness_lower_bound(
     best_v, best_x = -np.inf, starts[0]
     for x in starts:
         val = _spectral_top(_apply_extended(phi, x))[0]
-        for _ in range(iters):
+        for _ in range(WITNESS_ITERS):
             sigma, eta, xi = _spectral_top(_apply_extended(phi, x))
             g = np.einsum(
                 "ca,cdij,db->iajb",
@@ -619,7 +622,7 @@ def witness_lower_bound(
             u, sv, vh = np.linalg.svd(g)
             x_new = u @ vh
             new_val = _spectral_top(_apply_extended(phi, x_new))[0]
-            if new_val <= val + 1e-12:
+            if new_val <= val + ASCENT_MIN_GAIN:
                 break
             x, val = x_new, new_val
         if val > best_v:
@@ -662,9 +665,7 @@ def _clip_above(y: np.ndarray, t: float) -> np.ndarray:
     return (eig.vectors * np.minimum(eig.values, t)) @ eig.vectors.conj().T
 
 
-def _block_completion_feasible(
-    phi: ChannelMap, t: float, max_iter: int = 3000, feas_tol: float = 1e-9
-) -> bool:
+def _block_completion_feasible(phi: ChannelMap, t: float) -> bool:
     """Alternating projections for: exists PSD [[Y0, J],[J*, Y1]] with
     Tr_in Y_i <= t I. Returns True only when a completion is found to
     tolerance; False means the budget ran out (not an infeasibility proof)."""
@@ -676,7 +677,7 @@ def _block_completion_feasible(
     z[d:, :d] = j.conj().T
     z[:d, :d] = np.eye(d) * t / m
     z[d:, d:] = np.eye(d) * t / m
-    for _ in range(max_iter):
+    for _ in range(COMPLETION_ITERS):
         # pin the corners
         z[:d, d:] = j
         z[d:, :d] = j.conj().T
@@ -693,7 +694,7 @@ def _block_completion_feasible(
         for blk in (slice(0, d), slice(d, 2 * d)):
             w = hermitian_eig(herm(_partial_trace_in(z[blk, blk], n, m))).values
             excess = max(excess, max(0.0, float(w[-1]) - t))
-        if corner <= feas_tol and excess <= feas_tol:
+        if corner <= COMPLETION_TOL and excess <= COMPLETION_TOL:
             return True
     return False
 
@@ -710,9 +711,7 @@ class CbNormBracket:
         return self.upper - self.lower <= self.tol
 
 
-def cb_norm_bracket(
-    phi: ChannelMap, tol: float = 1e-3, seed: int = 0, ap_budget: int = 3000
-) -> CbNormBracket:
+def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
     """Two-sided bracket on ||phi||_cb.
 
     Lower: witness ascent (always valid). Upper: polar-dual completion,
@@ -720,7 +719,7 @@ def cb_norm_bracket(
     completion at a smaller scale. The bracket collapses immediately for CP
     maps, for the transpose, and for their scalar multiples.
     """
-    lo, _ = witness_lower_bound(phi, seed=seed)
+    lo, _ = witness_lower_bound(phi)
     hi = polar_dual_upper_bound(phi)
     if hi < lo:  # both are valid bounds; order can flip only by roundoff
         lo, hi = min(lo, hi), max(lo, hi)
@@ -728,7 +727,7 @@ def cb_norm_bracket(
     search_lo = lo
     while hi - lo > tol and rounds < 40 and hi - search_lo > 0.25 * tol:
         mid = 0.5 * (search_lo + hi)
-        if _block_completion_feasible(phi, mid, max_iter=ap_budget):
+        if _block_completion_feasible(phi, mid):
             hi = mid
         else:
             search_lo = mid
@@ -736,7 +735,7 @@ def cb_norm_bracket(
     return CbNormBracket(lo, hi, tol, rounds)
 
 
-def cb_norm(phi: ChannelMap, tol: float = 1e-3, seed: int = 0) -> float:
+def cb_norm(phi: ChannelMap, tol: float = TOL.cb_norm) -> float:
     """Upper estimate of the completely bounded norm.
 
     CP maps use ||phi(I)|| (exact). Otherwise returns the upper end of
@@ -744,9 +743,9 @@ def cb_norm(phi: ChannelMap, tol: float = 1e-3, seed: int = 0) -> float:
     alternating-projection tolerance.
     """
     choi = phi.choi
-    is_h = frobenius(choi - choi.conj().T) <= 1e-9 * max(1.0, frobenius(choi))
-    if is_h:
+    scale = max(1.0, frobenius(choi))
+    if frobenius(choi - choi.conj().T) <= TOL.structure * scale:
         wmin = float(hermitian_eig(herm(choi)).values[0])
-        if phi.cp_hint or wmin >= -1e-9 * max(1.0, frobenius(choi)):
+        if phi.cp_hint or wmin >= -TOL.structure * scale:
             return _spectral_norm_h(phi.apply(np.eye(phi.dim_in)))
-    return cb_norm_bracket(phi, tol=tol, seed=seed).upper
+    return cb_norm_bracket(phi, tol=tol).upper

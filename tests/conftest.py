@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ellis_envelope.channels import ChannelMap, unitalize_kraus
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -24,3 +26,25 @@ def random_hermitian(rng, n):
 def random_unitary(rng, n):
     q, r = np.linalg.qr(random_complex(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def subspace_equal(a, b, tol=1e-6):
+    """Compare subspaces via their orthogonal projectors.
+
+    Returns (equal within tol, Frobenius distance of the projectors).
+    """
+    if a.n != b.n:
+        raise ValueError("subspace_equal: ambient dimensions differ")
+    va, vb = a.vecs(), b.vecs()
+    dist = float(np.linalg.norm(va.T @ va.conj() - vb.T @ vb.conj()))
+    return dist <= tol, dist
+
+
+def random_unital_kraus(rng, n, n_kraus=3):
+    """Kraus operators of the channel ``random_unital_channel(rng, n, n_kraus)`` draws."""
+    return unitalize_kraus([random_complex(rng, n, n) for _ in range(n_kraus)])
+
+
+def lift_kraus(kraus):
+    """id_2 (x) phi on M_2(M_n): [[A, X], [Y, B]] -> [[phi(A), phi(X)], [phi(Y), phi(B)]]."""
+    return ChannelMap.from_kraus([np.kron(np.eye(2), k) for k in kraus])

@@ -24,9 +24,9 @@ from ellis_envelope.channels import (
     superop_to_choi,
     unitalize_kraus,
 )
-from ellis_envelope.linalg import SubspaceBasis, frobenius, hermitian_eig, subspace_equal, vec
+from ellis_envelope.linalg import SubspaceBasis, frobenius, hermitian_eig, vec
 
-from conftest import I2, SZ, random_complex, random_hermitian, random_unitary
+from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, subspace_equal
 
 
 def choi_from_function(f, n, m):
@@ -112,13 +112,19 @@ def test_half_identity_half_sz_conjugation_is_pinching():
     assert np.allclose(phi.choi, ChannelMap.pinching(2).choi, atol=1e-12)
 
 
+def apply_via_choi(phi, x):
+    """phi(x) evaluated from the Choi tensor, to cross-check the reshuffle."""
+    c4 = phi.choi.reshape(phi.dim_in, phi.dim_out, phi.dim_in, phi.dim_out)
+    return np.einsum("iajb,ij->ab", c4, x)
+
+
 def test_apply_agrees_between_choi_and_superop():
     rng = np.random.default_rng(11)
     for _ in range(100):
         n, m = rng.integers(2, 4), rng.integers(2, 4)
         phi = ChannelMap(n, m, random_complex(rng, n * m, n * m))
         x = random_complex(rng, n, n)
-        assert frobenius(phi.apply(x) - phi.apply_via_choi(x)) < 1e-10
+        assert frobenius(phi.apply(x) - apply_via_choi(phi, x)) < 1e-10
 
 
 def test_superop_choi_reshuffles_are_inverse():
@@ -199,12 +205,13 @@ def test_structure_identity():
 
 
 def test_structure_transpose():
-    rep = check_structure(ChannelMap.transpose_map(2), compute_cb=False)
+    rep = check_structure(ChannelMap.transpose_map(2))
     assert not rep.cp
     assert abs(rep.choi_min_eig + 1.0) < 1e-12
     assert rep.unital and rep.trace_preserving
     assert rep.idempotent is False
     assert not rep.cb_contraction
+    assert rep.cb_bound == pytest.approx(2.0, abs=1e-3)
 
 
 def test_structure_pinching():

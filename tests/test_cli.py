@@ -5,6 +5,7 @@ JSON report on success and stderr carries diagnostics on failure.
 """
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ellis_envelope.channels import ChannelMap
 from ellis_envelope.cli import RunConfig, main
 from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
+from ellis_envelope.tolerances import TOL
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,11 +58,6 @@ def _put_text(d, name, text):
     return str(p)
 
 
-@pytest.fixture(autouse=True)
-def no_thread_env(monkeypatch):
-    monkeypatch.delenv("ELLIS_ENVELOPE_THREADS", raising=False)
-
-
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -70,8 +67,8 @@ def run(capsys, argv):
 def report_of(out):
     rep = json.loads(out)
     assert set(rep) == {"command", "config", "versions", "certificate", "result"}
-    for key in ("seed", "tol", "report_tol", "parallel", "mode"):
-        assert key in rep["config"]
+    assert set(rep["config"]) == {"seed", "report_tol", "mode", "json_indent", "tolerances"}
+    assert rep["config"]["tolerances"] == asdict(TOL)
     for key in ("package", "python", "numpy"):
         assert key in rep["versions"]
     return rep
@@ -90,9 +87,11 @@ def test_runconfig_rejects_inverted_tolerances():
         RunConfig(report_tol=1e-9).validate()
 
 
-def test_runconfig_rejects_nonpositive_counts():
-    with pytest.raises(ValueError, match="positive"):
-        RunConfig(dykstra_budget=0).validate()
+def test_runconfig_rejects_negative_seed_and_indent():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        RunConfig(seed=-1).validate()
+    with pytest.raises(ValueError, match="indent must be nonnegative"):
+        RunConfig(json_indent=-1).validate()
 
 
 # ------------------------------------------------------------------------
@@ -142,6 +141,15 @@ def test_channel_info(capsys, inputs):
     assert r["choi_rank"] == 2
 
 
+def test_channel_info_reports_choi_rank(capsys, tmp_path):
+    # the identity on M_3 has one Kraus operator, but its superoperator has rank 9
+    p = tmp_path / "id3.json"
+    p.write_text(json.dumps(ChannelMap.identity(3).to_json()))
+    code, out, _ = run(capsys, ["channel", "info", str(p)])
+    assert code == 0
+    assert report_of(out)["result"]["choi_rank"] == 1
+
+
 def test_channel_cesaro_both_modes(capsys, inputs):
     code, out, _ = run(capsys, ["channel", "cesaro", inputs["halfsz"], "--mode", "both"])
     assert code == 0
@@ -161,16 +169,7 @@ def test_envelope_compute(capsys, inputs):
     assert rep["result"]["rank"] == 2
     assert rep["result"]["mode"] == "system"
     assert rep["result"]["ambient"] == 2
-    assert set(rep["config"]) == {
-        "seed",
-        "tol",
-        "report_tol",
-        "dykstra_budget",
-        "mode",
-        "parallel",
-        "parallel_source",
-        "json_indent",
-    }
+    assert rep["config"]["report_tol"] == TOL.certify
 
 
 def test_boundary_compute(capsys, inputs):
@@ -240,7 +239,7 @@ def nonconvergence_diagnostics(err):
 
 def test_cesaro_nonconvergence_exits_two(capsys, inputs, monkeypatch):
     # an unreachable stopping tolerance makes the doubling loop run out
-    monkeypatch.setattr(channels, "CESARO_ITER_TOL", -1.0)
+    monkeypatch.setattr(channels, "TOL", replace(TOL, cesaro=-1.0))
     code, out, err = run(capsys, ["channel", "cesaro", inputs["halfsz"], "--mode", "iterative"])
     assert code == 2
     assert out == ""
@@ -263,9 +262,7 @@ def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
 
 def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):
     # one Dykstra iteration cannot reach the solver tolerance
-    monkeypatch.setattr(
-        envelope, "sample", lambda fset, seed: spectrahedron.sample(fset, seed, max_iter=1)
-    )
+    monkeypatch.setattr(spectrahedron, "DYKSTRA_MAX_ITER", 1)
     code, out, err = run(capsys, ["envelope", "compute", inputs["d2"]])
     assert code == 2
     assert out == ""
@@ -325,6 +322,23 @@ def test_ambient_cap_exits_one(capsys, tmp_path):
     assert "exceeds" in err and "64" in err
 
 
+def test_ambient_cap_is_checked_before_decoding(capsys, tmp_path, monkeypatch):
+    def refuse(obj):
+        raise AssertionError("a matrix was decoded before the ambient cap was checked")
+
+    monkeypatch.setattr(spectrahedron, "matrix_from_json", refuse)
+    monkeypatch.setattr(channels, "matrix_from_json", refuse)
+    one = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+    space = tmp_path / "space65.json"
+    space.write_text(json.dumps({"ambient": 65, "basis": [one], "mode": "system"}))
+    chan = tmp_path / "chan65.json"
+    chan.write_text(json.dumps({"dim_in": 2, "dim_out": 65, "repr": "kraus", "kraus": [one]}))
+    for argv in (["envelope", "compute", str(space)], ["channel", "info", str(chan)]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "ambient dimension 65 exceeds the 64x64 cap" in err
+
+
 def test_usage_error_exits_one(capsys):
     code, _, err = run(capsys, ["envelope", "nope"])
     assert code == 1
@@ -338,28 +352,19 @@ def test_help_exits_zero(capsys):
 
 
 # ------------------------------------------------------------------------
-# parallel recording
+# removed settings
 
 
-def test_parallel_flag_recorded(capsys, inputs):
-    code, out, _ = run(capsys, ["channel", "info", inputs["pinch"], "--parallel", "3"])
-    assert code == 0
-    rep = report_of(out)
-    assert rep["config"]["parallel"] == 3
-    assert rep["config"]["parallel_source"] == "flag"
-
-
-def test_env_var_overrides_parallel_flag(capsys, inputs, monkeypatch):
-    monkeypatch.setenv("ELLIS_ENVELOPE_THREADS", "5")
-    code, out, _ = run(capsys, ["channel", "info", inputs["pinch"], "--parallel", "3"])
-    assert code == 0
-    rep = report_of(out)
-    assert rep["config"]["parallel"] == 5
-    assert rep["config"]["parallel_source"] == "env"
-
-
-def test_invalid_env_var_exits_one(capsys, inputs, monkeypatch):
-    monkeypatch.setenv("ELLIS_ENVELOPE_THREADS", "many")
-    code, _, err = run(capsys, ["channel", "info", inputs["pinch"]])
+def test_removed_flags_exit_one(capsys, inputs, monkeypatch):
+    # --parallel and boundary --seed are gone; the thread variable is not read
+    code, _, err = run(capsys, ["channel", "info", inputs["pinch"], "--parallel", "3"])
     assert code == 1
-    assert "ELLIS_ENVELOPE_THREADS" in err
+    assert "unrecognized arguments: --parallel 3" in err
+    argv = ["boundary", "compute", inputs["halfsz"], "--fix", inputs["span_i"], "--seed", "5"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "unrecognized arguments: --seed 5" in err
+    monkeypatch.setenv("ELLIS_ENVELOPE_THREADS", "many")
+    code, out, _ = run(capsys, ["channel", "info", inputs["pinch"]])
+    assert code == 0
+    report_of(out)

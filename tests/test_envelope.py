@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import lift_kraus, random_unital_kraus, random_unitary, subspace_equal
 
 from ellis_envelope.channels import (
     ChannelMap,
@@ -28,12 +28,11 @@ from ellis_envelope.envelope import (
     compute_envelope,
     corner_extract,
     descend_to_minimal,
-    lift_map,
     paulsen_lift,
     probe_minimality,
     seed_idempotent,
 )
-from ellis_envelope.linalg import SubspaceBasis, frobenius, subspace_equal
+from ellis_envelope.linalg import SubspaceBasis, frobenius
 from ellis_envelope.spectrahedron import OperatorSubspace, build_system_set, sample
 
 I2 = np.eye(2, dtype=complex)
@@ -106,9 +105,7 @@ def test_lift_contains_corner_embeddings():
 
 
 def test_lift_map_is_ucp_and_fixes_block_projections():
-    rng = np.random.default_rng(7)
-    phi = random_unital_channel(rng, 2)
-    big = lift_map(phi)
+    big = lift_kraus(random_unital_kraus(np.random.default_rng(7), 2))
     rep = check_structure(big)
     assert rep.cp and rep.unital
     p0 = np.diag([1, 1, 0, 0]).astype(complex)
@@ -120,8 +117,9 @@ def test_lift_map_is_ucp_and_fixes_block_projections():
 def test_lift_corner_roundtrip_is_exact():
     rng = np.random.default_rng(3)
     for k in range(4):
-        phi = random_unital_channel(rng, 2, n_kraus=2 + k)
-        back = corner_extract(lift_map(phi))
+        kraus = random_unital_kraus(rng, 2, n_kraus=2 + k)
+        phi = ChannelMap.from_kraus(kraus)
+        back = corner_extract(lift_kraus(kraus))
         assert frobenius(back.choi - phi.choi) <= 1e-10
 
 
@@ -247,7 +245,7 @@ def test_envelope_of_diagonal_system_is_diagonal_algebra(d2_result, d2_space):
     assert res.certificate == "certified"
     assert res.rank == 2
     assert res.corner_map is None
-    assert subspace_equal(res.envelope_space, d2_space.basis, tol=1e-7)
+    assert subspace_equal(res.envelope_space, d2_space.basis, tol=1e-7)[0]
     assert res.inclusion_residual <= 1e-8
     assert res.rigidity_violation <= 1e-6
     assert res.choi_effros.ok
@@ -259,7 +257,7 @@ def test_envelope_of_diagonal_system_m3():
     res = compute_envelope(space, seed=0)
     assert res.certificate == "certified"
     assert res.rank == 3
-    assert subspace_equal(res.envelope_space, space.basis, tol=1e-7)
+    assert subspace_equal(res.envelope_space, space.basis, tol=1e-7)[0]
 
 
 def test_envelope_of_rigid_system_is_identity():

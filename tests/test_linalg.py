@@ -12,12 +12,11 @@ from ellis_envelope.linalg import (
     matrix_to_json,
     orthonormalize,
     psd_project,
-    subspace_equal,
     unvec,
     vec,
 )
 
-from conftest import I2, SX, SZ, random_hermitian
+from conftest import I2, SX, SZ, random_hermitian, subspace_equal
 
 
 def test_hermitian_eig_identity():

@@ -20,7 +20,8 @@ from ellis_envelope.channels import (
     compose,
     fixed_space,
 )
-from ellis_envelope.linalg import frobenius, herm, hermitian_eig, subspace_equal
+from ellis_envelope import spectrahedron
+from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
     OperatorSubspace,
     _b_orth_complement,
@@ -40,7 +41,7 @@ from ellis_envelope.spectrahedron import (
     witness_lower_bound,
 )
 
-from conftest import I2, SX, SZ, random_complex, random_hermitian
+from conftest import I2, SX, SZ, random_complex, random_hermitian, subspace_equal
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -274,11 +275,11 @@ def test_feasible_input_is_returned_unchanged(d2_set):
 def test_singleton_sets_project_to_identity(singleton_set):
     rng = np.random.default_rng(5)
     j0 = ChannelMap.identity(2).choi + 0.3 * random_hermitian(rng, 4)
-    out = dykstra_project(j0, singleton_set, tol=1e-8)
+    out = dykstra_project(j0, singleton_set)
     assert frobenius(out.choi - ChannelMap.identity(2).choi) < 1e-7
 
     full = build_system_set(OperatorSubspace.from_matrices(matrix_units(2)))
-    out = dykstra_project(random_hermitian(rng, 4), full, tol=1e-8)
+    out = dykstra_project(random_hermitian(rng, 4), full)
     assert frobenius(out.choi - ChannelMap.identity(2).choi) < 1e-7
 
 
@@ -293,7 +294,7 @@ def test_projection_is_idempotent_on_its_output(d2_set, ucp2_set):
 def test_small_perturbation_projects_to_member(d2_set):
     rng = np.random.default_rng(3)
     j0 = ChannelMap.identity(2).choi + 0.01 * random_hermitian(rng, 4)
-    out = dykstra_project(j0, d2_set, tol=1e-8)
+    out = dykstra_project(j0, d2_set)
     rep = d2_set.membership(out)
     assert rep.ok and rep.worst <= 1e-8
 
@@ -308,20 +309,22 @@ def test_projection_survives_a_failed_polish(d2_set, monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
     monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+    monkeypatch.setattr(spectrahedron, "POLISH_EVERY", 1)
     rng = np.random.default_rng(12)
     j0 = ChannelMap.identity(2).choi + 0.4 * random_hermitian(rng, 4)
     j0 = j0 + 1.5 * (schur_choi(1.0) - np.diag([1.0, 0, 0, 1.0]))
-    out = dykstra_project(j0, d2_set, polish_every=1)
+    out = dykstra_project(j0, d2_set)
     assert calls
     assert d2_set.membership(out).ok
     assert frobenius(out.choi - d2_projection_oracle(j0)) < 1e-7
 
 
-def test_nonconvergence_carries_residual_history(d2_set):
+def test_nonconvergence_carries_residual_history(d2_set, monkeypatch):
     rng = np.random.default_rng(5)
     j0 = ChannelMap.identity(2).choi + 0.8 * random_hermitian(rng, 4)
+    monkeypatch.setattr(spectrahedron, "DYKSTRA_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        dykstra_project(j0, d2_set, tol=1e-8, max_iter=1)
+        dykstra_project(j0, d2_set)
     history = exc.value.history
     assert len(history) == 1
     assert history[-1][1] > 1e-8
@@ -505,10 +508,12 @@ def test_witness_never_exceeds_dual_bound():
         assert lo <= polar_dual_upper_bound(phi) + 1e-9
 
 
-def test_cb_bracket_reports_gap_when_budget_exhausted():
+def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
     rng = np.random.default_rng(23)
     phi = ChannelMap(2, 2, random_hermitian(rng, 4))
-    bracket = cb_norm_bracket(phi, tol=1e-12, ap_budget=1)
+    monkeypatch.setattr(spectrahedron, "COMPLETION_ITERS", 1)
+    bracket = cb_norm_bracket(phi, tol=1e-12)
     assert bracket.lower <= bracket.upper
     assert not bracket.converged
+    monkeypatch.undo()
     assert cb_norm(phi) >= bracket.lower - 1e-9
