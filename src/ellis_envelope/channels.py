@@ -176,14 +176,12 @@ class ChannelMap:
     def from_json(cls, obj: dict) -> "ChannelMap":
         try:
             n, m, rep = int(obj["dim_in"]), int(obj["dim_out"]), obj["repr"]
+            if rep == "choi":
+                return cls(n, m, matrix_from_json(obj["choi"]))
+            if rep == "kraus":
+                return cls.from_kraus([matrix_from_json(k) for k in obj["kraus"]], n, m)
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"channel json: missing field ({exc})") from exc
-        if rep == "choi":
-            choi = matrix_from_json(obj["choi"])
-            return cls(n, m, choi)
-        if rep == "kraus":
-            ops = [matrix_from_json(k) for k in obj["kraus"]]
-            return cls.from_kraus(ops, n, m)
+            raise ValueError(f"channel json: missing or malformed field ({exc})") from exc
         raise ValueError(f"channel json: unknown repr {rep!r}")
 
 

@@ -164,5 +164,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"matrix json: bad shape {rows}x{cols}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix json: expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("matrix json: entries must be [re, im] number pairs") from exc
     return flat.reshape(rows, cols)

@@ -6,17 +6,19 @@ This module represents such sets, projects onto them with two-set Dykstra
 (one aggregated affine projector + the PSD cone), samples members, ascends
 linear functionals, and brackets the completely bounded norm.
 
-Hermitian matrices are handled in real coordinates throughout:
-(diag, sqrt(2) Re upper, sqrt(2) Im upper), a Frobenius isometry. Complex
-affine constraints on the Choi matrix become real rows in these coordinates,
-so affine projections stay exactly Hermitian and hermiticity preservation of
-the represented maps is structural rather than a penalty term.
+Each affine law is kept as the matrix that defines it: x for phi(x) = x,
+S_psi - I for psi . phi = phi. Membership applies the laws to the full Choi
+matrix as operators. Projection works on a cone face J = V Y V^*, where the
+laws become real rows over Y in the coordinates (diag, sqrt(2) Re upper,
+sqrt(2) Im upper) of a Hermitian matrix, a Frobenius isometry, so affine
+projections stay exactly Hermitian and hermiticity preservation of the
+represented maps is structural rather than a penalty term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -66,10 +68,17 @@ COMPLETION_TOL = 1e-9
 # real coordinates for Hermitian matrices
 
 
-def herm_to_real(j: np.ndarray) -> np.ndarray:
-    d = j.shape[0]
+@cache
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a d x d matrix (read-only)."""
     iu = np.triu_indices(d, 1)
-    upper = j[iu]
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
+def herm_to_real(j: np.ndarray) -> np.ndarray:
+    upper = j[_triu(j.shape[0])]
     return np.concatenate(
         [np.real(np.diag(j)), np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
     )
@@ -78,8 +87,7 @@ def herm_to_real(j: np.ndarray) -> np.ndarray:
 def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
     k = d * (d - 1) // 2
     j = np.zeros((d, d), dtype=complex)
-    iu = np.triu_indices(d, 1)
-    j[iu] = (r[d : d + k] + 1j * r[d + k :]) / np.sqrt(2.0)
+    j[_triu(d)] = (r[d : d + k] + 1j * r[d + k :]) / np.sqrt(2.0)
     j = j + j.conj().T
     j[np.diag_indices(d)] = r[:d]
     return j
@@ -87,7 +95,7 @@ def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
 
 def _rows_to_real(t: np.ndarray, rhs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex rows over vec(J) -> real rows over Hermitian coordinates of J."""
-    iu_r, iu_c = np.triu_indices(d, 1)
+    iu_r, iu_c = _triu(d)
     u = t[:, iu_r * d + iu_c]  # coefficients of J[p,q], p < q
     v = t[:, iu_c * d + iu_r]  # coefficients of J[q,p]
     ac = np.concatenate(
@@ -166,49 +174,34 @@ class OperatorSubspace:
 
 
 # ------------------------------------------------------------------------
-# constraint rows (complex, over vec of the Choi matrix)
+# constraint laws
+#
+# Each law is (name, matrix) and acts on the Choi matrix through
+# J4[i,a,j,b] = J[(i,a),(j,b)]. A fix law with matrix x says phi(x) = x:
+# sum_ij x[i,j] J4[i,a,j,b] = x[a,b] for each (a,b); "unital" is the fix law of
+# I. The absorb law with matrix m = S_psi - I says psi . phi = phi, i.e.
+# (S_psi - I) S_phi = 0: sum_ab m[k,ab] J4[i,a,j,b] = 0 for each (k,i,j).
 
 
-def _unital_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """phi(I) = I: for each (a,b), sum_i J[(i,a),(i,b)] = delta_ab."""
-    d = n * n
-    t = np.zeros((n * n, d * d), dtype=complex)
-    rhs = np.zeros(n * n, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            row = a * n + b
-            for i in range(n):
-                t[row, (i * n + a) * d + (i * n + b)] += 1.0
-            rhs[row] = 1.0 if a == b else 0.0
-    return t, rhs
+def _face_system(laws, n: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real rows and right-hand side of the laws over Y, where J = V Y V^*.
 
-
-def _fix_rows(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """phi(x) = x: for each (a,b), sum_ij x[i,j] J[(i,a),(j,b)] = x[a,b]."""
-    d = n * n
-    t = np.zeros((n * n, d * d), dtype=complex)
-    rhs = np.zeros(n * n, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            row = a * n + b
-            for i in range(n):
-                for j in range(n):
-                    t[row, (i * n + a) * d + (j * n + b)] += x[i, j]
-            rhs[row] = x[a, b]
-    return t, rhs
-
-
-def _absorb_rows(s_psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """psi . phi = phi, i.e. (S_psi - I) S_phi = 0, written over Choi entries."""
-    d = n * n
-    m = s_psi - np.eye(d)
-    t = np.zeros((d * d, d * d), dtype=complex)
-    row_grid = np.arange(d)[:, None] * d + np.arange(d)[None, :]  # (CD, IJ)
-    for a in range(n):
-        for b in range(n):
-            cols = ((np.arange(n) * n + a)[:, None] * d + (np.arange(n) * n + b)[None, :]).ravel()
-            t[row_grid, cols[None, :]] += m[:, a * n + b][:, None]
-    return t, np.zeros(d * d, dtype=complex)
+    Law by law, the real parts of a law's rows come before the imaginary ones.
+    """
+    r = v.shape[1]
+    v3 = v.reshape(n, n, r)
+    rows, rhss = [], []
+    for name, m in laws:
+        if name == "absorb":
+            t = np.einsum("kab,iap,jbq->kijpq", m.reshape(-1, n, n), v3, v3.conj(), optimize=True)
+            rhs = np.zeros(m.shape[0] * n * n, dtype=complex)
+        else:
+            t = np.einsum("ij,iap,jbq->abpq", m, v3, v3.conj(), optimize=True)
+            rhs = m.reshape(-1)
+        a, b = _rows_to_real(t.reshape(-1, r * r), rhs, r)
+        rows.append(a)
+        rhss.append(b)
+    return np.vstack(rows), np.concatenate(rhss)
 
 
 @dataclass(frozen=True)
@@ -225,12 +218,13 @@ class MembershipReport:
         return max(self.residuals.values())
 
 
-def _find_exposing_vector(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray | None:
+def _find_exposing_vector(q: np.ndarray, d: int) -> np.ndarray | None:
     """A PSD matrix W != 0 with <W, J> = 0 for every J in the affine set, if any.
 
     Such a W certifies that the whole feasible set lies in the face
     {J PSD : W J = 0} of the cone. Candidates live in the span of the
-    constraint normals A^T y restricted to y . b = 0, normalized to trace 1;
+    constraint normals A^T y restricted to y . b = 0, given by the orthonormal
+    columns of ``q`` in real Hermitian coordinates, normalized to trace 1;
     alternating projections between that affine slice and the PSD cone either
     find one or stall, in which case None is returned (no reduction claimed).
     The PSD gap is tested every hundred iterations and a start returns as
@@ -239,8 +233,6 @@ def _find_exposing_vector(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray | 
     hundred iterations: a linear rate means the two sets meet, a flat gap
     that they do not.
     """
-    u, s, _ = np.linalg.svd(a.T @ _b_orth_complement(a, b), full_matrices=False)
-    q = u[:, s > TOL.span_rtol * max(1.0, s[0] if s.size else 1.0)]
     if q.shape[1] == 0:
         return None
     tr_vec = np.zeros(d * d)
@@ -273,14 +265,14 @@ def _find_exposing_vector(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray | 
     return None
 
 
-def _b_orth_complement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _b_orth_complement(b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {y : y . b = 0} as columns (identity if b = 0).
 
     The Householder reflection H sending b to a multiple of the first unit
     vector is orthogonal and symmetric, so its other columns are orthonormal
     and orthogonal to b.
     """
-    rows = a.shape[0]
+    rows = b.shape[0]
     nb = np.linalg.norm(b)
     if nb < 1e-14:
         return np.eye(rows)
@@ -290,61 +282,53 @@ def _b_orth_complement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h[:, 1:]
 
 
-def _compress_rows(t: np.ndarray, d: int, v: np.ndarray) -> np.ndarray:
-    """Rewrite complex rows over vec(J) as rows over vec(Y) where J = V Y V^*."""
-    r = v.shape[1]
-    out = np.empty((t.shape[0], r * r), dtype=complex)
-    for i in range(t.shape[0]):
-        out[i] = (v.T @ t[i].reshape(d, d) @ v.conj()).reshape(-1)
-    return out
-
-
 @dataclass(frozen=True)
 class FeasibleSet:
-    """{Choi J : J PSD, affine constraint groups hold}, facially reduced.
+    """{Choi J : J PSD, the constraint laws hold}, facially reduced.
 
-    Membership is always reported against the full-coordinate constraint
-    groups. Projection works in compressed coordinates J = V Y V^*, where V
-    spans the smallest cone face found to contain the set: feasible sets of
-    interest often consist entirely of rank-deficient Choi matrices (zero
-    Slater margin), where alternating projections are only sublinear; after
-    reduction the compressed set has relative interior and two-set Dykstra
-    (one aggregated affine projector + the PSD cone) converges linearly.
+    Membership is always checked against the laws in full coordinates, each
+    applied to J as the operator its matrix defines. Projection works in
+    compressed coordinates J = V Y V^*, where V spans the smallest cone face
+    found to contain the set: feasible sets of interest often consist
+    entirely of rank-deficient Choi matrices (zero Slater margin), where
+    alternating projections are only sublinear; after reduction the
+    compressed set has relative interior and two-set Dykstra (one aggregated
+    affine projector + the PSD cone) converges linearly.
     The nearest point in Y coordinates is the nearest point in J coordinates,
     because the set lies inside the span of {V Y V^*}.
     """
 
     n: int
-    groups: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+    laws: tuple[tuple[str, np.ndarray], ...]
     face: np.ndarray = field(repr=False, compare=False)  # (d, r) isometry
     a_c: np.ndarray = field(repr=False, compare=False)
     b_c: np.ndarray = field(repr=False, compare=False)
     a_c_pinv: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def from_complex_groups(cls, n: int, cgroups) -> "FeasibleSet":
-        d = n * n
-        real_groups = tuple(
-            (name, *_rows_to_real(t, rhs, d)) for name, t, rhs in cgroups
-        )
-        v = np.eye(d, dtype=complex)
-        for _ in range(d):  # singularity degree is at most the dimension
+    def from_laws(cls, n: int, laws) -> "FeasibleSet":
+        laws = tuple(laws)
+        v = np.eye(n * n, dtype=complex)
+        while True:  # a pass either stops or shrinks the face, so r = 1 stops it at the latest
             r = v.shape[1]
-            a, b = _stack_compressed(cgroups, d, v)
+            a, b = _face_system(laws, n, v)
+            # one SVD per face, cut at TOL.affine_rcond: svd(A^T) = V S U^T for A = U S V^T
+            vt, s, ut = np.linalg.svd(a.T, full_matrices=False)
+            k = int(np.sum(s > TOL.affine_rcond * s[0]))
+            vt, s, ut = vt[:, :k], s[:k], ut[:k]
             if r == 1:
                 break
-            w = _find_exposing_vector(a, b, r)
+            # a member exists, so b = U c lies in range(A), and the normals
+            # A^T y with y . b = 0 are V w with w orthogonal to c / s
+            w = _find_exposing_vector(vt @ _b_orth_complement(ut @ b / s), r)
             if w is None:
                 break
             eig = hermitian_eig(herm(w))
             keep = eig.values <= TOL.rank * max(1.0, float(eig.values[-1]))
             if not keep.any() or keep.all():
                 break
-            v = v @ eig.vectors[:, keep]
-            q, _ = np.linalg.qr(v)
-            v = q
-        a, b = _stack_compressed(cgroups, d, v)
-        return cls(n, real_groups, v, a, b, np.linalg.pinv(a, rcond=TOL.affine_rcond))
+            v, _ = np.linalg.qr(v @ eig.vectors[:, keep])
+        return cls(n, laws, v, a, b, (vt / s) @ ut)
 
     @property
     def choi_dim(self) -> int:
@@ -391,23 +375,18 @@ class FeasibleSet:
 
     def membership(self, j, tol: float = TOL.solver) -> MembershipReport:
         j = j.choi if isinstance(j, ChannelMap) else as_matrix(j, self.choi_dim, self.choi_dim)
+        n = self.n
+        h = herm(j)
+        j4 = h.reshape(n, n, n, n)
         res: dict[str, float] = {"hermitian": frobenius(j - j.conj().T)}
-        r = herm_to_real(herm(j))
-        for name, a, b in self.groups:
-            res[name] = float(np.linalg.norm(a @ r - b))
-        wmin = float(hermitian_eig(herm(j)).values[0])
-        res["psd"] = max(0.0, -wmin)
+        for name, m in self.laws:
+            if name == "absorb":
+                defect = np.einsum("kab,iajb->kij", m.reshape(-1, n, n), j4)
+            else:
+                defect = np.einsum("ij,iajb->ab", m, j4) - m
+            res[name] = float(np.linalg.norm(defect))
+        res["psd"] = max(0.0, -float(hermitian_eig(h).values[0]))
         return MembershipReport(res, tol)
-
-
-def _stack_compressed(cgroups, d: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    rhss = []
-    for _, t, rhs in cgroups:
-        a, b = _rows_to_real(_compress_rows(t, d, v), rhs, v.shape[1])
-        rows.append(a)
-        rhss.append(b)
-    return np.vstack(rows), np.concatenate(rhss)
 
 
 def build_system_set(
@@ -418,6 +397,8 @@ def build_system_set(
     With ``absorb`` = psi, adds the affine law psi . phi = phi (the feasible
     set used for noncommutative Poisson boundaries). Nonemptiness of the plain
     system set is certified by checking the identity channel's membership.
+    The unital law is implied by the fix laws (I is in ``space``) but kept as
+    its own check.
     """
     if not (space.unital and space.selfadjoint):
         raise ValueError(
@@ -425,14 +406,13 @@ def build_system_set(
             "plain operator spaces go through the two-by-two corner lift first"
         )
     n = space.ambient
-    cgroups = [("unital", *_unital_rows(n))]
-    for k, x in enumerate(space.basis.mats):
-        cgroups.append((f"fix:{k}", *_fix_rows(x, n)))
+    laws = [("unital", np.eye(n, dtype=complex))]
+    laws += [(f"fix:{k}", x) for k, x in enumerate(space.basis.mats)]
     if absorb is not None:
         if absorb.dim_in != n or absorb.dim_out != n:
             raise ValueError("build_system_set: absorbing channel must act on the same ambient M_n")
-        cgroups.append(("absorb", *_absorb_rows(absorb.superop, n)))
-    fset = FeasibleSet.from_complex_groups(n, cgroups)
+        laws.append(("absorb", absorb.superop - np.eye(n * n)))
+    fset = FeasibleSet.from_laws(n, laws)
     if absorb is None:
         rep = fset.membership(ChannelMap.identity(n))
         if not rep.ok:
@@ -487,7 +467,10 @@ def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
     The affine iterate is expanded and returned, so affine residuals are at
     working precision and the PSD defect is what ``TOL.solver`` controls.
     Every ``POLISH_EVERY`` iterations an active-face refinement is attempted,
-    which turns near-converged iterates into exact solutions.
+    which turns near-converged iterates into exact solutions. Membership is
+    checked only once the iterates have coalesced; until then ``history``
+    records the gap between the PSD and the affine iterate, which bounds the
+    PSD defect of the affine one.
     """
     d = fset.choi_dim
     x = fset.compress(herm(as_matrix(j0, d, d)))
@@ -508,12 +491,11 @@ def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
         # feasibility of the iterate is necessary but not sufficient: Dykstra
         # passes through the set well before reaching the projection, so wait
         # for the two projected iterates to coalesce.
-        converged = gap <= tol * scale and step <= tol * scale
-        full = fset.expand(x)
-        rep = fset.membership(full)
-        history.append((it, max(rep.worst, gap)))
-        if converged and rep.ok:
-            return ChannelMap(fset.n, fset.n, herm(full))
+        history.append((it, gap))
+        if gap <= tol * scale and step <= tol * scale:
+            full = fset.expand(x)
+            if fset.membership(full).ok:
+                return ChannelMap(fset.n, fset.n, herm(full))
         if it % POLISH_EVERY == 0 and gap <= 1e-4 * scale:
             z = _face_polish(x, fset)
             if z is not None:

@@ -48,7 +48,8 @@ class Tolerances:
     # PSD gap at which alternating projections have found an exposing vector.
     pocs: float = 1e-10
     # Relative singular-value cutoff of the compressed affine system, in its
-    # pseudo-inverse and its null space alike.
+    # pseudo-inverse and its null space alike; it also decides the span in
+    # which facial reduction looks for an exposing vector.
     affine_rcond: float = 1e-12
     # Default width at which a cb-norm bracket counts as converged.
     cb_norm: float = 1e-3

@@ -313,6 +313,25 @@ def test_tolerance_below_solver_exits_one(capsys, inputs):
     assert "strictly above" in err
 
 
+def test_malformed_channel_json_exits_one(capsys, tmp_path):
+    good = ChannelMap.pinching(2).to_json()
+    bad_entry = json.loads(json.dumps(good))
+    bad_entry["choi"]["data"][0] = [None, 0]
+    cases = {
+        "no_choi": {k: v for k, v in good.items() if k != "choi"},
+        "kraus_int": {"dim_in": 2, "dim_out": 2, "repr": "kraus", "kraus": 5},
+        "null_entry": bad_entry,
+    }
+    for name, obj in cases.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, ["channel", "info", str(p)])
+        assert code == 1, name
+        assert out == ""
+        assert err.startswith(f"error: {p}: ") and "Traceback" not in err, err
+    assert "entries must be [re, im] number pairs" in err
+
+
 def test_ambient_cap_exits_one(capsys, tmp_path):
     big = OperatorSubspace.from_matrices([np.eye(65, dtype=complex)])
     p = tmp_path / "big.json"

@@ -8,6 +8,8 @@ Dykstra machinery; everything else is checked by membership residuals and by
 values evaluated at independently known feasible points.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,8 @@ from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
     OperatorSubspace,
     _b_orth_complement,
-    _fix_rows,
+    _face_system,
     _rows_to_real,
-    _stack_compressed,
-    _unital_rows,
     build_system_set,
     cb_norm,
     cb_norm_bracket,
@@ -95,6 +95,77 @@ def ucp2_set():
 @pytest.fixture(scope="module")
 def singleton_set():
     return build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ]))
+
+
+# --------------------------------- reference rows over vec of the Choi matrix
+#
+# Dense complex rows with n^4 columns, built entry by entry from the defining
+# sums; the package builds only the compressed rows of each face.
+
+
+def unital_rows(n):
+    """phi(I) = I: for each (a,b), sum_i J[(i,a),(i,b)] = delta_ab."""
+    d = n * n
+    t = np.zeros((n * n, d * d), dtype=complex)
+    rhs = np.zeros(n * n, dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            row = a * n + b
+            for i in range(n):
+                t[row, (i * n + a) * d + (i * n + b)] += 1.0
+            rhs[row] = 1.0 if a == b else 0.0
+    return t, rhs
+
+
+def fix_rows(x, n):
+    """phi(x) = x: for each (a,b), sum_ij x[i,j] J[(i,a),(j,b)] = x[a,b]."""
+    d = n * n
+    t = np.zeros((n * n, d * d), dtype=complex)
+    rhs = np.zeros(n * n, dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            row = a * n + b
+            for i in range(n):
+                for j in range(n):
+                    t[row, (i * n + a) * d + (j * n + b)] += x[i, j]
+            rhs[row] = x[a, b]
+    return t, rhs
+
+
+def absorb_rows(s_psi, n):
+    """psi . phi = phi: for each (k,i,j), sum_ab (S_psi - I)[k,ab] J[(i,a),(j,b)] = 0."""
+    d = n * n
+    m = s_psi - np.eye(d)
+    t = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for i in range(n):
+            for j in range(n):
+                for a in range(n):
+                    for b in range(n):
+                        t[k * d + i * n + j, (i * n + a) * d + (j * n + b)] += m[k, a * n + b]
+    return t, np.zeros(d * d, dtype=complex)
+
+
+def reference_face_system(n, xs, s_psi, v):
+    """Real rows over Y (J = V Y V^*) of the reference rows, law by law."""
+    d, r = n * n, v.shape[1]
+    groups = [unital_rows(n)] + [fix_rows(x, n) for x in xs]
+    if s_psi is not None:
+        groups.append(absorb_rows(s_psi, n))
+    rows, rhss = [], []
+    for t, rhs in groups:
+        compressed = np.array([(v.T @ row.reshape(d, d) @ v.conj()).reshape(-1) for row in t])
+        a, b = _rows_to_real(compressed, rhs, r)
+        rows.append(a)
+        rhss.append(b)
+    return np.vstack(rows), np.concatenate(rhss)
+
+
+def laws_of(n, xs, s_psi):
+    laws = [("unital", np.eye(n, dtype=complex))] + [(f"fix:{k}", x) for k, x in enumerate(xs)]
+    if s_psi is not None:
+        laws.append(("absorb", s_psi - np.eye(n * n)))
+    return laws
 
 
 # ------------------------------------------------------- real coordinates
@@ -208,6 +279,38 @@ def test_face_dimensions(d2_set, ucp2_set, singleton_set):
     assert full.face_dim == 1
 
 
+def test_face_system_matches_compressed_reference_rows():
+    # random complex laws, so a transposed or swapped index changes the rows
+    rng = np.random.default_rng(4)
+    for n in (2, 3):
+        d = n * n
+        xs = [random_complex(rng, n, n) for _ in range(2)]
+        s_psi = random_complex(rng, d, d)
+        for r in (d, d - 1, 2):
+            v, _ = np.linalg.qr(random_complex(rng, d, r))
+            a, b = _face_system(laws_of(n, xs, s_psi), n, v)
+            a_ref, b_ref = reference_face_system(n, xs, s_psi, v)
+            assert a.shape == a_ref.shape == ((3 + n * n) * n * n * 2, r * r)
+            assert np.max(np.abs(a - a_ref)) <= 1e-12
+            assert np.array_equal(b, b_ref)
+
+
+def test_membership_residuals_match_reference_rows(d2_set):
+    rng = np.random.default_rng(8)
+    for n in (2, 3):
+        d = n * n
+        xs = [random_complex(rng, n, n) for _ in range(2)]
+        s_psi = random_complex(rng, d, d)
+        fset = dataclasses.replace(d2_set, n=n, laws=tuple(laws_of(n, xs, s_psi)))
+        groups = [unital_rows(n)] + [fix_rows(x, n) for x in xs] + [absorb_rows(s_psi, n)]
+        for _ in range(3):
+            j = random_hermitian(rng, d)
+            res = fset.membership(j).residuals
+            for (name, _), (t, rhs) in zip(fset.laws, groups):
+                a, b = _rows_to_real(t, rhs, d)
+                assert res[name] == pytest.approx(np.linalg.norm(a @ herm_to_real(j) - b), rel=1e-12)
+
+
 def test_b_orth_complement_is_orthonormal_and_orthogonal_to_b():
     # the stacked right-hand side of a random rigid span{I, x, y} in M_2 is
     # where an unpivoted QR of I - u u^T kept a column 1.5e-3 off the
@@ -215,11 +318,9 @@ def test_b_orth_complement_is_orthonormal_and_orthogonal_to_b():
     rng = np.random.default_rng(0)
     x, y = (random_complex(rng, 2, 2) for _ in range(2))
     space = OperatorSubspace.from_matrices([I2, x + x.conj().T, y + y.conj().T])
-    groups = [("unital", *_unital_rows(2))]
-    groups += [(f"fix:{k}", *_fix_rows(m, 2)) for k, m in enumerate(space.basis.mats)]
-    _, rhs = _stack_compressed(groups, 4, np.eye(4, dtype=complex))
+    _, rhs = _face_system(laws_of(2, space.basis.mats, None), 2, np.eye(4, dtype=complex))
     for b in (rhs, rng.standard_normal(7), -np.abs(rng.standard_normal(7)), np.eye(7)[-1]):
-        q = _b_orth_complement(np.zeros((len(b), 1)), b)
+        q = _b_orth_complement(b)
         assert q.shape == (len(b), len(b) - 1)
         assert np.max(np.abs(q.T @ q - np.eye(len(b) - 1))) <= 1e-12
         assert np.linalg.norm(q.T @ b) <= 1e-12 * np.linalg.norm(b)
