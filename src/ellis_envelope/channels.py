@@ -215,7 +215,7 @@ def check_structure(phi: ChannelMap) -> StructureReport:
     """Structural flags with their residuals; never raises on a 'bad' map."""
     n, m = phi.dim_in, phi.dim_out
     tol = TOL.structure
-    choi_min = float(hermitian_eig(herm(phi.choi)).values[0])
+    choi_min = float(np.linalg.eigvalsh(herm(phi.choi))[0])
     cp = _is_hermitian(phi.choi, tol) and choi_min >= -tol * max(1.0, frobenius(phi.choi))
     unital_res = frobenius(phi.apply(np.eye(n)) - np.eye(m))
     c4 = phi.choi.reshape(n, m, n, m)
@@ -256,28 +256,38 @@ def _require_unital_cp(phi: ChannelMap, who: str) -> None:
         raise ValueError(f"{who}: map is not unital (residual {unital_res:.3e})")
     if not _is_hermitian(phi.choi, TOL.solver):
         raise ValueError(f"{who}: Choi matrix is not Hermitian")
-    wmin = float(hermitian_eig(herm(phi.choi)).values[0])
+    wmin = float(np.linalg.eigvalsh(herm(phi.choi))[0])
     if wmin < -TOL.ucp * max(1.0, frobenius(phi.choi)):
         raise ValueError(f"{who}: map is not CP (min Choi eigenvalue {wmin:.3e})")
+
+
+def _ergodic_kernels(s: np.ndarray, sv_rtol: float, who: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning ker(I - s) and ker((I - s)^*), from one SVD.
+
+    Singular values of I - s below ``sv_rtol * max(1, ||s||)`` count as zero.
+    The first block is vec F_phi; the second is ran(I - s)^perp, along whose
+    complement the ergodic projection maps onto F_phi.
+    """
+    d = s.shape[0]
+    u, sv, vh = np.linalg.svd(np.eye(d) - s)
+    thresh = sv_rtol * max(1.0, _spectral_norm(s))
+    r = int(np.sum(sv < thresh))
+    if r == 0:
+        raise ValueError(f"{who}: no fixed points found (eigenvalue 1 is not in the spectrum)")
+    return vh[d - r :].conj().T, u[:, d - r :]
 
 
 def fixed_space(phi: ChannelMap, sv_rtol: float = TOL.fixed_space) -> SubspaceBasis:
     """Orthonormal basis of F_phi = {x : phi(x) = x} for a unital CP map.
 
-    Computed as the null space of (superop - I); singular values below
-    ``sv_rtol * max(1, ||superop||)`` are treated as zero.
+    Computed as the null space of I - S, S the superoperator; singular
+    values below ``sv_rtol * max(1, ||S||)`` are treated as zero. The basis
+    is orthonormal but not canonical (the SVD fixes it only up to a unitary
+    change within the null space): compare fixed spaces by their projectors.
     """
     _require_unital_cp(phi, "fixed_space")
-    s = phi.superop
-    a = s - np.eye(s.shape[0])
-    _, sv, vh = np.linalg.svd(a)
-    thresh = sv_rtol * max(1.0, _spectral_norm(s))
-    r = int(np.sum(sv < thresh))
-    if r == 0:
-        raise ValueError("fixed_space: no fixed points found; map is not unital to tolerance")
-    n = phi.dim_in
-    mats = [unvec(vh[-(k + 1)].conj(), n, n) for k in range(r)]
-    return SubspaceBasis(np.stack(mats[::-1]))
+    k, _ = _ergodic_kernels(phi.superop, sv_rtol, "fixed_space")
+    return SubspaceBasis(k.T.reshape(-1, phi.dim_in, phi.dim_in))
 
 
 @dataclass(frozen=True)
@@ -295,17 +305,9 @@ class ErgodicResult:
     agreement: float | None = None
 
 
-def _spectral_ergodic_projection(s: np.ndarray, sv_rtol: float) -> np.ndarray:
-    """Projection onto ker(I - s) along ran(I - s), from the SVD of (I - s)."""
-    d = s.shape[0]
-    a = np.eye(d) - s
-    u, sv, vh = np.linalg.svd(a)
-    thresh = sv_rtol * max(1.0, _spectral_norm(s))
-    r = int(np.sum(sv < thresh))
-    if r == 0:
-        raise ValueError("cesaro_idempotent: eigenvalue 1 not found in the spectrum")
-    k = vh[d - r :].conj().T  # ker(a)
-    l = u[:, d - r :]  # ker(a^*) = ran(a)^perp
+def _spectral_ergodic_projection(k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Projection onto ker(I - s) along ran(I - s), given the two kernels of
+    ``_ergodic_kernels``: columns k span ker(I - s), columns l span ker((I - s)^*)."""
     return k @ np.linalg.solve(l.conj().T @ k, l.conj().T)
 
 
@@ -360,13 +362,15 @@ def cesaro_idempotent(
         raise ValueError(f"cesaro_idempotent: unknown mode {mode!r}")
     _require_unital_cp(phi, "cesaro_idempotent")
     s = phi.superop
+    # one SVD of I - s serves the spectral projection and the fixed basis
+    k, l = _ergodic_kernels(s, sv_rtol, "cesaro_idempotent")
     agreement = None
     if mode == "spectral":
-        p = _spectral_ergodic_projection(s, sv_rtol)
+        p = _spectral_ergodic_projection(k, l)
     elif mode == "iterative":
         p, _ = _iterative_ergodic_projection(s)
     else:
-        p = _spectral_ergodic_projection(s, sv_rtol)
+        p = _spectral_ergodic_projection(k, l)
         p_iter, _ = _iterative_ergodic_projection(s)
         agreement = frobenius(p - p_iter)
         if agreement > TOL.ucp:
@@ -385,7 +389,7 @@ def cesaro_idempotent(
     }
     return ErgodicResult(
         idempotent=e,
-        fixed_space=fixed_space(phi, sv_rtol),
+        fixed_space=SubspaceBasis(k.T.reshape(-1, n, n)),
         method=mode,
         residuals=residuals,
         agreement=agreement,
@@ -417,6 +421,7 @@ def check_absorption(e: ChannelMap, phi: ChannelMap) -> float:
 
     Preconditions (checked to ``TOL.ucp``): e is idempotent and absorbs phi on both
     sides, which makes the returned value a numerical-consistency certificate.
+    The loop carries t_k = S_e S_phi^k, two products per power.
     """
     se, sp = e.superop, phi.superop
     if se.shape != sp.shape:
@@ -428,8 +433,8 @@ def check_absorption(e: ChannelMap, phi: ChannelMap) -> float:
     if worst > TOL.ucp:
         raise ValueError(f"check_absorption: precondition violated (residual {worst:.3e})")
     out = 0.0
-    spk = np.eye(sp.shape[0])
+    t = se
     for _ in range(ABSORPTION_POWERS):
-        spk = sp @ spk
-        out = max(out, frobenius(se @ spk @ se - se))
+        t = t @ sp
+        out = max(out, frobenius(t @ se - se))
     return out

@@ -7,6 +7,7 @@ on the declared dimensions and before any matrix is decoded, instead of
 letting a run crawl.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -75,8 +76,82 @@ def _check_ambient(path: str, obj: dict, keys: tuple[str, ...]) -> None:
 def dump_report(report: dict, indent: int) -> str:
     """Canonical report text: sorted keys, fixed indent, trailing newline.
 
+    The text equals ``json.dumps(report, sort_keys=True, indent=indent) + "\n"``
+    byte for byte. Tables of numbers (lists whose items are equal-length
+    lists of ints and floats, such as the [re, im] pairs of a matrix) are
+    rendered by the C encoder, ``REPORT_BLOCK`` rows per call, instead of
+    ``json``'s pure-Python indenting encoder; both print floats with
+    ``float.__repr__`` and ``NaN``/``Infinity``, so the bytes agree. Keys
+    must be strings: any other key raises TypeError.
+
     Byte-identical output for identical report dicts is part of the CLI
     contract, so no timestamps or environment-dependent values may enter
     ``report``.
     """
-    return json.dumps(report, sort_keys=True, indent=indent) + "\n"
+    pad = " " * indent
+    parts: list[str] = []  # joined once at the end: no copy per nesting level
+
+    def emit(obj, level: int) -> None:
+        inner = "\n" + pad * (level + 1)
+        if isinstance(obj, dict):
+            if not obj:
+                parts.append("{}")
+                return
+            for key in obj:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            sep = "{" + inner
+            for key in sorted(obj):
+                parts.append(sep + json.dumps(key) + ": ")
+                emit(obj[key], level + 1)
+                sep = "," + inner
+            parts.append("\n" + pad * level + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                parts.append("[]")
+                return
+            sep = "[" + inner
+            for start in range(0, len(obj), REPORT_BLOCK):
+                block = obj[start : start + REPORT_BLOCK]
+                rows = _number_rows(block, inner, inner + pad)
+                if rows is not None:
+                    parts.append(sep + rows)
+                    sep = "," + inner
+                    continue
+                for item in block:
+                    parts.append(sep)
+                    emit(item, level + 1)
+                    sep = "," + inner
+            parts.append("\n" + pad * level + "]")
+        else:
+            parts.append(json.dumps(obj))
+
+    emit(report, 0)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# Rows per C-encoder call in ``dump_report``: bounds the transient flat list
+# and its strings, which a whole matrix at once would add to peak memory.
+REPORT_BLOCK = 4096
+
+_ROW_TYPES = {list, tuple}
+_NUMBER_TYPES = {int, float}
+
+
+def _number_rows(rows, outer: str, inner: str) -> str | None:
+    """Rows of equal length holding only ints and floats, laid out as ``json``
+    indents them (``outer``/``inner``: newline plus the row/entry indent);
+    None when ``rows`` is not such a table."""
+    if not set(map(type, rows)) <= _ROW_TYPES:
+        return None
+    width = len(rows[0])
+    if width == 0 or set(map(len, rows)) != {width}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    # the C encoder separates entries by ", ", which no number's text contains
+    items = json.dumps(flat)[1:-1].split(", ")
+    cells = map(("," + inner).join, zip(*(items[k::width] for k in range(width))))
+    return "[" + inner + (outer + "]," + outer + "[" + inner).join(cells) + outer + "]"

@@ -151,7 +151,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack([flat.real, flat.imag], axis=1).tolist(),
     }
 
 

@@ -647,10 +647,19 @@ def _clip_above(y: np.ndarray, t: float) -> np.ndarray:
     return (eig.vectors * np.minimum(eig.values, t)) @ eig.vectors.conj().T
 
 
-def _block_completion_feasible(phi: ChannelMap, t: float) -> bool:
+def _block_completion(phi: ChannelMap, t: float) -> tuple[float, np.ndarray] | None:
     """Alternating projections for: exists PSD [[Y0, J],[J*, Y1]] with
-    Tr_in Y_i <= t I. Returns True only when a completion is found to
-    tolerance; False means the budget ran out (not an infeasibility proof)."""
+    Tr_in Y_i <= t I. Returns None when the budget runs out (not an
+    infeasibility proof).
+
+    The iterate z found to tolerance is PSD, but its corner z01 only meets J
+    to within ``COMPLETION_TOL``. With delta = ||z01 - J||_2 the repaired
+    block [[z00 + delta I, J], [J*, z11 + delta I]] is z plus the PSD matrix
+    [[delta I, J - z01], [(J - z01)*, delta I]], hence PSD with the corner J
+    exactly, and its partial traces are those of z shifted by n delta. So on
+    success the returned t' = max_i lambda_max(Tr_in z_ii) + n delta is a
+    proven upper bound on ||phi||_cb; the repaired block is its certificate.
+    """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
     j = phi.choi
@@ -672,13 +681,17 @@ def _block_completion_feasible(phi: ChannelMap, t: float) -> bool:
             z[blk, blk] = y + np.kron(np.eye(n), delta) / n
         z = psd_project(z)
         corner = frobenius(z[:d, d:] - j)
-        excess = 0.0
-        for blk in (slice(0, d), slice(d, 2 * d)):
-            w = hermitian_eig(herm(_partial_trace_in(z[blk, blk], n, m))).values
-            excess = max(excess, max(0.0, float(w[-1]) - t))
-        if corner <= COMPLETION_TOL and excess <= COMPLETION_TOL:
-            return True
-    return False
+        top = max(
+            float(hermitian_eig(herm(_partial_trace_in(z[blk, blk], n, m))).values[-1])
+            for blk in (slice(0, d), slice(d, 2 * d))
+        )
+        if corner <= COMPLETION_TOL and top - t <= COMPLETION_TOL:
+            delta = float(np.linalg.norm(z[:d, d:] - j, 2))
+            z[:d, d:] = j
+            z[d:, :d] = j.conj().T
+            z[np.diag_indices(2 * d)] += delta
+            return top + n * delta, z
+    return None
 
 
 @dataclass(frozen=True)
@@ -697,9 +710,11 @@ def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
     """Two-sided bracket on ||phi||_cb.
 
     Lower: witness ascent (always valid). Upper: polar-dual completion,
-    refined by bisection whenever an alternating-projection run certifies a
-    completion at a smaller scale. The bracket collapses immediately for CP
-    maps, for the transpose, and for their scalar multiples.
+    refined by bisection whenever alternating projections find a completion
+    at a smaller scale; the completion is repaired to an exactly PSD block
+    (``_block_completion``), and its partial traces give the new upper end.
+    The bracket collapses immediately for CP maps, for the transpose, and for
+    their scalar multiples.
     """
     lo, _ = witness_lower_bound(phi)
     hi = polar_dual_upper_bound(phi)
@@ -709,8 +724,9 @@ def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
     search_lo = lo
     while hi - lo > tol and rounds < 40 and hi - search_lo > 0.25 * tol:
         mid = 0.5 * (search_lo + hi)
-        if _block_completion_feasible(phi, mid):
-            hi = mid
+        found = _block_completion(phi, mid)
+        if found is not None:
+            hi = min(hi, found[0])
         else:
             search_lo = mid
         rounds += 1
@@ -721,8 +737,8 @@ def cb_norm(phi: ChannelMap, tol: float = TOL.cb_norm) -> float:
     """Upper estimate of the completely bounded norm.
 
     CP maps use ||phi(I)|| (exact). Otherwise returns the upper end of
-    ``cb_norm_bracket``, which is a certified upper bound up to the stated
-    alternating-projection tolerance.
+    ``cb_norm_bracket``, an upper bound proven by an explicit PSD block
+    completion (up to floating-point rounding).
     """
     choi = phi.choi
     scale = max(1.0, frobenius(choi))

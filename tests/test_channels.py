@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellis_envelope import channels
 from ellis_envelope.channels import (
     ChannelMap,
     NonConvergenceError,
@@ -339,6 +340,70 @@ def test_iterative_budget_guard():
     with pytest.raises(NonConvergenceError) as exc:
         _iterative_ergodic_projection(s)
     assert exc.value.history
+
+
+@pytest.mark.parametrize("mode", ["spectral", "iterative", "both"])
+def test_cesaro_factors_the_map_once(monkeypatch, mode):
+    phi = random_unital_channel(np.random.default_rng(5), 3)
+    d = phi.superop.shape[0]
+    full, values_only, checks = [], [], []
+    svd, require = np.linalg.svd, channels._require_unital_cp
+
+    def counting_svd(a, *args, **kwargs):
+        compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+        if np.shape(a) == (d, d):
+            (full if compute_uv else values_only).append(1)
+        return svd(a, *args, **kwargs)
+
+    def counting_require(*args):
+        checks.append(1)
+        return require(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(channels, "_require_unital_cp", counting_require)
+    cesaro_idempotent(phi, mode=mode)
+    assert (len(full), len(values_only), len(checks)) == (1, 1, 1)
+
+
+def test_cesaro_fixed_space_equals_fixed_space_of_the_map():
+    rng = np.random.default_rng(41)
+    v = random_unitary(rng, 3)
+    degenerate = v @ np.diag([1.0, 1.0, np.exp(0.7j)]) @ v.conj().T  # commutant of dim 5
+    maps = [
+        ChannelMap.conjugation(degenerate),
+        ChannelMap.pinching(3),
+        ChannelMap(2, 2, 0.5 * (ChannelMap.identity(2).choi + ChannelMap.conjugation(DIAG_PHASE).choi)),
+        random_unital_channel(rng, 3),
+    ]
+    for phi in maps:
+        expected = fixed_space(phi)
+        for mode in ("spectral", "iterative", "both"):
+            res = cesaro_idempotent(phi, mode=mode)
+            ok, dist = subspace_equal(res.fixed_space, expected, tol=1e-12)
+            assert ok, (mode, dist)
+
+
+def absorption_three_products(e: ChannelMap, phi: ChannelMap) -> float:
+    """Reference loop for check_absorption: S_e S_phi^k S_e, three products per power."""
+    se, sp = e.superop, phi.superop
+    out, spk = 0.0, np.eye(sp.shape[0])
+    for _ in range(channels.ABSORPTION_POWERS):
+        spk = sp @ spk
+        out = max(out, frobenius(se @ spk @ se - se))
+    return out
+
+
+def test_check_absorption_matches_three_product_loop():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4):
+        phi = random_unital_channel(rng, n)
+        e = cesaro_idempotent(phi).idempotent
+        # a perturbation inside the precondition tolerance gives values well above roundoff
+        noisy = ChannelMap.from_superop(e.superop + 1e-9 * random_complex(rng, n * n, n * n), n, n)
+        for idem in (e, noisy):
+            ref = absorption_three_products(idem, phi)
+            assert abs(check_absorption(idem, phi) - ref) <= 1e-12, (n, ref)
+        assert absorption_three_products(noisy, phi) > 1e-10
 
 
 def test_check_absorption():

@@ -10,9 +10,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from ellis_envelope import channels, envelope, spectrahedron
+from ellis_envelope import channels, cli, envelope, spectrahedron
 from ellis_envelope.channels import ChannelMap
 from ellis_envelope.cli import RunConfig, main
+from ellis_envelope.jsonio import dump_report
 from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
 from ellis_envelope.tolerances import TOL
@@ -50,6 +51,21 @@ def inputs(tmp_path_factory):
         "badjson": _put_text(d, "badjson.json", "{not json"),
         "dir": str(d),
     }
+
+
+@pytest.fixture(autouse=True)
+def reports_match_reference_encoder(monkeypatch):
+    """Every report a test here produces must equal the reference encoder's text."""
+    checked = []
+
+    def dump_and_compare(report, indent):
+        text = dump_report(report, indent)
+        assert text == json.dumps(report, sort_keys=True, indent=indent) + "\n"
+        checked.append(len(text))
+        return text
+
+    monkeypatch.setattr(cli, "dump_report", dump_and_compare)
+    return checked
 
 
 def _put_text(d, name, text):
@@ -194,6 +210,12 @@ def test_envelope_reports_are_byte_identical(capsys, inputs):
     code2, out2, _ = run(capsys, args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_reports_go_through_the_reference_check(capsys, inputs, reports_match_reference_encoder):
+    run(capsys, ["channel", "cesaro", inputs["halfsz"], "--mode", "both"])
+    run(capsys, ["envelope", "compute", inputs["d2"], "--json-indent", "0"])
+    assert len(reports_match_reference_encoder) == 2
 
 
 def test_out_flag_writes_file_and_silences_stdout(capsys, inputs, tmp_path):

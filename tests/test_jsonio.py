@@ -1,0 +1,80 @@
+"""The report writer equals the reference encoder byte for byte.
+
+``dump_report(obj, k)`` must produce ``json.dumps(obj, sort_keys=True,
+indent=k) + "\\n"`` for every report, whichever of its two paths (the C
+encoder over blocks of number rows, or the recursive layout) renders a part.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellis_envelope.jsonio import REPORT_BLOCK, dump_report
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, float("nan"), float("inf"), float("-inf")]
+
+numbers = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGE_FLOATS),
+)
+strings = st.one_of(st.text(max_size=6), st.sampled_from(["", '"', "\\", "\n\t\x00", "é", " ", "\U0001f600"]))
+scalars = st.one_of(st.none(), st.booleans(), numbers, strings)
+
+
+def rows_of(width: int):
+    row = st.lists(numbers, min_size=width, max_size=width)
+    return st.lists(st.one_of(row, row.map(tuple)), max_size=12)
+
+
+# equal-length number rows (the fast path), ragged rows and mixed lists
+tables = st.integers(min_value=1, max_value=4).flatmap(rows_of)
+ragged = st.lists(st.lists(numbers, max_size=3), max_size=6)
+
+values = st.recursive(
+    st.one_of(scalars, tables, ragged),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(strings, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def reference(obj, indent: int) -> str:
+    return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+
+
+@given(st.dictionaries(strings, values, max_size=5), st.integers(min_value=0, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_writer_equals_reference_encoder(report, indent):
+    assert dump_report(report, indent) == reference(report, indent)
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+def test_pair_table_across_block_boundaries(indent):
+    n = 9000
+    assert n > 2 * REPORT_BLOCK
+    data = [[k * 0.1, -k / 3.0] for k in range(n)]
+    data[0] = [float("nan"), -0.0]
+    data[REPORT_BLOCK] = [float("inf"), 5e-324]
+    report = {"m": {"rows": 90, "cols": 100, "data": data}}
+    assert dump_report(report, indent) == reference(report, indent)
+
+
+def test_blocks_that_are_not_tables_fall_back():
+    # the middle block holds a string, so only the outer blocks are number tables
+    items = [[1, 2.5]] * REPORT_BLOCK + ["x", [1], []] + [(3.0, -4)] * (REPORT_BLOCK + 5)
+    report = {"items": items, "empty": [[]], "nested": [[[1.0, 2.0]]]}
+    for indent in (0, 1, 4):
+        assert dump_report(report, indent) == reference(report, indent)
+
+
+def test_non_string_key_raises_type_error():
+    with pytest.raises(TypeError, match="keys must be str"):
+        dump_report({"result": {1: "one"}}, 2)
+    with pytest.raises(TypeError):
+        dump_report({None: 0}, 0)

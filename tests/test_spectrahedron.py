@@ -609,6 +609,27 @@ def test_witness_never_exceeds_dual_bound():
         assert lo <= polar_dual_upper_bound(phi) + 1e-9
 
 
+def test_completion_upper_end_is_a_repaired_psd_certificate():
+    # The upper end t' comes with a block [[Y0, J], [J*, Y1]]: exactly J in
+    # the corner, PSD to roundoff, and Tr_in Y_i <= t' I.
+    t2 = ChannelMap.transpose_map(2)
+    noncp = ChannelMap(2, 2, random_hermitian(np.random.default_rng(17), 4))
+    lo, _ = witness_lower_bound(noncp)
+    for phi, t in ((t2, 2.0), (noncp, 0.5 * (lo + polar_dual_upper_bound(noncp)))):
+        found = spectrahedron._block_completion(phi, t)
+        assert found is not None
+        upper, z = found
+        d = 4
+        scale = max(1.0, frobenius(z))
+        assert np.array_equal(z[:d, d:], phi.choi)
+        assert np.array_equal(z[d:, :d], phi.choi.conj().T)
+        assert np.linalg.eigvalsh(herm(z))[0] >= -1e-12 * scale
+        for blk in (slice(0, d), slice(d, 2 * d)):
+            tr = np.einsum("iaib->ab", z[blk, blk].reshape(2, 2, 2, 2))
+            assert np.linalg.eigvalsh(herm(tr))[-1] <= upper + 1e-12 * scale
+        assert t - 1e-12 <= upper <= t + 1e-7
+
+
 def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
     rng = np.random.default_rng(23)
     phi = ChannelMap(2, 2, random_hermitian(rng, 4))
@@ -617,4 +638,17 @@ def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
     assert bracket.lower <= bracket.upper
     assert not bracket.converged
     monkeypatch.undo()
-    assert cb_norm(phi) >= bracket.lower - 1e-9
+    accepted = []
+    complete = spectrahedron._block_completion
+
+    def recording(phi_, t):
+        found = complete(phi_, t)
+        if found is not None:
+            accepted.append(found[0])
+        return found
+
+    monkeypatch.setattr(spectrahedron, "_block_completion", recording)
+    upper = cb_norm(phi)
+    assert upper >= bracket.lower - 1e-9
+    # every accepted completion moves the upper end to its proven bound t'
+    assert accepted and upper == min(accepted)
