@@ -38,7 +38,7 @@ from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, samp
 from .tolerances import TOL
 
 # Fixed-space thresholds ``seed_idempotent`` tries in turn, finest first.
-SEED_SV_RTOLS = (TOL.fixed_space, 1e-6, 1e-4)
+SEED_SV_RTOLS = (TOL.fixed_space, 1e-6)
 
 
 # ------------------------------------------------------------------------
@@ -196,12 +196,12 @@ def _member_idempotent(e: ChannelMap, fset: FeasibleSet) -> bool:
 def seed_idempotent(theta: ChannelMap, fset: FeasibleSet) -> ChannelMap:
     """Ergodic idempotent of a member, robust to projection-level noise.
 
-    A member produced by Dykstra is only accurate to ~1e-8; when its
-    spectrum clusters that close to 1 (near-identity samples from very rigid
-    sets), the default fixed-space threshold misreads noise as dynamics.
-    Retry with coarser thresholds until the result is an idempotent unital
-    CP member to the tolerances ``choi_effros_table`` requires later; every
-    rung is checked, so loosening cannot produce a bad seed.
+    Projected members are exact to rounding, but if noise lifts a fixed
+    direction of S_theta - I above the finest threshold (near-identity
+    samples from very rigid sets), retry with the coarser one until the
+    result is an idempotent unital CP member to the tolerances
+    ``choi_effros_table`` requires later; every rung is checked, so
+    loosening cannot produce a bad seed.
     """
     failures: list[tuple[int, float]] = []
     for k, sv_rtol in enumerate(SEED_SV_RTOLS):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Accuracy of iterative results: Dykstra stops here, members are checked
-    # against it, and so are checks on solver output (corner leakage, fixed
-    # basis elements, the idempotent flag, Hermitian UCP inputs).
+    # Accuracy of iterative results: the projection's dual gradient stops
+    # here, members and other solver output are checked against it (corner
+    # leakage, fixed basis elements, the idempotent flag, Hermitian UCP inputs).
     solver: float = 1e-8
     # Default certification tolerance: minimality bounds, report residuals and
     # the consistency checks on a finished result.
@@ -47,9 +47,9 @@ class Tolerances:
     cesaro: float = 1e-10
     # PSD gap at which alternating projections have found an exposing vector.
     pocs: float = 1e-10
-    # Relative singular-value cutoff of the compressed affine system, in its
-    # pseudo-inverse and its null space alike; it also decides the span in
-    # which facial reduction looks for an exposing vector.
+    # Relative singular-value cutoff of the compressed affine system: the
+    # law rows the projection keeps and their null space alike; it also
+    # decides the span in which facial reduction looks for an exposing vector.
     affine_rcond: float = 1e-12
     # Default width at which a cb-norm bracket counts as converged.
     cb_norm: float = 1e-3

@@ -279,12 +279,13 @@ def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
     assert code == 2
     assert out == ""
     diag = nonconvergence_diagnostics(err)
-    assert [r for _, r in diag["history_tail"]] == [None, None, None]
+    assert [r for _, r in diag["history_tail"]] == [None] * len(envelope.SEED_SV_RTOLS)
 
 
 def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):
-    # one Dykstra iteration cannot reach the solver tolerance
-    monkeypatch.setattr(spectrahedron, "DYKSTRA_MAX_ITER", 1)
+    # one Newton iteration never returns: the exit needs two consecutive
+    # gradients within the solver tolerance
+    monkeypatch.setattr(spectrahedron, "NEWTON_MAX_ITER", 1)
     code, out, err = run(capsys, ["envelope", "compute", inputs["d2"]])
     assert code == 2
     assert out == ""

@@ -3,9 +3,11 @@
 The set of unital CP maps on M_2 fixing the diagonal algebra has a complete
 closed-form description (Schur multipliers by 2x2 correlation matrices), so
 its Frobenius projection reduces to clipping one complex number to the unit
-disk. That closed form is rebuilt here and used as an exact oracle for the
-Dykstra machinery; everything else is checked by membership residuals and by
-values evaluated at independently known feasible points.
+disk. That closed form, and the one for the T-set of a diagonal unitary
+(one density matrix per diagonal block), are rebuilt here and used as exact
+oracles for the dual Newton projection; everything else is checked by
+membership residuals and by values evaluated at independently known feasible
+points.
 """
 
 import dataclasses
@@ -15,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellis_envelope.boundary import build_T_set
 from ellis_envelope.channels import (
     ChannelMap,
     NonConvergenceError,
     cesaro_idempotent,
     compose,
     fixed_space,
+    random_unital_channel,
 )
 from ellis_envelope import spectrahedron
 from ellis_envelope.linalg import frobenius, herm, hermitian_eig
@@ -66,6 +70,41 @@ def d2_projection_oracle(j0):
     if abs(c) > 1.0:
         c = c / abs(c)
     return schur_choi(c)
+
+
+def density_projection(b):
+    """Frobenius-nearest density matrix to a Hermitian b: eigenvalues onto the simplex."""
+    eig = hermitian_eig(herm(b))
+    u = np.sort(eig.values)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.nonzero(u - css / np.arange(1, len(u) + 1) > 0)[0][-1]
+    w = np.clip(eig.values - css[k] / (k + 1), 0.0, None)
+    return (eig.vectors * w) @ eig.vectors.conj().T
+
+
+def t_set_projection_oracle(j0, n):
+    """Exact Frobenius projection onto the T-set of a distinct-phase diagonal unitary.
+
+    Over span{I}, the members are sum_a rho_a^T (x) e_aa with rho_a density
+    matrices: in the J4[i,a,j,b] layout only the blocks J4[:, a, :, a] are
+    nonzero, and each is a density matrix. The distance splits over the
+    blocks, so each block of herm(j0) goes to its nearest density matrix
+    and everything else to zero.
+    """
+    h = herm(j0).reshape(n, n, n, n)
+    out = np.zeros_like(h)
+    for a in range(n):
+        out[:, a, :, a] = density_projection(h[:, a, :, a])
+    return out.reshape(n * n, n * n)
+
+
+def t_set_draw(n, seed, noise=0.05):
+    """A T-set over span{I} in M_n and a noisy unital channel estimate to project."""
+    rng = np.random.default_rng(seed)
+    u = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    fset = build_T_set(OperatorSubspace.from_matrices([np.eye(n)]), ChannelMap.conjugation(u))
+    phi = random_unital_channel(rng, n)
+    return fset, phi.choi + noise * herm(random_complex(rng, n * n, n * n))
 
 
 def diag_units(n):
@@ -367,6 +406,27 @@ def test_projection_matches_closed_form_boundary(d2_set):
     assert frobenius(out.choi - d2_projection_oracle(j0)) < 1e-7
 
 
+@pytest.mark.parametrize("n, seed", [(3, 1007), (4, 1000), (5, 1008)])
+def test_projection_matches_closed_form_t_set(n, seed):
+    # draws where the active-face polish of the former Dykstra solver
+    # returned a member 4e-4 to 8e-4 away from the nearest one
+    fset, j0 = t_set_draw(n, seed)
+    out = dykstra_project(j0, fset)
+    assert frobenius(out.choi - t_set_projection_oracle(j0, n)) <= 1e-8
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([0.05, 0.5, 2.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_t_set_projection_property(n, seed, noise):
+    fset, j0 = t_set_draw(n, seed, noise)
+    out = dykstra_project(j0, fset)
+    assert frobenius(out.choi - t_set_projection_oracle(j0, n)) <= 1e-8
+
+
 def test_feasible_input_is_returned_unchanged(d2_set):
     j0 = ChannelMap.pinching(2).choi
     out = dykstra_project(j0, d2_set)
@@ -400,30 +460,12 @@ def test_small_perturbation_projects_to_member(d2_set):
     assert rep.ok and rep.worst <= 1e-8
 
 
-def test_projection_survives_a_failed_polish(d2_set, monkeypatch):
-    # polishing is optional: a LAPACK failure inside it must leave Dykstra
-    # running to a member
-    calls = []
-
-    def failing_lstsq(*args, **kwargs):
-        calls.append(1)
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-    monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
-    monkeypatch.setattr(spectrahedron, "POLISH_EVERY", 1)
+def test_nonconvergence_carries_residual_history(d2_set, monkeypatch):
+    # |j0[0,3]| > 1, so the start (the affine projection of j0) is not PSD
     rng = np.random.default_rng(12)
     j0 = ChannelMap.identity(2).choi + 0.4 * random_hermitian(rng, 4)
     j0 = j0 + 1.5 * (schur_choi(1.0) - np.diag([1.0, 0, 0, 1.0]))
-    out = dykstra_project(j0, d2_set)
-    assert calls
-    assert d2_set.membership(out).ok
-    assert frobenius(out.choi - d2_projection_oracle(j0)) < 1e-7
-
-
-def test_nonconvergence_carries_residual_history(d2_set, monkeypatch):
-    rng = np.random.default_rng(5)
-    j0 = ChannelMap.identity(2).choi + 0.8 * random_hermitian(rng, 4)
-    monkeypatch.setattr(spectrahedron, "DYKSTRA_MAX_ITER", 1)
+    monkeypatch.setattr(spectrahedron, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
         dykstra_project(j0, d2_set)
     history = exc.value.history
