@@ -2,7 +2,8 @@
 """Worked examples, end to end: ergodic projections, envelopes, boundaries.
 
 Runs the library on the small systems whose answers are known in closed
-form and prints one summary line per case. Takes a few seconds.
+form and prints one summary line per case. Takes a few seconds. Exits
+non-zero if the span{I, diag(d)} envelope is not certified at rank 2.
 """
 
 import time
@@ -70,6 +71,16 @@ def corner_envelope():
     return f"rank={res.rank} mode={res.mode} certificate={res.certificate}"
 
 
+def diag5_envelope():
+    # span{I, diag(d)} in M_5: the envelope is C^2 (the two extreme
+    # eigenvalues), so this must certify at rank 2
+    d = np.random.default_rng(1).standard_normal(5)
+    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(5), np.diag(d)]), seed=0)
+    if res.certificate != "certified" or res.rank != 2:
+        raise SystemExit(f"span{{I, diag(d)}} in M_5: {res.certificate} at rank {res.rank}, expected certified rank 2")
+    return f"rank={res.rank} certificate={res.certificate}"
+
+
 def sz_boundary():
     res = compute_boundary(
         OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)
@@ -93,6 +104,7 @@ def main() -> None:
     timed("envelope of the diagonal system in M_2", diagonal_envelope)
     timed("envelope of span{I, sx, sz} (rigid)", rigid_envelope)
     timed("envelope of span{E_12} via corner lift", corner_envelope)
+    timed("envelope of span{I, diag(d)} in M_5", diag5_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
     timed("cb norm of the transpose on M_2", transpose_cb)
     timed("cb norm of the identity (CP path)", identity_cb)

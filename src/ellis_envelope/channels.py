@@ -209,14 +209,23 @@ class StructureReport:
     trace_residual: float
     idempotent_residual: float | None
     cb_bound: float
+    choi_rank: int
 
 
 def check_structure(phi: ChannelMap) -> StructureReport:
-    """Structural flags with their residuals; never raises on a 'bad' map."""
+    """Structural flags with their residuals; never raises on a 'bad' map.
+
+    ``choi_rank`` counts the Choi matrix's singular values above
+    ``TOL.rank``; for a Hermitian Choi matrix they are the absolute values
+    of the eigenvalues already computed, so no SVD is taken.
+    """
     n, m = phi.dim_in, phi.dim_out
     tol = TOL.structure
-    choi_min = float(np.linalg.eigvalsh(herm(phi.choi))[0])
-    cp = _is_hermitian(phi.choi, tol) and choi_min >= -tol * max(1.0, frobenius(phi.choi))
+    hermitian = _is_hermitian(phi.choi, tol)
+    eigs = np.linalg.eigvalsh(herm(phi.choi))
+    sv = np.abs(eigs) if hermitian else np.linalg.svd(phi.choi, compute_uv=False)
+    choi_min = float(eigs[0])
+    cp = hermitian and choi_min >= -tol * max(1.0, frobenius(phi.choi))
     unital_res = frobenius(phi.apply(np.eye(n)) - np.eye(m))
     c4 = phi.choi.reshape(n, m, n, m)
     trace_res = frobenius(np.einsum("iaja->ij", c4) - np.eye(n))
@@ -240,6 +249,7 @@ def check_structure(phi: ChannelMap) -> StructureReport:
         trace_residual=trace_res,
         idempotent_residual=idem_res,
         cb_bound=cb,
+        choi_rank=int(np.sum(sv > TOL.rank)),
     )
 
 

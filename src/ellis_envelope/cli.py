@@ -189,7 +189,7 @@ def _run_channel_info(args, config: RunConfig) -> tuple[str, dict]:
     result = {
         "dim_in": phi.dim_in,
         "dim_out": phi.dim_out,
-        "choi_rank": int(np.sum(np.linalg.svd(phi.choi, compute_uv=False) > TOL.rank)),
+        "choi_rank": rep.choi_rank,
         "cp": rep.cp,
         "unital": rep.unital,
         "trace_preserving": rep.trace_preserving,

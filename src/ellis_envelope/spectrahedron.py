@@ -8,7 +8,11 @@ brackets the completely bounded norm.
 
 Each affine law is kept as the matrix that defines it: x for phi(x) = x,
 S_psi - I for psi . phi = phi. Membership applies the laws to the full Choi
-matrix as operators. Projection works on a cone face J = V Y V^*, where the
+matrix as operators. The cone face comes from the structure of E in closed
+form: for a PSD a in E with kernel projection K, every member satisfies
+tr(K phi(a)) = tr(K a) = 0, so its Choi matrix J is annihilated by the PSD
+matrix kron(a^T, K) (Choi 1974, read as facial reduction in the sense of
+Permenter-Parrilo 2018). Projection works on that face J = V Y V^*, where the
 laws become real rows over Y in the coordinates (diag, sqrt(2) Re upper,
 sqrt(2) Im upper) of a Hermitian matrix, a Frobenius isometry, so affine
 projections stay exactly Hermitian and hermiticity preservation of the
@@ -39,10 +43,9 @@ from .tolerances import TOL
 # Sampled members averaged into ``FeasibleSet.center``.
 CENTER_SAMPLES = 4
 
-# Alternating projections for an exposing vector: a start is not given up
-# before POCS_PATIENCE iterations, and runs up to ten times as many while its
-# PSD gap keeps shrinking.
-POCS_PATIENCE = 600
+# Random combinations of E's Hermitian elements (fixed seed) that join the
+# elements themselves in exposing the first face.
+FACE_COMBINATIONS = 4
 
 # Iteration budget of the dual Newton projection.
 NEWTON_MAX_ITER = 200
@@ -201,6 +204,49 @@ def _face_system(laws, n: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rows), np.concatenate(rhss)
 
 
+def _structural_face(laws, n: int) -> np.ndarray:
+    """Isometry (n^2, r) onto a cone face holding every member's Choi matrix.
+
+    Every member phi fixes each a in E. If a is PSD with kernel projection K,
+    phi(a) is PSD and tr(K phi(a)) = tr(K a) = 0, which reads <W, J> = 0 for
+    the PSD matrix W = kron(a^T, K); so J lies in ker W (Choi's
+    multiplicative-domain argument read as facial reduction). The elements a
+    are lambda_max I - x and x - lambda_min I for the Hermitian and
+    skew-Hermitian parts x of the fix laws' matrices (E is selfadjoint, so
+    they lie in E), scalars skipped, and ``FACE_COMBINATIONS`` random
+    combinations of them; the face is the kernel of the sum of their W. Each
+    kernel is cut at ``TOL.rank`` relative to max(1, lambda_max). The absorb
+    law adds nothing. The identity channel fixes E, so its Choi matrix
+    vec(I) vec(I)^* must lie in the face: a face missing it raises.
+    """
+    parts = []
+    for name, m in laws:
+        if name == "absorb":
+            continue
+        for x in (herm(m), herm(-1j * m)):
+            if frobenius(x - np.trace(x).real / n * np.eye(n)) > TOL.structure * max(1.0, frobenius(x)):
+                parts.append(x)
+    if not parts:
+        return np.eye(n * n, dtype=complex)
+    if len(parts) > 1:
+        coef = np.random.default_rng(0).standard_normal((FACE_COMBINATIONS, len(parts)))
+        parts += list(np.einsum("ck,kij->cij", coef, np.stack(parts)))
+    w = np.zeros((n * n, n * n), dtype=complex)
+    for x in parts:
+        eig = hermitian_eig(x)
+        # both elements a share x's eigenvectors; these are their eigenvalues
+        for a in (eig.values[-1] - eig.values, eig.values - eig.values[0]):
+            kernel = eig.vectors[:, a <= TOL.rank * max(1.0, float(a.max()))]
+            w += np.kron(((eig.vectors * a) @ eig.vectors.conj().T).T, kernel @ kernel.conj().T)
+    eig = hermitian_eig(w)
+    v = eig.vectors[:, eig.values <= TOL.rank * max(1.0, float(eig.values[-1]))]
+    vec_eye = np.eye(n, dtype=complex).reshape(-1)
+    miss = float(np.linalg.norm(vec_eye - v @ (v.conj().T @ vec_eye)))
+    if miss > TOL.solver:
+        raise RuntimeError(f"structural face misses the identity channel (residual {miss:.3e})")
+    return v
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     residuals: dict[str, float]
@@ -215,84 +261,23 @@ class MembershipReport:
         return max(self.residuals.values())
 
 
-def _find_exposing_vector(q: np.ndarray, d: int) -> np.ndarray | None:
-    """A PSD matrix W != 0 with <W, J> = 0 for every J in the affine set, if any.
-
-    Such a W certifies that the whole feasible set lies in the face
-    {J PSD : W J = 0} of the cone. Candidates live in the span of the
-    constraint normals A^T y restricted to y . b = 0, given by the orthonormal
-    columns of ``q`` in real Hermitian coordinates, normalized to trace 1;
-    alternating projections between that affine slice and the PSD cone either
-    find one or stall, in which case None is returned (no reduction claimed).
-    The PSD gap is tested every hundred iterations and a start returns as
-    soon as it has converged. Past ``POCS_PATIENCE`` iterations a start goes
-    on, up to ten times as long, only while its gap shrinks by a tenth every
-    hundred iterations: a linear rate means the two sets meet, a flat gap
-    that they do not.
-    """
-    if q.shape[1] == 0:
-        return None
-    tr_vec = np.zeros(d * d)
-    tr_vec[:d] = 1.0  # trace functional in real Hermitian coordinates
-    c = q.T @ tr_vec
-    if np.linalg.norm(c) < 1e-12:
-        return None
-
-    def onto_slice(w: np.ndarray) -> np.ndarray:
-        z = q.T @ w
-        z = z + c * (1.0 - c @ z) / (c @ c)
-        return q @ z
-
-    for start in range(3):
-        rng = np.random.default_rng(start)
-        w = rng.standard_normal(d * d) if start else tr_vec / d
-        last_gap = np.inf
-        for it in range(1, 10 * POCS_PATIENCE + 1):
-            w = onto_slice(w)
-            w = herm_to_real(psd_project(real_to_herm(w, d)))
-            if it % 100:
-                continue
-            wm = herm(real_to_herm(onto_slice(w), d))
-            gap = max(0.0, -float(hermitian_eig(wm).values[0]))
-            if gap <= TOL.pocs and abs(np.trace(wm).real - 1.0) <= TOL.solver:
-                return wm
-            if it > POCS_PATIENCE and gap > 0.9 * last_gap:
-                break
-            last_gap = gap
-    return None
-
-
-def _b_orth_complement(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {y : y . b = 0} as columns (identity if b = 0).
-
-    The Householder reflection H sending b to a multiple of the first unit
-    vector is orthogonal and symmetric, so its other columns are orthonormal
-    and orthogonal to b.
-    """
-    rows = b.shape[0]
-    nb = np.linalg.norm(b)
-    if nb < 1e-14:
-        return np.eye(rows)
-    w = b / nb
-    w[0] += 1.0 if w[0] >= 0 else -1.0
-    h = np.eye(rows) - np.outer(w, w) * (2.0 / (w @ w))
-    return h[:, 1:]
-
-
 @dataclass(frozen=True)
 class FeasibleSet:
     """{Choi J : J PSD, the constraint laws hold}, facially reduced.
 
     Membership is always checked against the laws in full coordinates, each
     applied to J as the operator its matrix defines. Projection works in
-    compressed coordinates J = V Y V^*, where V spans the smallest cone face
-    found to contain the set: feasible sets of interest often consist
-    entirely of rank-deficient Choi matrices (zero Slater margin); after
-    reduction the compressed set has relative interior. On the face the laws
-    read Q y = beta for y = herm_to_real(Y): ``law_rows`` Q has orthonormal
-    rows, from the SVD facial reduction takes of the last face.
+    compressed coordinates J = V Y V^*, where V spans the cone face that E's
+    structure exposes (``_structural_face``), found in one pass: feasible
+    sets of interest often consist entirely of rank-deficient Choi matrices
+    (zero Slater margin); on the face the compressed set has relative
+    interior. On the face the laws read Q y = beta for y = herm_to_real(Y):
+    ``law_rows`` Q has orthonormal rows, from one SVD of the face system.
     The nearest point in Y coordinates is the nearest point in J coordinates,
-    because the set lies inside the span of {V Y V^*}.
+    because the set lies inside the span of {V Y V^*}. Should the face ever
+    be larger than the smallest one, the set still lies in it: projections
+    stall and minimality bounds are taken over a superset, so the failure is
+    loud (``unverified`` or non-convergence), never a false certificate.
     """
 
     n: int
@@ -304,27 +289,12 @@ class FeasibleSet:
     @classmethod
     def from_laws(cls, n: int, laws) -> "FeasibleSet":
         laws = tuple(laws)
-        v = np.eye(n * n, dtype=complex)
-        while True:  # a pass either stops or shrinks the face, so r = 1 stops it at the latest
-            r = v.shape[1]
-            a, b = _face_system(laws, n, v)
-            # one SVD per face, cut at TOL.affine_rcond: svd(A^T) = V S U^T for A = U S V^T
-            vt, s, ut = np.linalg.svd(a.T, full_matrices=False)
-            k = int(np.sum(s > TOL.affine_rcond * s[0]))
-            vt, s, ut = vt[:, :k], s[:k], ut[:k]
-            if r == 1:
-                break
-            # a member exists, so b = U c lies in range(A), and the normals
-            # A^T y with y . b = 0 are V w with w orthogonal to c / s
-            w = _find_exposing_vector(vt @ _b_orth_complement(ut @ b / s), r)
-            if w is None:
-                break
-            eig = hermitian_eig(herm(w))
-            keep = eig.values <= TOL.rank * max(1.0, float(eig.values[-1]))
-            if not keep.any() or keep.all():
-                break
-            v, _ = np.linalg.qr(v @ eig.vectors[:, keep])
-        return cls(n, laws, v, vt.T, (ut @ b) / s)
+        v = _structural_face(laws, n)
+        a, b = _face_system(laws, n, v)
+        # one SVD on the face, cut at TOL.affine_rcond: svd(A^T) = V S U^T for A = U S V^T
+        vt, s, ut = np.linalg.svd(a.T, full_matrices=False)
+        k = int(np.sum(s > TOL.affine_rcond * s[0]))
+        return cls(n, laws, v, vt[:, :k].T, (ut[:k] @ b) / s[:k])
 
     @property
     def choi_dim(self) -> int:

@@ -30,7 +30,7 @@ class Tolerances:
     # algorithm uses it; also the spectral/iterative Cesaro agreement.
     ucp: float = 1e-7
     # Singular values above it count toward a rank: of a superoperator or a
-    # Choi matrix, and (relative) of an exposing vector.
+    # Choi matrix, and (relative) of the PSD matrices that expose a face.
     rank: float = 1e-7
     # Structural flags (relative): Hermitian, CP, unital, trace preserving,
     # identity in the span, span closed under the adjoint.
@@ -45,11 +45,8 @@ class Tolerances:
     span_rtol: float = 1e-10
     # Stopping residual of the iterative Cesaro squaring.
     cesaro: float = 1e-10
-    # PSD gap at which alternating projections have found an exposing vector.
-    pocs: float = 1e-10
     # Relative singular-value cutoff of the compressed affine system: the
-    # law rows the projection keeps and their null space alike; it also
-    # decides the span in which facial reduction looks for an exposing vector.
+    # law rows the projection keeps and their null space alike.
     affine_rcond: float = 1e-12
     # Default width at which a cb-norm bracket counts as converged.
     cb_norm: float = 1e-3

@@ -225,6 +225,22 @@ def test_structure_nonsquare():
     assert rep.idempotent is None
 
 
+def test_structure_choi_rank_counts_singular_values():
+    # Hermitian Choi matrices take the rank from their eigenvalues, the
+    # others from an SVD; both must count the singular values above TOL.rank
+    rng = np.random.default_rng(3)
+    u, v = random_complex(rng, 4), random_complex(rng, 4)
+    maps = [
+        (ChannelMap.identity(3), 1),
+        (ChannelMap.transpose_map(2), 4),
+        (ChannelMap.from_kraus([random_complex(rng, 3, 3) for _ in range(2)]), 2),
+        (ChannelMap(2, 2, np.outer(u, v.conj())), 1),
+    ]
+    for phi, rank in maps:
+        sv = np.linalg.svd(phi.choi, compute_uv=False)
+        assert check_structure(phi).choi_rank == int(np.sum(sv > channels.TOL.rank)) == rank
+
+
 # ------------------------------------------------------------- fixed space
 
 

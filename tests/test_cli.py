@@ -237,7 +237,7 @@ def test_out_flag_writes_file_and_silences_stdout(capsys, inputs, tmp_path):
 def test_incomplete_face_exits_two(capsys, inputs, monkeypatch):
     # with facial reduction disabled the rigid system's set keeps violating
     # directions but has no interior point to step from
-    monkeypatch.setattr(spectrahedron, "_find_exposing_vector", lambda *a, **k: None)
+    monkeypatch.setattr(spectrahedron, "_structural_face", lambda laws, n: np.eye(n * n, dtype=complex))
     code, out, _ = run(capsys, ["envelope", "compute", inputs["rigid"]])
     assert code == 2
     rep = report_of(out)

@@ -226,7 +226,7 @@ def test_descent_on_incomplete_face_is_unverified(monkeypatch):
     # without facial reduction the rigid system's set (the identity alone)
     # keeps a slice with violating directions but no interior point, so no
     # violating member can be built
-    monkeypatch.setattr(spectrahedron, "_find_exposing_vector", lambda *a, **k: None)
+    monkeypatch.setattr(spectrahedron, "_structural_face", lambda laws, n: np.eye(n * n, dtype=complex))
     fset = build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ]))
     assert fset.face_dim == 4
     res = descend_to_minimal(fset, ChannelMap.identity(2))

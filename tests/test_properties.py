@@ -2,12 +2,13 @@
 
 Two families with closed-form envelopes:
 
-- span{I, x} with x a random Hermitian matrix in M_2 or M_3. Its
+- span{I, x} with x a random Hermitian matrix in M_n, n = 2-5. Its
   eigenvalues are distinct almost surely, and the Choquet boundary of
-  span{1, t} on three points is the two extreme points, so the envelope is
-  C^2: rank 2 for n = 2 and n = 3 alike.
-- span{I, x, y} with random Hermitian x, y in M_2, which is rigid: the
-  feasible set is the identity alone and the envelope is all of M_2.
+  span{1, t} on n points is the two extreme points, so the envelope is
+  C^2: rank 2 for every n.
+- span{I, x, y} with random Hermitian x, y in M_n, n = 2-4, which is rigid
+  (Arveson 1972): the feasible set is the identity alone and the envelope
+  is all of M_n, rank n^2.
 
 The sampled cross-check is the only place a sampled probe survives: no
 sampled member may violate e . theta . e = e by more than the certified
@@ -49,20 +50,30 @@ def check_certified(space, expected_rank, draw_seed):
     assert results[0].rank == results[1].rank
 
 
-@given(st.sampled_from([2, 3]), seeds)
-@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]), seeds)
+@settings(max_examples=10, deadline=None)
 def test_span_of_identity_and_hermitian_has_rank_two_envelope(n, seed):
     rng = np.random.default_rng(seed)
     space = OperatorSubspace.from_matrices([np.eye(n), random_hermitian(rng, n)])
     check_certified(space, 2, seed % 1000)
 
 
+def check_rigid(n, seed):
+    rng = np.random.default_rng(seed)
+    space = OperatorSubspace.from_matrices(
+        [np.eye(n), random_hermitian(rng, n), random_hermitian(rng, n)]
+    )
+    assert build_system_set(space).face_dim == 1
+    check_certified(space, n * n, seed % 1000)
+
+
 @given(seeds)
 @settings(max_examples=5, deadline=None)
 def test_random_rigid_system_in_m2_has_full_envelope(seed):
-    rng = np.random.default_rng(seed)
-    space = OperatorSubspace.from_matrices(
-        [np.eye(2), random_hermitian(rng, 2), random_hermitian(rng, 2)]
-    )
-    assert build_system_set(space).face_dim == 1
-    check_certified(space, 4, seed % 1000)
+    check_rigid(2, seed)
+
+
+@given(st.sampled_from([3, 4]), seeds)
+@settings(max_examples=6, deadline=None)
+def test_random_rigid_system_in_m3_m4_has_full_envelope(n, seed):
+    check_rigid(n, seed)

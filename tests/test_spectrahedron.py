@@ -27,11 +27,12 @@ from ellis_envelope.channels import (
     random_unital_channel,
 )
 from ellis_envelope import spectrahedron
+from ellis_envelope.envelope import compute_envelope, paulsen_lift
 from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
     OperatorSubspace,
-    _b_orth_complement,
     _face_system,
+    _structural_face,
     _rows_to_real,
     build_system_set,
     cb_norm,
@@ -350,19 +351,110 @@ def test_membership_residuals_match_reference_rows(d2_set):
                 assert res[name] == pytest.approx(np.linalg.norm(a @ herm_to_real(j) - b), rel=1e-12)
 
 
-def test_b_orth_complement_is_orthonormal_and_orthogonal_to_b():
-    # the stacked right-hand side of a random rigid span{I, x, y} in M_2 is
-    # where an unpivoted QR of I - u u^T kept a column 1.5e-3 off the
-    # complement; the other vectors cover both signs of the leading entry
-    rng = np.random.default_rng(0)
-    x, y = (random_complex(rng, 2, 2) for _ in range(2))
-    space = OperatorSubspace.from_matrices([I2, x + x.conj().T, y + y.conj().T])
-    _, rhs = _face_system(laws_of(2, space.basis.mats, None), 2, np.eye(4, dtype=complex))
-    for b in (rhs, rng.standard_normal(7), -np.abs(rng.standard_normal(7)), np.eye(7)[-1]):
-        q = _b_orth_complement(b)
-        assert q.shape == (len(b), len(b) - 1)
-        assert np.max(np.abs(q.T @ q - np.eye(len(b) - 1))) <= 1e-12
-        assert np.linalg.norm(q.T @ b) <= 1e-12 * np.linalg.norm(b)
+def diag_unitary(n):
+    return ChannelMap.conjugation(np.diag(np.exp(2j * np.pi * np.arange(n) / n)))
+
+
+SHIFT3 = np.roll(np.eye(3), 1, axis=0).astype(complex)
+
+# (name, builder, face dim, law rows): the faces and row counts the set
+# construction has kept since facial reduction first reached them
+ACCEPTANCE_SETS = [
+    ("rigid", lambda: build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ])), 1, 1),
+    ("full M_2", lambda: build_system_set(OperatorSubspace.from_matrices(matrix_units(2))), 1, 1),
+    (
+        "corner lift",
+        lambda: build_system_set(paulsen_lift(OperatorSubspace.from_matrices([E01]))),
+        5,
+        9,
+    ),
+    *[
+        (f"diag M_{n}", lambda n=n: build_system_set(OperatorSubspace.from_matrices(diag_units(n))), n, n)
+        for n in range(2, 8)
+    ],
+    *[
+        (f"span{{I}} M_{n}", lambda n=n: build_system_set(OperatorSubspace.from_matrices([np.eye(n)])), n * n, n * n)
+        for n in range(2, 8)
+    ],
+    *[
+        (f"T_{n}", lambda n=n: build_T_set(OperatorSubspace.from_matrices([np.eye(n)]), diag_unitary(n)), n * n, rows)
+        for n, rows in ((3, 57), (4, 196), (5, 505))
+    ],
+    (
+        "shift M_3",
+        lambda: build_T_set(OperatorSubspace.from_matrices([np.eye(3)]), ChannelMap.conjugation(SHIFT3)),
+        9,
+        57,
+    ),
+    ("conj sz", lambda: build_T_set(OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)), 4, 10),
+]
+
+
+@pytest.mark.parametrize("name, build, face, rows", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
+def test_face_and_law_rows_of_acceptance_sets(name, build, face, rows):
+    fset = build()
+    assert (fset.face_dim, fset.law_rows.shape[0]) == (face, rows)
+
+
+# span{I, x} in M_n: a member may only move the middle eigenvectors of x onto
+# the extreme ones, so the face has dimension n^2 - 2(n - 1). The next three
+# sets are where the exposing-vector search this replaced stopped at n^2.
+
+
+def test_face_of_span_i_x_hypothesis_draw():
+    # the property test's draw with seed 2972: eigenvalues -3.57, 0.71, 1.11
+    x = random_hermitian(np.random.default_rng(2972), 3)
+    assert build_system_set(OperatorSubspace.from_matrices([np.eye(3), x])).face_dim == 5
+
+
+def test_face_of_span_i_random_diagonal_m5():
+    d = np.random.default_rng(1).standard_normal(5)
+    fset = build_system_set(OperatorSubspace.from_matrices([np.eye(5), np.diag(d)]))
+    assert (fset.face_dim, fset.law_rows.shape[0]) == (17, 32)
+
+
+def test_envelope_of_span_i_near_degenerate_diagonal_is_certified():
+    # two eigenvalues 1e-3 apart: the envelope is still C^2
+    space = OperatorSubspace.from_matrices([np.eye(3), np.diag([0.0, 1.0, 1.0 + 1e-3])])
+    assert build_system_set(space).face_dim == 5
+    res = compute_envelope(space, seed=0)
+    assert res.certificate == "certified"
+    assert res.rank == 2
+
+
+def test_structural_face_holds_members_built_by_hand():
+    # x = U diag(l1 < l2 < l3) U^* complex, so a transposed kernel projection
+    # in kron(a^T, K) would show. Members: y -> P1 y P1 + P3 y P3 + w(y) P2,
+    # with w the state t <u1, y u1> + (1 - t) <u3, y u3> that gives w(x) = l2,
+    # and conjugations by unitaries diagonal in x's eigenbasis
+    rng = np.random.default_rng(5)
+    x = random_hermitian(rng, 3)
+    fset = build_system_set(OperatorSubspace.from_matrices([np.eye(3), x]))
+    assert fset.face_dim == 5
+    lam, u = np.linalg.eigh(x)
+    t = (lam[2] - lam[1]) / (lam[2] - lam[0])
+    cols = [u[:, [k]] for k in range(3)]
+    kraus = [
+        cols[0] @ cols[0].conj().T,
+        cols[2] @ cols[2].conj().T,
+        np.sqrt(t) * cols[1] @ cols[0].conj().T,
+        np.sqrt(1 - t) * cols[1] @ cols[2].conj().T,
+    ]
+    members = [ChannelMap.from_kraus(kraus)]
+    members.append(ChannelMap.conjugation(u @ np.diag(np.exp(2j * np.pi * rng.random(3))) @ u.conj().T))
+    p = fset.face @ fset.face.conj().T
+    for phi in members:
+        assert fset.membership(phi).ok
+        assert frobenius(phi.choi - p @ phi.choi @ p) <= 1e-10
+
+
+def test_structural_face_that_misses_the_identity_raises(monkeypatch):
+    # no eigenvalue passes a negative rank cut, so every kernel is empty and
+    # the face would be {0}; the guard refuses it instead of building on it
+    monkeypatch.setattr(spectrahedron, "TOL", dataclasses.replace(spectrahedron.TOL, rank=-1.0))
+    laws = [("unital", np.eye(2, dtype=complex)), ("fix:0", SZ)]
+    with pytest.raises(RuntimeError, match="identity"):
+        _structural_face(laws, 2)
 
 
 def test_null_directions_span_the_affine_slice(d2_set, ucp2_set, singleton_set):
