@@ -3,7 +3,8 @@
 
 Runs the library on the small systems whose answers are known in closed
 form and prints one summary line per case. Takes a few seconds. Exits
-non-zero if the span{I, diag(d)} envelope is not certified at rank 2.
+non-zero if the span{I, diag(d)} envelope is not certified at rank 2 or the
+cb-norm bracket of the non-CP map on M_3 stays open.
 """
 
 import time
@@ -93,6 +94,17 @@ def transpose_cb():
     return f"[{bracket.lower:.4f}, {bracket.upper:.4f}] (exact value 2)"
 
 
+def noncp3_cb():
+    # a random Hermitian Choi matrix on M_3 (the benchmark's `noncp` draw):
+    # not CP, so the bracket must close by ascent, here to 2.652554
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    bracket = cb_norm_bracket(ChannelMap(3, 3, 0.5 * (g + g.conj().T) / 3), tol=1e-3)
+    if not bracket.converged:
+        raise SystemExit(f"non-CP map on M_3: cb bracket [{bracket.lower}, {bracket.upper}] is open")
+    return f"[{bracket.lower:.4f}, {bracket.upper:.4f}] after {bracket.bisections} ascent steps"
+
+
 def identity_cb():
     return f"{cb_norm(ChannelMap.identity(2)):.4f}"
 
@@ -107,6 +119,7 @@ def main() -> None:
     timed("envelope of span{I, diag(d)} in M_5", diag5_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
     timed("cb norm of the transpose on M_2", transpose_cb)
+    timed("cb norm of a non-CP map on M_3", noncp3_cb)
     timed("cb norm of the identity (CP path)", identity_cb)
 
 

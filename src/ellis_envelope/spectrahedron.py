@@ -4,7 +4,10 @@ A set of unital CP maps with prescribed fixed points (and optionally a
 left-absorption law psi . phi = phi) is a spectrahedron in Choi coordinates.
 This module represents such sets, projects onto them exactly with a dual
 semismooth Newton method, samples members, ascends linear functionals, and
-brackets the completely bounded norm.
+brackets the completely bounded norm: one pair of density matrices (rho0, rho1)
+on the output gives both ends, the trace norm of
+(I (x) rho0^1/2) J (I (x) rho1^1/2) from below (Watrous 2009, 2013) and a PSD
+block [[Y0, J], [J^*, Y1]] from above.
 
 Each affine law is kept as the matrix that defines it: x for phi(x) = x,
 S_psi - I for psi . phi = phi. Membership applies the laws to the full Choi
@@ -36,7 +39,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     orthonormalize,
-    psd_project,
 )
 from .tolerances import TOL
 
@@ -53,15 +55,11 @@ NEWTON_MAX_ITER = 200
 # Smallest increase an ascent step must make to be accepted.
 ASCENT_MIN_GAIN = 1e-12
 
-# cb-norm witness ascent: random unitary starts (besides two fixed ones) and
-# steps per start; the draws use a fixed seed.
-WITNESS_STARTS = 3
-WITNESS_ITERS = 60
-
-# Block completion by alternating projections: budget per bisection step and
-# the accuracy at which a completion counts as found.
-COMPLETION_ITERS = 3000
-COMPLETION_TOL = 1e-9
+# cb-norm density-pair ascent: steps (each updates rho0, then rho1) before
+# the bracket is reported open, and the weight of I/m mixed into each density
+# matrix so that rho^{-1/2}, and with it the upper end, exists.
+CB_ASCENT_STEPS = 200
+CB_REGULARIZATION = 1e-9
 
 
 # ------------------------------------------------------------------------
@@ -526,149 +524,61 @@ def maximize_linear(
 # completely bounded norm
 
 
-def _apply_extended(phi: ChannelMap, x: np.ndarray) -> np.ndarray:
-    """(phi (x) id_n)(x) for x in M_n (x) M_n, blocks indexed (i,a),(j,b)."""
-    n, m = phi.dim_in, phi.dim_out
-    s4 = phi.superop.reshape(m, m, n, n)
-    x4 = x.reshape(n, n, n, n)
-    return np.einsum("cdij,iajb->cadb", s4, x4).reshape(m * n, m * n)
-
-
-def _swap_matrix(n: int) -> np.ndarray:
-    x = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for a in range(n):
-            x[i * n + a, a * n + i] = 1.0
-    return x
-
-
-def witness_lower_bound(phi: ChannelMap) -> tuple[float, np.ndarray]:
-    """Certified lower bound on ||phi||_cb by ascent over norm-1 witnesses.
-
-    Alternates (a) the top singular pair of (phi (x) id)(X) and (b) the
-    norm-ball maximizer X = U V^* of the linearized objective. Every iterate
-    is feasible, so the best value found is always a valid lower bound.
-    Starts: the swap witness, the maximally entangled witness, random unitaries.
-    """
-    n = phi.dim_in
-    rng = np.random.default_rng(0)
-    vec_eye = np.eye(n, dtype=complex).reshape(-1) / np.sqrt(n)
-    starts = [_swap_matrix(n), np.outer(vec_eye, vec_eye.conj())]
-    for _ in range(WITNESS_STARTS):
-        g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-        q, r = np.linalg.qr(g)
-        starts.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    s4 = phi.superop.reshape(phi.dim_out, phi.dim_out, n, n)
-    best_v, best_x = -np.inf, starts[0]
-    for x in starts:
-        val = _spectral_top(_apply_extended(phi, x))[0]
-        for _ in range(WITNESS_ITERS):
-            sigma, eta, xi = _spectral_top(_apply_extended(phi, x))
-            g = np.einsum(
-                "ca,cdij,db->iajb",
-                eta.reshape(phi.dim_out, n),
-                s4.conj(),
-                xi.conj().reshape(phi.dim_out, n),
-            ).reshape(n * n, n * n)
-            u, sv, vh = np.linalg.svd(g)
-            x_new = u @ vh
-            new_val = _spectral_top(_apply_extended(phi, x_new))[0]
-            if new_val <= val + ASCENT_MIN_GAIN:
-                break
-            x, val = x_new, new_val
-        if val > best_v:
-            best_v, best_x = val, x
-    return float(best_v), best_x
-
-
-def _spectral_top(y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    u, s, vh = np.linalg.svd(y)
-    return float(s[0]), u[:, 0], vh[0].conj()
-
-
-def _partial_trace_in(y: np.ndarray, n: int, m: int) -> np.ndarray:
-    return np.einsum("iaib->ab", y.reshape(n, m, n, m))
-
-
-def polar_dual_upper_bound(phi: ChannelMap) -> float:
-    """Upper bound on ||phi||_cb from the polar-decomposition block completion.
-
-    [[ (JJ*)^1/2, J ], [ J*, (J*J)^1/2 ]] is PSD for any J, and rescaling the
-    two blocks by s^2 and 1/s^2 balances the partial-trace norms, so the
-    geometric mean of ||Tr_in (JJ*)^1/2|| and ||Tr_in (J*J)^1/2|| bounds the
-    cb norm. Exact for CP maps and for the transpose.
-    """
-    n, m = phi.dim_in, phi.dim_out
-    u, s, vh = np.linalg.svd(phi.choi)
-    y0 = (u * s) @ u.conj().T  # (J J*)^1/2
-    y1 = (vh.conj().T * s) @ vh  # (J* J)^1/2
-    a = _spectral_norm_h(_partial_trace_in(y0, n, m))
-    b = _spectral_norm_h(_partial_trace_in(y1, n, m))
-    return float(np.sqrt(a * b))
+def _partial_trace_gram(u: np.ndarray, s: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Tr_in (U diag(s) U^*) for U with n*m rows, without forming the product."""
+    u3 = u.reshape(n, m, -1)
+    return np.einsum("iak,ibk->ab", u3 * s, u3.conj())
 
 
 def _spectral_norm_h(a: np.ndarray) -> float:
     return float(np.abs(hermitian_eig(herm(a)).values).max())
 
 
-def _clip_above(y: np.ndarray, t: float) -> np.ndarray:
-    eig = hermitian_eig(herm(y))
-    return (eig.vectors * np.minimum(eig.values, t)) @ eig.vectors.conj().T
+def _pair_bounds(
+    j: np.ndarray, n: int, m: int, rho0: np.ndarray, rho1: np.ndarray
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+    """Both ends of the cb-norm bracket at one pair of full-rank density matrices.
 
-
-def _block_completion(phi: ChannelMap, t: float) -> tuple[float, np.ndarray] | None:
-    """Alternating projections for: exists PSD [[Y0, J],[J*, Y1]] with
-    Tr_in Y_i <= t I. Returns None when the budget runs out (not an
-    infeasibility proof).
-
-    The iterate z found to tolerance is PSD, but its corner z01 only meets J
-    to within ``COMPLETION_TOL``. With delta = ||z01 - J||_2 the repaired
-    block [[z00 + delta I, J], [J*, z11 + delta I]] is z plus the PSD matrix
-    [[delta I, J - z01], [(J - z01)*, delta I]], hence PSD with the corner J
-    exactly, and its partial traces are those of z shifted by n delta. So on
-    success the returned t' = max_i lambda_max(Tr_in z_ii) + n delta is a
-    proven upper bound on ||phi||_cb; the repaired block is its certificate.
+    With M = (I (x) rho0^1/2) J (I (x) rho1^1/2), ||M||_1 is the lower end
+    (Watrous 2009). Congruence of the PSD block [[|M^*|, M], [M^*, |M|]] by
+    I (x) rho_i^{-1/2} gives the PSD block [[Y0, J], [J^*, Y1]] with J in its
+    corner, so sqrt(lmax(Tr_in Y0) lmax(Tr_in Y1)) is the upper end, where
+    Tr_in Y0 = rho0^{-1/2} Tr_in|M^*| rho0^{-1/2} and likewise for Y1 with |M|.
+    Also returned: the linear forms of Re tr(W^* M) in rho0^1/2 and rho1^1/2,
+    W the polar factor of M, which are rho0^{-1/2} Tr_in|M^*| and
+    Tr_in|M| rho1^{-1/2}. I (x) A is applied by reshaping.
     """
-    n, m = phi.dim_in, phi.dim_out
     d = n * m
-    j = phi.choi
-    z = np.zeros((2 * d, 2 * d), dtype=complex)
-    z[:d, d:] = j
-    z[d:, :d] = j.conj().T
-    z[:d, :d] = np.eye(d) * t / m
-    z[d:, d:] = np.eye(d) * t / m
-    for _ in range(COMPLETION_ITERS):
-        # pin the corners
-        z[:d, d:] = j
-        z[d:, :d] = j.conj().T
-        # clip both partial traces from above at t (exact Frobenius projection
-        # onto the preimage, since Tr_in Tr_in^* = n I)
-        for blk in (slice(0, d), slice(d, 2 * d)):
-            y = z[blk, blk]
-            tr = _partial_trace_in(y, n, m)
-            delta = _clip_above(tr, t) - tr
-            z[blk, blk] = y + np.kron(np.eye(n), delta) / n
-        z = psd_project(z)
-        corner = frobenius(z[:d, d:] - j)
-        top = max(
-            float(hermitian_eig(herm(_partial_trace_in(z[blk, blk], n, m))).values[-1])
-            for blk in (slice(0, d), slice(d, 2 * d))
-        )
-        if corner <= COMPLETION_TOL and top - t <= COMPLETION_TOL:
-            delta = float(np.linalg.norm(z[:d, d:] - j, 2))
-            z[:d, d:] = j
-            z[d:, :d] = j.conj().T
-            z[np.diag_indices(2 * d)] += delta
-            return top + n * delta, z
-    return None
+    roots = []
+    for rho in (rho0, rho1):
+        w, v = np.linalg.eigh(rho)
+        roots.append(((v * np.sqrt(w)) @ v.conj().T, (v / np.sqrt(w)) @ v.conj().T))
+    (s0, i0), (s1, i1) = roots
+    mm = (s0 @ j.reshape(n, m, d)).reshape(d, d)
+    mm = (mm.reshape(d, n, m) @ s1).reshape(d, d)
+    u, sv, vh = np.linalg.svd(mm)
+    t0 = _partial_trace_gram(u, sv, n, m)
+    t1 = _partial_trace_gram(vh.conj().T, sv, n, m)
+    top0 = np.linalg.eigvalsh(herm(i0 @ t0 @ i0))[-1]
+    top1 = np.linalg.eigvalsh(herm(i1 @ t1 @ i1))[-1]
+    return float(sv.sum()), float(np.sqrt(top0 * top1)), (i0 @ t0, t1 @ i1)
 
 
 @dataclass(frozen=True)
 class CbNormBracket:
+    """lower <= ||phi||_cb <= upper.
+
+    ``bisections`` counts ascent steps (the name is kept for trace readers).
+    ``densities`` is the pair (rho0, rho1) whose block certifies ``upper``;
+    ``history`` holds the (step, upper - lower) pairs.
+    """
+
     lower: float
     upper: float
     tol: float
     bisections: int
+    densities: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    history: tuple[tuple[int, float], ...] = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -676,38 +586,51 @@ class CbNormBracket:
 
 
 def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
-    """Two-sided bracket on ||phi||_cb.
+    """Two-sided bracket on ||phi||_cb from one pair of density matrices.
 
-    Lower: witness ascent (always valid). Upper: polar-dual completion,
-    refined by bisection whenever alternating projections find a completion
-    at a smaller scale; the completion is repaired to an exactly PSD block
-    (``_block_completion``), and its partial traces give the new upper end.
-    The bracket collapses immediately for CP maps, for the transpose, and for
-    their scalar multiples.
+    ||phi||_cb is the maximum of ||(I (x) rho0^1/2) J (I (x) rho1^1/2)||_1
+    over density matrices rho0, rho1 on the output (Watrous 2009, 2013).
+    Starting from rho0 = rho1 = I/m, the ascent fixes the polar factor of M
+    and replaces rho0^1/2, then rho1^1/2, by the maximiser of the resulting
+    linear form: the positive part of its Hermitian part, normalised to
+    Frobenius norm 1. Each density matrix is mixed with CB_REGULARIZATION of
+    I/m to keep it full rank. Every pair gives both ends (``_pair_bounds``);
+    the best of each is kept until upper - lower <= tol or
+    CB_ASCENT_STEPS run out. The bracket closes at step 0 for CP maps, the
+    transpose and their scalar multiples.
     """
-    lo, _ = witness_lower_bound(phi)
-    hi = polar_dual_upper_bound(phi)
-    if hi < lo:  # both are valid bounds; order can flip only by roundoff
-        lo, hi = min(lo, hi), max(lo, hi)
-    rounds = 0
-    search_lo = lo
-    while hi - lo > tol and rounds < 40 and hi - search_lo > 0.25 * tol:
-        mid = 0.5 * (search_lo + hi)
-        found = _block_completion(phi, mid)
-        if found is not None:
-            hi = min(hi, found[0])
-        else:
-            search_lo = mid
-        rounds += 1
-    return CbNormBracket(lo, hi, tol, rounds)
+    n, m = phi.dim_in, phi.dim_out
+    rho = [np.eye(m, dtype=complex) / m] * 2
+    lower, upper, best = 0.0, np.inf, tuple(rho)
+    history = []
+    for half in range(2 * CB_ASCENT_STEPS + 1):
+        lo, hi, forms = _pair_bounds(phi.choi, n, m, *rho)
+        lower = max(lower, lo)
+        if hi < upper:
+            upper, best = hi, tuple(rho)
+        step = (half + 1) // 2
+        history.append((step, upper - lower))
+        if upper - lower <= tol or half == 2 * CB_ASCENT_STEPS:
+            break
+        k = half % 2
+        w, v = np.linalg.eigh(herm(forms[k]))
+        a = np.clip(w, 0.0, None)
+        norm = np.linalg.norm(a)
+        if norm > 0.0:  # the form has a positive part unless J = 0
+            r = (v * (a / norm) ** 2) @ v.conj().T
+            rho[k] = (1.0 - CB_REGULARIZATION) * r + CB_REGULARIZATION / m * np.eye(m)
+    if upper < lower:  # both are valid bounds; order can flip only by roundoff
+        lower, upper = upper, lower
+    return CbNormBracket(lower, upper, tol, step, best, tuple(history))
 
 
 def cb_norm(phi: ChannelMap, tol: float = TOL.cb_norm) -> float:
-    """Upper estimate of the completely bounded norm.
+    """Upper bound on the completely bounded norm.
 
     CP maps use ||phi(I)|| (exact). Otherwise returns the upper end of
-    ``cb_norm_bracket``, an upper bound proven by an explicit PSD block
-    completion (up to floating-point rounding).
+    ``cb_norm_bracket``, proven by the PSD block of its density pair (up to
+    floating-point rounding). Raises NonConvergenceError, with the
+    (step, upper - lower) history, when the bracket stays wider than tol.
     """
     choi = phi.choi
     scale = max(1.0, frobenius(choi))
@@ -715,4 +638,11 @@ def cb_norm(phi: ChannelMap, tol: float = TOL.cb_norm) -> float:
         wmin = float(hermitian_eig(herm(choi)).values[0])
         if phi.cp_hint or wmin >= -TOL.structure * scale:
             return _spectral_norm_h(phi.apply(np.eye(phi.dim_in)))
-    return cb_norm_bracket(phi, tol=tol).upper
+    bracket = cb_norm_bracket(phi, tol=tol)
+    if not bracket.converged:
+        raise NonConvergenceError(
+            f"cb_norm: bracket [{bracket.lower:.6g}, {bracket.upper:.6g}] still wider than "
+            f"{tol:.1e} after {bracket.bisections} ascent steps",
+            list(bracket.history),
+        )
+    return bracket.upper

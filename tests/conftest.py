@@ -23,6 +23,13 @@ def random_hermitian(rng, n):
     return 0.5 * (x + x.conj().T)
 
 
+def noncp_draw(n):
+    """The benchmark's `noncp` map on M_n: a random Hermitian Choi matrix over n, not CP."""
+    rng = np.random.default_rng(20 + n)
+    g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return ChannelMap(n, n, 0.5 * (g + g.conj().T) / n)
+
+
 def random_unitary(rng, n):
     q, r = np.linalg.qr(random_complex(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))

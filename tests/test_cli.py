@@ -18,6 +18,8 @@ from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
 from ellis_envelope.tolerances import TOL
 
+from conftest import noncp_draw
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -166,6 +168,21 @@ def test_channel_info_reports_choi_rank(capsys, tmp_path):
     assert report_of(out)["result"]["choi_rank"] == 1
 
 
+def noncp3_json(tmp_path):
+    p = tmp_path / "noncp3.json"
+    p.write_text(json.dumps(noncp_draw(3).to_json()))
+    return str(p)
+
+
+def test_channel_info_brackets_cb_norm_of_non_cp_map(capsys, tmp_path):
+    code, out, _ = run(capsys, ["channel", "info", noncp3_json(tmp_path)])
+    assert code == 0
+    r = report_of(out)["result"]
+    assert not r["cp"]
+    assert abs(r["cb_bound"] - 2.652554) <= 1e-3
+    assert r["cb_contraction"] is False
+
+
 def test_channel_cesaro_both_modes(capsys, inputs):
     code, out, _ = run(capsys, ["channel", "cesaro", inputs["halfsz"], "--mode", "both"])
     assert code == 0
@@ -290,6 +307,15 @@ def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):
     assert code == 2
     assert out == ""
     assert "dykstra_project" in nonconvergence_diagnostics(err)["detail"]
+
+
+def test_open_cb_bracket_exits_two(capsys, tmp_path, monkeypatch):
+    # one ascent step leaves the bracket open, so cb_contraction is unproven
+    monkeypatch.setattr(spectrahedron, "CB_ASCENT_STEPS", 1)
+    code, out, err = run(capsys, ["channel", "info", noncp3_json(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert "cb_norm" in nonconvergence_diagnostics(err)["detail"]
 
 
 # ------------------------------------------------------------------------

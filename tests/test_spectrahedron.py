@@ -32,6 +32,7 @@ from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
     OperatorSubspace,
     _face_system,
+    _pair_bounds,
     _structural_face,
     _rows_to_real,
     build_system_set,
@@ -40,13 +41,11 @@ from ellis_envelope.spectrahedron import (
     dykstra_project,
     herm_to_real,
     maximize_linear,
-    polar_dual_upper_bound,
     real_to_herm,
     sample,
-    witness_lower_bound,
 )
 
-from conftest import I2, SX, SZ, random_complex, random_hermitian, subspace_equal
+from conftest import I2, SX, SZ, noncp_draw, random_complex, random_hermitian, subspace_equal
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -692,19 +691,33 @@ def test_absorb_dimension_mismatch_rejected():
 # ---------------------------------------------------------------- cb norm
 
 
+def random_density(rng, m):
+    g = random_complex(rng, m, m)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_cb_norm_of_cp_maps_is_output_norm():
-    assert cb_norm(ChannelMap.identity(2)) == pytest.approx(1.0, abs=1e-9)
-    assert cb_norm(ChannelMap.pinching(2)) == pytest.approx(1.0, abs=1e-9)
     halve = ChannelMap.from_kraus([I2 / np.sqrt(2.0)])
-    assert cb_norm(halve) == pytest.approx(0.5, abs=1e-9)
+    for phi, value in ((ChannelMap.identity(2), 1.0), (ChannelMap.pinching(2), 1.0), (halve, 0.5)):
+        assert cb_norm(phi) == pytest.approx(value, abs=1e-9)
+        # the bracket itself closes at I/m on CP maps
+        b = cb_norm_bracket(phi)
+        assert b.converged and b.bisections == 0
+        assert b.lower <= b.upper
+        assert b.lower == pytest.approx(value, abs=1e-9)
+        assert b.upper == pytest.approx(value, abs=1e-9)
 
 
 def test_cb_norm_of_transpose():
-    t2 = ChannelMap.transpose_map(2)
-    assert cb_norm(t2, tol=1e-3) == pytest.approx(2.0, abs=1e-3)
-    bracket = cb_norm_bracket(t2, tol=1e-3)
-    assert bracket.converged
-    assert cb_norm(ChannelMap.transpose_map(3), tol=1e-3) == pytest.approx(3.0, abs=1e-3)
+    for n in range(2, 6):
+        tn = ChannelMap.transpose_map(n)
+        assert cb_norm(tn, tol=1e-3) == pytest.approx(n, abs=1e-3)
+        bracket = cb_norm_bracket(tn, tol=1e-3)
+        assert bracket.converged and bracket.bisections == 0
+        assert bracket.lower <= bracket.upper
+        assert bracket.lower == pytest.approx(n, abs=1e-9)
+        assert bracket.upper == pytest.approx(n, abs=1e-9)
 
 
 def test_transpose_witness_oracle():
@@ -718,9 +731,14 @@ def test_transpose_witness_oracle():
     transposed = swap.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
     assert np.linalg.norm(swap, ord=2) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(transposed, ord=2) == pytest.approx(2.0, abs=1e-12)
-    val, witness = witness_lower_bound(ChannelMap.transpose_map(2))
-    assert val >= 2.0 - 1e-9
-    assert np.linalg.norm(witness, ord=2) <= 1.0 + 1e-9
+    # the lower end reaches the witness value, and no upper end at any
+    # density pair goes below it
+    t2 = ChannelMap.transpose_map(2)
+    assert cb_norm_bracket(t2).lower >= 2.0 - 1e-9
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        _, upper, _ = _pair_bounds(t2.choi, 2, 2, random_density(rng, 2), random_density(rng, 2))
+        assert upper >= 2.0 - 1e-9
 
 
 def test_cb_norm_scaling_and_mixtures():
@@ -736,53 +754,100 @@ def test_cb_norm_scaling_and_mixtures():
 
 
 def test_witness_never_exceeds_dual_bound():
+    # weak duality: the lower end at one density pair never exceeds the
+    # upper end at another, on Hermitian, non-Hermitian and non-square maps
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        phi = ChannelMap(2, 2, random_hermitian(rng, 4))
-        lo, _ = witness_lower_bound(phi)
-        assert lo <= polar_dual_upper_bound(phi) + 1e-9
+    maps = [ChannelMap(2, 2, random_hermitian(rng, 4)) for _ in range(5)]
+    maps += [ChannelMap(n, m, random_complex(rng, n * m, n * m)) for n, m in ((2, 3), (3, 2), (3, 3))]
+    for phi in maps:
+        n, m = phi.dim_in, phi.dim_out
+        for _ in range(4):
+            lower, _, _ = _pair_bounds(phi.choi, n, m, random_density(rng, m), random_density(rng, m))
+            _, upper, _ = _pair_bounds(phi.choi, n, m, random_density(rng, m), random_density(rng, m))
+            assert lower <= upper + 1e-9 * max(1.0, upper)
+
+
+@pytest.mark.parametrize("n, value", [(2, 1.958801), (3, 2.652554), (4, 3.684799)])
+def test_cb_bracket_converges_on_noncp_draws(n, value):
+    b = cb_norm_bracket(noncp_draw(n), tol=1e-3)
+    assert b.converged
+    assert b.lower <= b.upper
+    assert b.lower - 1e-6 <= value <= b.upper + 1e-6
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_cb_bracket_converges_on_non_square_maps(n, m):
+    phi = ChannelMap(n, m, random_complex(np.random.default_rng(5), n * m, n * m))
+    b = cb_norm_bracket(phi, tol=1e-3)
+    assert b.converged
+    assert b.lower <= b.upper
+    assert b.densities[0].shape == b.densities[1].shape == (m, m)
+
+
+def test_cb_bracket_of_zero_map_is_zero():
+    zero = ChannelMap(2, 3, np.zeros((6, 6), dtype=complex))
+    b = cb_norm_bracket(zero)
+    assert (b.lower, b.upper, b.bisections) == (0.0, 0.0, 0)
+    assert b.converged
+    # an unreachable width makes the ascent run: the zero linear form has no
+    # positive part to normalise, and the pair must stay finite
+    b = cb_norm_bracket(zero, tol=-1.0)
+    assert (b.lower, b.upper) == (0.0, 0.0)
+    assert b.bisections == spectrahedron.CB_ASCENT_STEPS
+    assert all(np.isfinite(rho).all() for rho in b.densities)
 
 
 def test_completion_upper_end_is_a_repaired_psd_certificate():
-    # The upper end t' comes with a block [[Y0, J], [J*, Y1]]: exactly J in
-    # the corner, PSD to roundoff, and Tr_in Y_i <= t' I.
+    # The upper end comes with a block [[Y0, J], [J*, Y1]] built from the
+    # final density pair: exactly J in the corner, PSD up to rounding (which
+    # the congruence by I (x) rho_i^{-1/2} amplifies by up to ||rho_i^{-1}||),
+    # and sqrt(lmax Tr_in Y0 * lmax Tr_in Y1) equal to the upper end.
     t2 = ChannelMap.transpose_map(2)
     noncp = ChannelMap(2, 2, random_hermitian(np.random.default_rng(17), 4))
-    lo, _ = witness_lower_bound(noncp)
-    for phi, t in ((t2, 2.0), (noncp, 0.5 * (lo + polar_dual_upper_bound(noncp)))):
-        found = spectrahedron._block_completion(phi, t)
-        assert found is not None
-        upper, z = found
-        d = 4
-        scale = max(1.0, frobenius(z))
+    for phi in (t2, noncp, noncp_draw(3)):
+        n = m = phi.dim_in
+        d = n * m
+        bracket = cb_norm_bracket(phi, tol=1e-6)
+        assert bracket.converged
+        roots, inv_roots, amplification = [], [], 1.0
+        for rho in bracket.densities:
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            w, v = np.linalg.eigh(rho)
+            assert w[0] > 0.0
+            amplification = max(amplification, 1.0 / w[0])
+            roots.append(np.kron(np.eye(n), (v * np.sqrt(w)) @ v.conj().T))
+            inv_roots.append(np.kron(np.eye(n), (v / np.sqrt(w)) @ v.conj().T))
+        u, s, vh = np.linalg.svd(roots[0] @ phi.choi @ roots[1])
+        y0 = inv_roots[0] @ (u * s) @ u.conj().T @ inv_roots[0]
+        y1 = inv_roots[1] @ (vh.conj().T * s) @ vh @ inv_roots[1]
+        z = np.block([[y0, phi.choi], [phi.choi.conj().T, y1]])
         assert np.array_equal(z[:d, d:], phi.choi)
-        assert np.array_equal(z[d:, :d], phi.choi.conj().T)
-        assert np.linalg.eigvalsh(herm(z))[0] >= -1e-12 * scale
-        for blk in (slice(0, d), slice(d, 2 * d)):
-            tr = np.einsum("iaib->ab", z[blk, blk].reshape(2, 2, 2, 2))
-            assert np.linalg.eigvalsh(herm(tr))[-1] <= upper + 1e-12 * scale
-        assert t - 1e-12 <= upper <= t + 1e-7
+        assert np.linalg.eigvalsh(herm(z))[0] >= -1e-14 * s[0] * amplification
+        tops = [
+            np.linalg.eigvalsh(herm(np.einsum("iaib->ab", y.reshape(n, m, n, m))))[-1]
+            for y in (y0, y1)
+        ]
+        assert np.sqrt(tops[0] * tops[1]) == pytest.approx(bracket.upper, rel=1e-9)
 
 
 def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
     rng = np.random.default_rng(23)
     phi = ChannelMap(2, 2, random_hermitian(rng, 4))
-    monkeypatch.setattr(spectrahedron, "COMPLETION_ITERS", 1)
+    monkeypatch.setattr(spectrahedron, "CB_ASCENT_STEPS", 1)
     bracket = cb_norm_bracket(phi, tol=1e-12)
     assert bracket.lower <= bracket.upper
     assert not bracket.converged
+    assert bracket.bisections == 1
+    with pytest.raises(NonConvergenceError) as exc:
+        cb_norm(phi, tol=1e-12)
+    assert exc.value.history[-1] == (1, pytest.approx(bracket.upper - bracket.lower))
     monkeypatch.undo()
-    accepted = []
-    complete = spectrahedron._block_completion
-
-    def recording(phi_, t):
-        found = complete(phi_, t)
-        if found is not None:
-            accepted.append(found[0])
-        return found
-
-    monkeypatch.setattr(spectrahedron, "_block_completion", recording)
+    full = cb_norm_bracket(phi)
+    assert full.converged
+    # each step keeps the best end of each side, so the width never grows
+    widths = [w for _, w in full.history]
+    assert all(b <= a for a, b in zip(widths, widths[1:]))
+    assert widths[-1] == full.upper - full.lower
     upper = cb_norm(phi)
+    assert upper == full.upper
     assert upper >= bracket.lower - 1e-9
-    # every accepted completion moves the upper end to its proven bound t'
-    assert accepted and upper == min(accepted)
