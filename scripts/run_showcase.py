@@ -3,8 +3,9 @@
 
 Runs the library on the small systems whose answers are known in closed
 form and prints one summary line per case. Takes a few seconds. Exits
-non-zero if the span{I, diag(d)} envelope is not certified at rank 2 or the
-cb-norm bracket of the non-CP map on M_3 stays open.
+non-zero if the span{I, diag(d)} envelope is not certified at rank 2, the
+projection of a noisy channel estimate onto the T-set in M_8 is not a
+member, or the cb-norm bracket of the non-CP map on M_3 stays open.
 """
 
 import time
@@ -14,13 +15,16 @@ import numpy as np
 from ellis_envelope import (
     ChannelMap,
     OperatorSubspace,
+    build_T_set,
     cb_norm,
     cb_norm_bracket,
     cesaro_idempotent,
     compute_boundary,
     compute_envelope,
+    dykstra_project,
     enumerate_semigroups,
     idempotent_poset,
+    random_unital_channel,
     transformation_monoid,
 )
 
@@ -89,6 +93,21 @@ def sz_boundary():
     return f"rank={res.rank} fixed dim={res.fixed_space.dim} certificate={res.certificate}"
 
 
+def t8_projection():
+    # UCP maps on M_8 absorbed by conjugation with a distinct-phase diagonal
+    # unitary: the set has n^4 = 4096 Choi coordinates on its full face
+    n = 8
+    rng = np.random.default_rng(8)
+    u = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    fset = build_T_set(OperatorSubspace.from_matrices([np.eye(n)]), ChannelMap.conjugation(u))
+    g = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    estimate = random_unital_channel(rng, n).choi + 0.05 * (g + g.conj().T) / 2
+    rep = fset.membership(dykstra_project(estimate, fset))
+    if not rep.ok:
+        raise SystemExit(f"T-set in M_8: the projection is not a member ({rep.residuals})")
+    return f"member, worst residual {rep.worst:.1e}"
+
+
 def transpose_cb():
     bracket = cb_norm_bracket(ChannelMap.transpose_map(2), tol=1e-3)
     return f"[{bracket.lower:.4f}, {bracket.upper:.4f}] (exact value 2)"
@@ -118,6 +137,7 @@ def main() -> None:
     timed("envelope of span{E_12} via corner lift", corner_envelope)
     timed("envelope of span{I, diag(d)} in M_5", diag5_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
+    timed("T-set in M_8: build and project an estimate", t8_projection)
     timed("cb norm of the transpose on M_2", transpose_cb)
     timed("cb norm of a non-CP map on M_3", noncp3_cb)
     timed("cb norm of the identity (CP path)", identity_cb)

@@ -41,7 +41,9 @@ def build_T_set(space: OperatorSubspace, phi: ChannelMap) -> FeasibleSet:
 
     Requires every basis element of the space to be fixed by ``phi``; members
     fix the space pointwise, so a violation would make the set empty (theta
-    fixing x forces phi(x) = phi(theta(x)) = theta(x) = x).
+    fixing x forces phi(x) = phi(theta(x)) = theta(x) = x). Once it holds,
+    the Cesaro idempotent of ``phi`` is a member, and the set keeps it as the
+    known member its affine slice is measured from.
     """
     _require_unital_cp(phi, "build_T_set")
     if phi.dim_in != space.ambient:

@@ -15,11 +15,15 @@ matrix as operators. The cone face comes from the structure of E in closed
 form: for a PSD a in E with kernel projection K, every member satisfies
 tr(K phi(a)) = tr(K a) = 0, so its Choi matrix J is annihilated by the PSD
 matrix kron(a^T, K) (Choi 1974, read as facial reduction in the sense of
-Permenter-Parrilo 2018). Projection works on that face J = V Y V^*, where the
-laws become real rows over Y in the coordinates (diag, sqrt(2) Re upper,
-sqrt(2) Im upper) of a Hermitian matrix, a Frobenius isometry, so affine
-projections stay exactly Hermitian and hermiticity preservation of the
-represented maps is structural rather than a penalty term.
+Permenter-Parrilo 2018). The laws are linear in the reshuffled Choi matrix
+R[(i,j),(a,b)] = J4[i,a,j,b]: the fix laws act on it from the left and the
+absorb law from the right, so the directions every law leaves at zero are
+exactly {P_in R P_out} for two d x d projectors, and the orthogonal
+projection onto them is one Kronecker-structured map in full Choi
+coordinates, with no system of law rows to factor. A known member J_p
+(the identity channel, or psi's Cesaro idempotent) fixes the affine slice.
+The projection's dual lives in full coordinates and its primal on the face
+J = V Y V^*.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .channels import ChannelMap, NonConvergenceError
+from .channels import ChannelMap, NonConvergenceError, cesaro_idempotent
 from .linalg import (
     SubspaceBasis,
     as_matrix,
@@ -83,28 +87,13 @@ def herm_to_real(j: np.ndarray) -> np.ndarray:
 
 
 def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``herm_to_real``; a stack of coordinate rows gives a stack of matrices."""
     k = d * (d - 1) // 2
-    j = np.zeros((d, d), dtype=complex)
-    j[_triu(d)] = (r[d : d + k] + 1j * r[d + k :]) / np.sqrt(2.0)
-    j = j + j.conj().T
-    j[np.diag_indices(d)] = r[:d]
+    j = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
+    j[(..., *_triu(d))] = (r[..., d : d + k] + 1j * r[..., d + k :]) / np.sqrt(2.0)
+    j = j + np.swapaxes(j, -1, -2).conj()
+    j[..., np.arange(d), np.arange(d)] = r[..., :d]
     return j
-
-
-def _rows_to_real(t: np.ndarray, rhs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex rows over vec(J) -> real rows over Hermitian coordinates of J."""
-    iu_r, iu_c = _triu(d)
-    u = t[:, iu_r * d + iu_c]  # coefficients of J[p,q], p < q
-    v = t[:, iu_c * d + iu_r]  # coefficients of J[q,p]
-    ac = np.concatenate(
-        [
-            t[:, np.arange(d) * d + np.arange(d)],
-            (u + v) / np.sqrt(2.0),
-            1j * (u - v) / np.sqrt(2.0),
-        ],
-        axis=1,
-    )
-    return np.vstack([ac.real, ac.imag]), np.concatenate([rhs.real, rhs.imag])
 
 
 # ------------------------------------------------------------------------
@@ -175,31 +164,39 @@ class OperatorSubspace:
 # constraint laws
 #
 # Each law is (name, matrix) and acts on the Choi matrix through
-# J4[i,a,j,b] = J[(i,a),(j,b)]. A fix law with matrix x says phi(x) = x:
-# sum_ij x[i,j] J4[i,a,j,b] = x[a,b] for each (a,b); "unital" is the fix law of
-# I. The absorb law with matrix m = S_psi - I says psi . phi = phi, i.e.
-# (S_psi - I) S_phi = 0: sum_ab m[k,ab] J4[i,a,j,b] = 0 for each (k,i,j).
+# J4[i,a,j,b] = J[(i,a),(j,b)], or on its reshuffle R[(i,j),(a,b)] =
+# J4[i,a,j,b], the transpose of the superoperator. A fix law with matrix x
+# says phi(x) = x: sum_ij x[i,j] J4[i,a,j,b] = x[a,b], i.e. vec(x)^T R =
+# vec(x)^T; "unital" is the fix law of I. The absorb law with matrix
+# m = S_psi - I says psi . phi = phi, i.e. (S_psi - I) S_phi = 0: R m^T = 0.
 
 
-def _face_system(laws, n: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real rows and right-hand side of the laws over Y, where J = V Y V^*.
+def _shuffle(j: np.ndarray, n: int) -> np.ndarray:
+    """J -> R, R[(i,j),(a,b)] = J4[i,a,j,b], for a matrix or a stack; its own inverse."""
+    return j.reshape(j.shape[:-2] + (n, n, n, n)).swapaxes(-3, -2).reshape(j.shape)
 
-    Law by law, the real parts of a law's rows come before the imaginary ones.
+
+def _row_span(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns u with ker(a) = range(I - u u^*).
+
+    Singular values of a count when above ``TOL.affine_rcond`` times the largest.
     """
-    r = v.shape[1]
-    v3 = v.reshape(n, n, r)
-    rows, rhss = [], []
-    for name, m in laws:
-        if name == "absorb":
-            t = np.einsum("kab,iap,jbq->kijpq", m.reshape(-1, n, n), v3, v3.conj(), optimize=True)
-            rhs = np.zeros(m.shape[0] * n * n, dtype=complex)
-        else:
-            t = np.einsum("ij,iap,jbq->abpq", m, v3, v3.conj(), optimize=True)
-            rhs = m.reshape(-1)
-        a, b = _rows_to_real(t.reshape(-1, r * r), rhs, r)
-        rows.append(a)
-        rhss.append(b)
-    return np.vstack(rows), np.concatenate(rhss)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh[: int(np.sum(s > TOL.affine_rcond * s[0]))].conj().T
+
+
+def _hermitian_range(u: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal Hermitian matrices, shape (k, n, n), spanning range(I - u u^*) in vec(M_n).
+
+    The range must be closed under x -> x^*. The vectorized real-coordinate
+    basis of ``herm_to_real`` is a unitary t, and t^* (I - u u^*) t is then a
+    real symmetric projector whose eigenvectors are the coordinates of
+    Hermitian matrices.
+    """
+    t = real_to_herm(np.eye(n * n), n).reshape(n * n, n * n).T
+    ut = u.conj().T @ t
+    w, a = np.linalg.eigh(np.eye(n * n) - (ut.conj().T @ ut).real)
+    return real_to_herm(a[:, w > 0.5].T, n)
 
 
 def _structural_face(laws, n: int) -> np.ndarray:
@@ -264,35 +261,45 @@ class FeasibleSet:
     """{Choi J : J PSD, the constraint laws hold}, facially reduced.
 
     Membership is always checked against the laws in full coordinates, each
-    applied to J as the operator its matrix defines. Projection works in
-    compressed coordinates J = V Y V^*, where V spans the cone face that E's
-    structure exposes (``_structural_face``), found in one pass: feasible
-    sets of interest often consist entirely of rank-deficient Choi matrices
-    (zero Slater margin); on the face the compressed set has relative
-    interior. On the face the laws read Q y = beta for y = herm_to_real(Y):
-    ``law_rows`` Q has orthonormal rows, from one SVD of the face system.
-    The nearest point in Y coordinates is the nearest point in J coordinates,
-    because the set lies inside the span of {V Y V^*}. Should the face ever
-    be larger than the smallest one, the set still lies in it: projections
-    stall and minimality bounds are taken over a superset, so the failure is
-    loud (``unverified`` or non-convergence), never a false certificate.
+    applied to J as the operator its matrix defines. The directions every
+    law leaves at zero are the range of P(J) = unshuffle(P_in shuffle(J)
+    P_out), where P_in = I - Pi over span{conj vec x : x in E} carries the
+    unital and fix laws and P_out = I - Pi over range((S_psi - I)^T) the
+    absorb law (I without one). Each Pi is kept as orthonormal columns, so
+    ``law_project``, which applies I - P, costs O(d^2 k) for spans of
+    dimension k. P is self-adjoint, idempotent and Hermitian-preserving, and
+    the members are the PSD matrices of J_p + range(P) for the known member
+    J_p = ``member``. Projection works on the cone face J = V Y V^*, where V spans
+    the face that E's structure exposes (``_structural_face``), found in one
+    pass: feasible sets of interest often consist entirely of rank-deficient
+    Choi matrices (zero Slater margin); on the face the set has relative
+    interior. The nearest point in Y coordinates is the nearest point in J
+    coordinates, because the set lies inside the span of {V Y V^*}. Should
+    the face ever be larger than the smallest one, the set still lies in it:
+    projections stall and minimality bounds are taken over a superset, so
+    the failure is loud (``unverified`` or non-convergence), never a false
+    certificate.
     """
 
     n: int
     laws: tuple[tuple[str, np.ndarray], ...]
-    face: np.ndarray = field(repr=False, compare=False)  # (d, r) isometry
-    law_rows: np.ndarray = field(repr=False, compare=False)  # (k, r*r) orthonormal rows Q
-    law_rhs: np.ndarray = field(repr=False, compare=False)  # beta: members satisfy Q y = beta
+    face: np.ndarray = field(repr=False, compare=False)  # (d, r) isometry V
+    span_in: np.ndarray = field(repr=False, compare=False)  # (d, k) columns: P_in = I - U U^*
+    span_out: np.ndarray = field(repr=False, compare=False)  # (d, k') columns: P_out = I - W W^*
+    member: np.ndarray = field(repr=False, compare=False)  # (d, d) Choi matrix J_p of a member
 
     @classmethod
-    def from_laws(cls, n: int, laws) -> "FeasibleSet":
+    def from_laws(cls, n: int, laws, member: np.ndarray) -> "FeasibleSet":
+        """The set of the laws, given the Choi matrix of one of its members (not checked here)."""
         laws = tuple(laws)
-        v = _structural_face(laws, n)
-        a, b = _face_system(laws, n, v)
-        # one SVD on the face, cut at TOL.affine_rcond: svd(A^T) = V S U^T for A = U S V^T
-        vt, s, ut = np.linalg.svd(a.T, full_matrices=False)
-        k = int(np.sum(s > TOL.affine_rcond * s[0]))
-        return cls(n, laws, v, vt[:, :k].T, (ut[:k] @ b) / s[:k])
+        d = n * n
+        fixes = [m.reshape(-1) for name, m in laws if name != "absorb"]
+        absorbs = [m for name, m in laws if name == "absorb"]
+        span_in = _row_span(np.stack(fixes))
+        # R m^T = 0 says the columns of R^T lie in ker m = range(I - u u^*),
+        # i.e. R = R (I - u u^*)^T, and (u u^*)^T = conj(u) conj(u)^*
+        span_out = _row_span(np.vstack(absorbs)).conj() if absorbs else np.zeros((d, 0), dtype=complex)
+        return cls(n, laws, _structural_face(laws, n), span_in, span_out, as_matrix(member, d, d))
 
     @property
     def choi_dim(self) -> int:
@@ -310,14 +317,28 @@ class FeasibleSet:
 
     @cached_property
     def null_directions(self) -> np.ndarray:
-        """Orthonormal basis, shape (k, d, d), of the Choi directions V D V^* with Q D = 0.
+        """Orthonormal Hermitian basis, shape (k, d, d), of the face directions D with P(D) = D.
 
         Every member differs from every other by a combination of these:
-        they span the affine slice the set lies in.
+        they span the affine slice the set lies in. On the full face they
+        are J4[i,a,j,b] = h[i,j] g[a,b] for orthonormal Hermitian bases h of
+        range(P_in) and g of range(P_out^T) = range(I - conj(W) W^T).
+        Otherwise they are the kernel of the face law map Y -> (U^* R, R W),
+        R the reshuffle of V Y V^*, over the real coordinates of Y.
         """
-        k = self.law_rows.shape[0]
-        basis, _ = np.linalg.qr(self.law_rows.T, mode="complete")
-        return np.array([self.expand(real_to_herm(col, self.face_dim)) for col in basis[:, k:].T])
+        n, d, r = self.n, self.choi_dim, self.face_dim
+        if r == d:
+            h = _hermitian_range(self.span_in, n)
+            g = _hermitian_range(self.span_out.conj(), n)
+            return np.einsum("kij,lab->kliajb", h, g).reshape(-1, d, d)
+        rows = _shuffle(self.expand(real_to_herm(np.eye(r * r), r)), n)
+        defect = np.concatenate(
+            [(self.span_in.conj().T @ rows).reshape(r * r, -1), (rows @ self.span_out).reshape(r * r, -1)],
+            axis=1,
+        )
+        u, s, _ = np.linalg.svd(np.concatenate([defect.real, defect.imag], axis=1))
+        rank = int(np.sum(s > TOL.affine_rcond * s[0]))
+        return self.expand(real_to_herm(u[:, rank:].T, r))
 
     @cached_property
     def center(self) -> ChannelMap:
@@ -329,10 +350,24 @@ class FeasibleSet:
         choi = sum(sample(self, k).choi for k in range(CENTER_SAMPLES)) / CENTER_SAMPLES
         return ChannelMap(self.n, self.n, herm(choi))
 
+    def law_project(self, j: np.ndarray) -> np.ndarray:
+        """(I - P)(J), for a matrix or a stack: the part of J that the laws see.
+
+        Formed as U U^* R + (R - U U^* R) W W^* on R = shuffle(J), whose
+        rounding stays in the range of I - P; J - P(J) would leave rounding
+        of the size of J in range(P).
+        """
+        u, w = self.span_in, self.span_out
+        r = _shuffle(j, self.n)
+        a = u @ (u.conj().T @ r)
+        if w.shape[1]:  # only the absorb law acts from the right
+            a = a + ((r - a) @ w) @ w.conj().T
+        return _shuffle(a, self.n)
+
     def project_affine_compressed(self, y: np.ndarray) -> np.ndarray:
-        r = herm_to_real(herm(y))
-        r = r - self.law_rows.T @ (self.law_rows @ r - self.law_rhs)
-        return real_to_herm(r, self.face_dim)
+        """V^*(J_p + P(V y V^* - J_p))V: the start of the projection's dual at y."""
+        j = self.expand(herm(y))
+        return self.compress(j - self.law_project(j - self.member))
 
     def membership(self, j, tol: float = TOL.solver) -> MembershipReport:
         j = j.choi if isinstance(j, ChannelMap) else as_matrix(j, self.choi_dim, self.choi_dim)
@@ -356,10 +391,10 @@ def build_system_set(
     """UCP maps fixing ``space`` pointwise; optionally also absorbed by ``absorb``.
 
     With ``absorb`` = psi, adds the affine law psi . phi = phi (the feasible
-    set used for noncommutative Poisson boundaries). Nonemptiness of the plain
-    system set is certified by checking the identity channel's membership.
-    The unital law is implied by the fix laws (I is in ``space``) but kept as
-    its own check.
+    set used for noncommutative Poisson boundaries). The set's known member
+    is the identity channel, or with ``absorb`` the Cesaro idempotent of psi;
+    its membership certifies that the set is nonempty. The unital law is
+    implied by the fix laws (I is in ``space``) but kept as its own check.
     """
     if not (space.unital and space.selfadjoint):
         raise ValueError(
@@ -369,15 +404,16 @@ def build_system_set(
     n = space.ambient
     laws = [("unital", np.eye(n, dtype=complex))]
     laws += [(f"fix:{k}", x) for k, x in enumerate(space.basis.mats)]
+    member = ChannelMap.identity(n)
     if absorb is not None:
         if absorb.dim_in != n or absorb.dim_out != n:
             raise ValueError("build_system_set: absorbing channel must act on the same ambient M_n")
         laws.append(("absorb", absorb.superop - np.eye(n * n)))
-    fset = FeasibleSet.from_laws(n, laws)
-    if absorb is None:
-        rep = fset.membership(ChannelMap.identity(n))
-        if not rep.ok:
-            raise RuntimeError(f"build_system_set: identity fails membership ({rep.residuals})")
+        member = cesaro_idempotent(absorb).idempotent
+    fset = FeasibleSet.from_laws(n, laws, member.choi)
+    rep = fset.membership(member)
+    if not rep.ok:
+        raise RuntimeError(f"build_system_set: the known member fails membership ({rep.residuals})")
     return fset
 
 
@@ -385,43 +421,58 @@ def build_system_set(
 # projection, sampling, linear ascent
 
 
-def _dual_point(c: np.ndarray, fset: FeasibleSet, lam: np.ndarray):
-    """theta(lam), its gradient Q X - beta, the eigendecomposition of W and X = Pi_+(W)."""
-    eig = hermitian_eig(real_to_herm(c + fset.law_rows.T @ lam, fset.face_dim))
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real Frobenius inner product Re tr(a^* b)."""
+    return float(np.vdot(a, b).real)
+
+
+def _dual_point(c: np.ndarray, y_p: np.ndarray, fset: FeasibleSet, w: np.ndarray):
+    """theta at W = c + V^* Z V, its gradient (I - P)(V X V^* - J_p), eig(W) and X = Pi_+(W).
+
+    J_p = V y_p V^* lies in the face, so <Z, J_p> = <W - c, y_p> and theta is
+    a function of W alone.
+    """
+    eig = hermitian_eig(w)
     wp = np.clip(eig.values, 0.0, None)
-    x = herm_to_real((eig.vectors * wp) @ eig.vectors.conj().T)
-    theta = 0.5 * float(wp @ wp) - float(fset.law_rhs @ lam)
-    return theta, fset.law_rows @ x - fset.law_rhs, eig, x
+    x = (eig.vectors * wp) @ eig.vectors.conj().T
+    theta = 0.5 * float(wp @ wp) - _inner(w - c, y_p)
+    return theta, herm(fset.law_project(fset.expand(x) - fset.member)), eig, x
 
 
 def _newton_direction(fset: FeasibleSet, eig, g: np.ndarray) -> np.ndarray:
-    """CG solve of (Q dPi_+(W) Q^T + eps I) d = -g, eps = ``TOL.solver``.
+    """CG solve of ((I - P) V dPi_+(W)[V^* . V] V^* + eps I) D = -g, eps = ``TOL.solver``.
 
-    dPi_+(W)[H] = P (Omega o P^* H P) P^*, Omega the Loewner divided
-    differences of max(w, 0) at the eigenvalues of W = P diag(w) P^*. eps
+    dPi_+(W)[H] = Q (Omega o Q^* H Q) Q^*, Omega the Loewner divided
+    differences of max(w, 0) at the eigenvalues of W = Q diag(w) Q^*. eps
     keeps the system definite where many w < 0 make it singular, without
-    shortening the long steps the dual takes there. CG stops at relative
-    residual min(0.1, ||g||^(1/2)), or after k = len(g) steps (exact).
+    shortening the long steps the dual takes there. Directions D with
+    V^* D V = 0 see only eps, but g has no component along them and the
+    operator maps into their complement, so CG never enters them. The
+    direction is returned exactly Hermitian: the anti-Hermitian rounding of
+    the iterates also sees only eps, and would otherwise grow across Newton
+    steps. CG stops at relative residual min(0.1, ||g||^(1/2)), or after r^2
+    steps, the real dimension of the face (exact).
     """
-    w, p = eig.values, eig.vectors
+    w, q = eig.values, eig.vectors
     wp = np.clip(w, 0.0, None)
     dw = w[:, None] - w[None, :]
     same = dw == 0
     omega = np.where(same, w[:, None] > 0, (wp[:, None] - wp[None, :]) / np.where(same, 1.0, dw))
-    q, r = fset.law_rows, fset.face_dim
+    vq = fset.face @ q
+    vqh = vq.conj().T
     d, res = np.zeros_like(g), -g
-    step, rr = res.copy(), float(g @ g)
+    step, rr = res.copy(), _inner(g, g)
     stop = min(0.01, np.sqrt(rr)) * rr
-    for _ in range(len(g)):
+    for _ in range(fset.face_dim**2):
         if rr <= stop:
             break
-        m = p.conj().T @ real_to_herm(q.T @ step, r) @ p
-        hs = q @ herm_to_real(p @ (omega * m) @ p.conj().T) + TOL.solver * step
-        alpha = rr / float(step @ hs)
+        hv = vq @ (omega * (vqh @ step @ vq)) @ vqh
+        hs = fset.law_project(hv) + TOL.solver * step
+        alpha = rr / _inner(step, hs)
         d, res = d + alpha * step, res - alpha * hs
-        rr, rr_prev = float(res @ res), rr
+        rr, rr_prev = _inner(res, res), rr
         step = res + (rr / rr_prev) * step
-    return d
+    return herm(d)
 
 
 def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
@@ -429,42 +480,46 @@ def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
 
     The name is kept from the Dykstra iteration this replaced because the
     benchmark calls and times it. For the compressed input c, the member is
-    X = Pi_+(c + Q^T lam) at the minimizer of the convex dual theta(lam) =
-    1/2 ||Pi_+(c + Q^T lam)||^2 - beta . lam (Malick 2004; Qi-Sun 2006):
-    PSD by construction, with the gradient as its affine residual. The
-    start makes W the affine projection of c. A Newton-CG step is halved
-    until it halves ||grad|| or meets Armijo; the first test still accepts
-    steps once theta's decrease is below rounding. X is returned once two
-    consecutive gradients are within ``TOL.solver`` (the step between them
-    leaves it at rounding level) and membership holds; ``history`` holds
-    (iteration, ||grad||).
+    V X V^* with X = Pi_+(c + V^* Z V) at the minimizer of the convex dual
+    theta(Z) = 1/2 ||Pi_+(c + V^* Z V)||^2 - <Z, J_p> over Z in the range of
+    I - P (Malick 2004; Qi-Sun 2006): PSD by construction, with the gradient
+    as its affine residual. Newton directions live in full Choi
+    coordinates, where the laws are the one projector P; Z itself is kept
+    only as W = c + V^* Z V, which the start makes the affine projection
+    ``project_affine_compressed(c)``. A Newton-CG step is halved until it
+    halves ||grad|| or meets Armijo; the first test still accepts steps once
+    theta's decrease is below rounding. X is returned once two consecutive
+    gradients are within ``TOL.solver`` (the step between them leaves it at
+    rounding level) and membership holds; ``history`` holds (iteration,
+    ||grad||).
     """
     d = fset.choi_dim
-    y = fset.compress(herm(as_matrix(j0, d, d)))
-    c = herm_to_real(herm(y))
-    lam = fset.law_rows @ (herm_to_real(fset.project_affine_compressed(y)) - c)
-    theta, g, eig, x = _dual_point(c, fset, lam)
+    c = fset.compress(herm(as_matrix(j0, d, d)))
+    y_p = fset.compress(fset.member)
+    w = herm(fset.project_affine_compressed(c))
+    theta, g, eig, x = _dual_point(c, y_p, fset, w)
     history: list[tuple[int, float]] = []
     within = False
     for it in range(1, NEWTON_MAX_ITER + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = frobenius(g)
         history.append((it, gnorm))
         if within and gnorm <= TOL.solver:
-            full = fset.expand(real_to_herm(x, fset.face_dim))
+            full = fset.expand(x)
             if fset.membership(full).ok:
                 return ChannelMap(fset.n, fset.n, herm(full))
         within = gnorm <= TOL.solver
         step = _newton_direction(fset, eig, g)
-        slope, t = float(g @ step), 1.0
-        floor = np.finfo(float).eps * max(1.0, float(np.linalg.norm(lam)))
+        dw = fset.compress(step)
+        slope, t = _inner(g, step), 1.0
+        floor = np.finfo(float).eps * max(1.0, frobenius(w))
         while True:
-            trial = _dual_point(c, fset, lam + t * step)
-            if np.linalg.norm(trial[1]) < 0.5 * gnorm or trial[0] <= theta + 1e-4 * t * slope:
+            trial = _dual_point(c, y_p, fset, w + t * dw)
+            if frobenius(trial[1]) < 0.5 * gnorm or trial[0] <= theta + 1e-4 * t * slope:
                 break
-            if t * np.linalg.norm(step) <= floor:
-                break  # the step no longer moves lam; the budget decides
+            if t * frobenius(dw) <= floor:
+                break  # the step no longer moves W; the budget decides
             t *= 0.5
-        lam = lam + t * step
+        w = w + t * dw
         theta, g, eig, x = trial
     raise NonConvergenceError(
         f"dykstra_project: dual gradient {history[-1][1]:.3e} > {TOL.solver:.1e} "
@@ -534,6 +589,19 @@ def _spectral_norm_h(a: np.ndarray) -> float:
     return float(np.abs(hermitian_eig(herm(a)).values).max())
 
 
+def _roots(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho^1/2 and rho^-1/2 of a positive definite density matrix."""
+    w, v = np.linalg.eigh(rho)
+    return (v * np.sqrt(w)) @ v.conj().T, (v / np.sqrt(w)) @ v.conj().T
+
+
+def _sandwich(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(I (x) a) x (I (x) b) for an nm x nm matrix x, by reshaping."""
+    d = n * m
+    x = (a @ x.reshape(n, m, d)).reshape(d, d)
+    return (x.reshape(d, n, m) @ b).reshape(d, d)
+
+
 def _pair_bounds(
     j: np.ndarray, n: int, m: int, rho0: np.ndarray, rho1: np.ndarray
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
@@ -546,22 +614,34 @@ def _pair_bounds(
     Tr_in Y0 = rho0^{-1/2} Tr_in|M^*| rho0^{-1/2} and likewise for Y1 with |M|.
     Also returned: the linear forms of Re tr(W^* M) in rho0^1/2 and rho1^1/2,
     W the polar factor of M, which are rho0^{-1/2} Tr_in|M^*| and
-    Tr_in|M| rho1^{-1/2}. I (x) A is applied by reshaping.
+    Tr_in|M| rho1^{-1/2}. I (x) A is applied by reshaping. The block is PSD
+    only up to rounding amplified by ||rho_i^-1||; ``_shifted_upper`` checks it.
     """
-    d = n * m
-    roots = []
-    for rho in (rho0, rho1):
-        w, v = np.linalg.eigh(rho)
-        roots.append(((v * np.sqrt(w)) @ v.conj().T, (v / np.sqrt(w)) @ v.conj().T))
-    (s0, i0), (s1, i1) = roots
-    mm = (s0 @ j.reshape(n, m, d)).reshape(d, d)
-    mm = (mm.reshape(d, n, m) @ s1).reshape(d, d)
-    u, sv, vh = np.linalg.svd(mm)
+    (s0, i0), (s1, i1) = _roots(rho0), _roots(rho1)
+    u, sv, vh = np.linalg.svd(_sandwich(j, s0, s1, n, m))
     t0 = _partial_trace_gram(u, sv, n, m)
     t1 = _partial_trace_gram(vh.conj().T, sv, n, m)
     top0 = np.linalg.eigvalsh(herm(i0 @ t0 @ i0))[-1]
     top1 = np.linalg.eigvalsh(herm(i1 @ t1 @ i1))[-1]
     return float(sv.sum()), float(np.sqrt(top0 * top1)), (i0 @ t0, t1 @ i1)
+
+
+def _shifted_upper(j: np.ndarray, n: int, m: int, rho0: np.ndarray, rho1: np.ndarray) -> tuple[float, float]:
+    """The block's negative defect delta at one density pair, and the upper end it proves.
+
+    Forms Y0, Y1 of ``_pair_bounds`` explicitly and takes one eigvalsh of
+    [[Y0, J], [J^*, Y1]]. Shifting both diagonal blocks by delta makes the
+    block PSD and adds n delta I to each Tr_in Y_i, so
+    sqrt((a + n delta)(b + n delta)) bounds ||phi||_cb, with a, b the top
+    eigenvalues of Tr_in Y0 and Tr_in Y1.
+    """
+    (s0, i0), (s1, i1) = _roots(rho0), _roots(rho1)
+    u, sv, vh = np.linalg.svd(_sandwich(j, s0, s1, n, m))
+    y0 = herm(_sandwich((u * sv) @ u.conj().T, i0, i0, n, m))
+    y1 = herm(_sandwich((vh.conj().T * sv) @ vh, i1, i1, n, m))
+    delta = max(0.0, -float(np.linalg.eigvalsh(np.block([[y0, j], [j.conj().T, y1]]))[0]))
+    a, b = (float(np.linalg.eigvalsh(np.einsum("iaib->ab", y.reshape(n, m, n, m)))[-1]) for y in (y0, y1))
+    return delta, float(np.sqrt((a + n * delta) * (b + n * delta)))
 
 
 @dataclass(frozen=True)
@@ -596,8 +676,12 @@ def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
     Frobenius norm 1. Each density matrix is mixed with CB_REGULARIZATION of
     I/m to keep it full rank. Every pair gives both ends (``_pair_bounds``);
     the best of each is kept until upper - lower <= tol or
-    CB_ASCENT_STEPS run out. The bracket closes at step 0 for CP maps, the
-    transpose and their scalar multiples.
+    CB_ASCENT_STEPS run out. The block of the best pair is then checked
+    once (``_shifted_upper``): a negative eigenvalue, which rounding
+    amplified by ||rho_i^-1|| can leave when the optimal pair is
+    rank-deficient, raises the upper end to the bound of the shifted block,
+    so the upper end is proven whatever the pair. The bracket closes at
+    step 0 for CP maps, the transpose and their scalar multiples.
     """
     n, m = phi.dim_in, phi.dim_out
     rho = [np.eye(m, dtype=complex) / m] * 2
@@ -619,6 +703,10 @@ def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
         if norm > 0.0:  # the form has a positive part unless J = 0
             r = (v * (a / norm) ** 2) @ v.conj().T
             rho[k] = (1.0 - CB_REGULARIZATION) * r + CB_REGULARIZATION / m * np.eye(m)
+    delta, shifted = _shifted_upper(phi.choi, n, m, *best)
+    if delta > 0.0:  # the block of the best pair is PSD only after the shift
+        upper = max(upper, shifted)
+        history[-1] = (step, upper - lower)
     if upper < lower:  # both are valid bounds; order can flip only by roundoff
         lower, upper = upper, lower
     return CbNormBracket(lower, upper, tol, step, best, tuple(history))

@@ -45,8 +45,9 @@ class Tolerances:
     span_rtol: float = 1e-10
     # Stopping residual of the iterative Cesaro squaring.
     cesaro: float = 1e-10
-    # Relative singular-value cutoff of the compressed affine system: the
-    # law rows the projection keeps and their null space alike.
+    # Relative singular-value cutoff of the constraint laws: the spans the
+    # law projector removes on each side, and the kernel of the law map on a
+    # face (the probe's null directions).
     affine_rcond: float = 1e-12
     # Default width at which a cb-norm bracket counts as converged.
     cb_norm: float = 1e-3

@@ -30,11 +30,10 @@ from ellis_envelope import spectrahedron
 from ellis_envelope.envelope import compute_envelope, paulsen_lift
 from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
+    FeasibleSet,
     OperatorSubspace,
-    _face_system,
     _pair_bounds,
     _structural_face,
-    _rows_to_real,
     build_system_set,
     cb_norm,
     cb_norm_bracket,
@@ -139,7 +138,20 @@ def singleton_set():
 # --------------------------------- reference rows over vec of the Choi matrix
 #
 # Dense complex rows with n^4 columns, built entry by entry from the defining
-# sums; the package builds only the compressed rows of each face.
+# sums; the package builds no law rows at all, only the projector onto their
+# null space.
+
+
+def _rows_to_real(t, rhs, d):
+    """Complex rows over vec(J) -> real rows over the Hermitian coordinates of J."""
+    iu_r, iu_c = np.triu_indices(d, 1)
+    u = t[:, iu_r * d + iu_c]  # coefficients of J[p,q], p < q
+    v = t[:, iu_c * d + iu_r]  # coefficients of J[q,p]
+    ac = np.concatenate(
+        [t[:, np.arange(d) * d + np.arange(d)], (u + v) / np.sqrt(2.0), 1j * (u - v) / np.sqrt(2.0)],
+        axis=1,
+    )
+    return np.vstack([ac.real, ac.imag]), np.concatenate([rhs.real, rhs.imag])
 
 
 def unital_rows(n):
@@ -205,6 +217,27 @@ def laws_of(n, xs, s_psi):
     if s_psi is not None:
         laws.append(("absorb", s_psi - np.eye(n * n)))
     return laws
+
+
+def reference_null_space(a):
+    """Orthonormal rows spanning the kernel of a real matrix (relative cut 1e-10)."""
+    _, s, vt = np.linalg.svd(a)
+    return vt[int(np.sum(s > 1e-10 * s[0])) :]
+
+
+def face_null_space(fset):
+    """The set's null directions in the real coordinates of Y, J = V Y V^*."""
+    dirs = fset.null_directions
+    return np.array([herm_to_real(y) for y in fset.compress(dirs)]).reshape(len(dirs), fset.face_dim**2)
+
+
+def law_rank(fset):
+    """Rank of the law map on the face: the real dimension of Y less its null space."""
+    return fset.face_dim**2 - len(fset.null_directions)
+
+
+def same_row_space(a, b, tol):
+    return a.shape == b.shape and np.max(np.abs(a.T @ a - b.T @ b), initial=0.0) <= tol
 
 
 # ------------------------------------------------------- real coordinates
@@ -319,19 +352,23 @@ def test_face_dimensions(d2_set, ucp2_set, singleton_set):
 
 
 def test_face_system_matches_compressed_reference_rows():
-    # random complex laws, so a transposed or swapped index changes the rows
+    # random complex laws (an adjoint-closed pair and a conjugation), so a
+    # transposed or swapped index changes the null space; on every face V,
+    # the kernel of the face law map is the null space of the reference rows
     rng = np.random.default_rng(4)
     for n in (2, 3):
         d = n * n
-        xs = [random_complex(rng, n, n) for _ in range(2)]
-        s_psi = random_complex(rng, d, d)
+        a = random_complex(rng, n, n)
+        xs = [a, a.conj().T]
+        u, _ = np.linalg.qr(random_complex(rng, n, n))
+        s_psi = ChannelMap.conjugation(u).superop
+        base = FeasibleSet.from_laws(n, laws_of(n, xs, s_psi), np.zeros((d, d)))
         for r in (d, d - 1, 2):
             v, _ = np.linalg.qr(random_complex(rng, d, r))
-            a, b = _face_system(laws_of(n, xs, s_psi), n, v)
-            a_ref, b_ref = reference_face_system(n, xs, s_psi, v)
-            assert a.shape == a_ref.shape == ((3 + n * n) * n * n * 2, r * r)
-            assert np.max(np.abs(a - a_ref)) <= 1e-12
-            assert np.array_equal(b, b_ref)
+            fset = dataclasses.replace(base, face=v)
+            a_ref, _ = reference_face_system(n, xs, s_psi, v)
+            assert same_row_space(face_null_space(fset), reference_null_space(a_ref), 1e-12)
+        assert len(dataclasses.replace(base, face=np.eye(d)).null_directions) == (d - 3) * n
 
 
 def test_membership_residuals_match_reference_rows(d2_set):
@@ -356,8 +393,9 @@ def diag_unitary(n):
 
 SHIFT3 = np.roll(np.eye(3), 1, axis=0).astype(complex)
 
-# (name, builder, face dim, law rows): the faces and row counts the set
-# construction has kept since facial reduction first reached them
+# (name, builder, face dim, law rank): the faces and ranks of the law map on
+# the face that the set construction has kept since facial reduction first
+# reached them (the law rank was the number of law rows kept)
 ACCEPTANCE_SETS = [
     ("rigid", lambda: build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ])), 1, 1),
     ("full M_2", lambda: build_system_set(OperatorSubspace.from_matrices(matrix_units(2))), 1, 1),
@@ -392,7 +430,31 @@ ACCEPTANCE_SETS = [
 @pytest.mark.parametrize("name, build, face, rows", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
 def test_face_and_law_rows_of_acceptance_sets(name, build, face, rows):
     fset = build()
-    assert (fset.face_dim, fset.law_rows.shape[0]) == (face, rows)
+    assert (fset.face_dim, law_rank(fset)) == (face, rows)
+
+
+@pytest.mark.parametrize("name, build, face, rows", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
+def test_law_projector_matches_reference_rows(name, build, face, rows):
+    # the projector's null space on the face is that of the reference rows,
+    # built entry by entry; I - P (and with it P) is a self-adjoint,
+    # idempotent, Hermitian-preserving map, and the set's known member
+    # passes membership
+    fset = build()
+    n, d = fset.n, fset.choi_dim
+    laws = dict(fset.laws)
+    xs = [m for key, m in fset.laws if key.startswith("fix")]
+    s_psi = laws["absorb"] + np.eye(d) if "absorb" in laws else None
+    a_ref, _ = reference_face_system(n, xs, s_psi, fset.face)
+    assert same_row_space(face_null_space(fset), reference_null_space(a_ref), 1e-12)
+    rng = np.random.default_rng(len(name))
+    a, b = random_complex(rng, d, d), random_complex(rng, d, d)
+    pa, pb = fset.law_project(a), fset.law_project(b)
+    assert abs(np.vdot(a, pb) - np.vdot(pa, b)) <= 1e-12 * d
+    assert frobenius(fset.law_project(pa) - pa) <= 1e-12 * d
+    h = herm(a)
+    ph = fset.law_project(h)
+    assert frobenius(ph - ph.conj().T) <= 1e-12 * d
+    assert fset.membership(fset.member).ok
 
 
 # span{I, x} in M_n: a member may only move the middle eigenvectors of x onto
@@ -409,7 +471,7 @@ def test_face_of_span_i_x_hypothesis_draw():
 def test_face_of_span_i_random_diagonal_m5():
     d = np.random.default_rng(1).standard_normal(5)
     fset = build_system_set(OperatorSubspace.from_matrices([np.eye(5), np.diag(d)]))
-    assert (fset.face_dim, fset.law_rows.shape[0]) == (17, 32)
+    assert (fset.face_dim, law_rank(fset)) == (17, 32)
 
 
 def test_envelope_of_span_i_near_degenerate_diagonal_is_certified():
@@ -497,10 +559,12 @@ def test_projection_matches_closed_form_boundary(d2_set):
     assert frobenius(out.choi - d2_projection_oracle(j0)) < 1e-7
 
 
-@pytest.mark.parametrize("n, seed", [(3, 1007), (4, 1000), (5, 1008)])
+@pytest.mark.parametrize("n, seed", [(3, 1007), (4, 1000), (5, 1008), (7, 1009), (8, 1010)])
 def test_projection_matches_closed_form_t_set(n, seed):
-    # draws where the active-face polish of the former Dykstra solver
-    # returned a member 4e-4 to 8e-4 away from the nearest one
+    # n = 3..5: draws where the active-face polish of the former Dykstra
+    # solver returned a member 4e-4 to 8e-4 away from the nearest one;
+    # n = 7, 8: sizes whose set construction took 14 s / 631 MB and
+    # 37 s / 1.7 GB while the laws were factored as rows
     fset, j0 = t_set_draw(n, seed)
     out = dykstra_project(j0, fset)
     assert frobenius(out.choi - t_set_projection_oracle(j0, n)) <= 1e-8
@@ -828,6 +892,36 @@ def test_completion_upper_end_is_a_repaired_psd_certificate():
             for y in (y0, y1)
         ]
         assert np.sqrt(tops[0] * tops[1]) == pytest.approx(bracket.upper, rel=1e-9)
+
+
+def test_upper_end_is_proven_when_the_density_pair_is_near_singular():
+    # At tol 1e-6 the best pair of this map has min eigenvalue about 2e-9,
+    # and the block [[Y0, J], [J*, Y1]] rebuilt from it has a negative
+    # eigenvalue (-3.7e-8) far above rounding. The upper end is that of the
+    # block shifted by its defect, sqrt((a + n delta)(b + n delta)), and
+    # stays above the best lower end the full ascent budget reaches.
+    n, m = 2, 3
+    d = n * m
+    phi = ChannelMap(n, m, random_complex(np.random.default_rng(5), d, d))
+    bracket = cb_norm_bracket(phi, tol=1e-6)
+    assert bracket.converged and bracket.lower <= bracket.upper
+    assert bracket.history[-1][1] == bracket.upper - bracket.lower
+    roots, inv_roots = [], []
+    for rho in bracket.densities:
+        w, v = np.linalg.eigh(rho)
+        assert w[0] < 1e-8
+        roots.append(np.kron(np.eye(n), (v * np.sqrt(w)) @ v.conj().T))
+        inv_roots.append(np.kron(np.eye(n), (v / np.sqrt(w)) @ v.conj().T))
+    u, s, vh = np.linalg.svd(roots[0] @ phi.choi @ roots[1])
+    y0 = inv_roots[0] @ (u * s) @ u.conj().T @ inv_roots[0]
+    y1 = inv_roots[1] @ (vh.conj().T * s) @ vh @ inv_roots[1]
+    assert np.linalg.eigvalsh(herm(np.block([[y0, phi.choi], [phi.choi.conj().T, y1]])))[0] < -1e-9
+    delta, shifted = spectrahedron._shifted_upper(phi.choi, n, m, *bracket.densities)
+    assert delta > 1e-9
+    tops = [np.linalg.eigvalsh(herm(np.einsum("iaib->ab", y.reshape(n, m, n, m))))[-1] for y in (y0, y1)]
+    assert shifted >= np.sqrt(tops[0] * tops[1]) + delta
+    assert bracket.upper >= shifted
+    assert bracket.upper >= cb_norm_bracket(phi, tol=-1.0).lower
 
 
 def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
