@@ -3,9 +3,11 @@
 
 Runs the library on the small systems whose answers are known in closed
 form and prints one summary line per case. Takes a few seconds. Exits
-non-zero if the span{I, diag(d)} envelope is not certified at rank 2, the
-projection of a noisy channel estimate onto the T-set in M_8 is not a
-member, or the cb-norm bracket of the non-CP map on M_3 stays open.
+non-zero if the Cesaro idempotent of a random unital channel on M_20 has an
+absorption bound or a spectral/iterative disagreement above 1e-7, the
+span{I, diag(d)} envelope is not certified at rank 2, the projection of a
+noisy channel estimate onto the T-set in M_8 is not a member, or the
+cb-norm bracket of the non-CP map on M_3 stays open.
 """
 
 import time
@@ -19,6 +21,7 @@ from ellis_envelope import (
     cb_norm,
     cb_norm_bracket,
     cesaro_idempotent,
+    check_absorption,
     compute_boundary,
     compute_envelope,
     dykstra_project,
@@ -55,6 +58,16 @@ def cesaro_half_sz():
     )
     res = cesaro_idempotent(half, mode="both")
     return f"fixed dim={res.fixed_space.dim} agreement={res.agreement:.1e}"
+
+
+def cesaro_random20():
+    # d = 400: check_absorption works in the fixed space's coordinates
+    phi = random_unital_channel(np.random.default_rng(20), 20)
+    res = cesaro_idempotent(phi, mode="both")
+    absorption = check_absorption(res.idempotent, phi, res.fixed_space)
+    if max(absorption, res.agreement) > 1e-7:
+        raise SystemExit(f"Cesaro on M_20: absorption {absorption:.1e}, agreement {res.agreement:.1e}, expected <= 1e-7")
+    return f"absorption={absorption:.1e} agreement={res.agreement:.1e}"
 
 
 def diagonal_envelope():
@@ -132,6 +145,7 @@ def main() -> None:
     timed("semigroups of order 3", order3_count)
     timed("T_3 idempotent poset", t3_poset)
     timed("Cesaro idempotent of (id + conj sz)/2", cesaro_half_sz)
+    timed("Cesaro idempotent of a random channel on M_20", cesaro_random20)
     timed("envelope of the diagonal system in M_2", diagonal_envelope)
     timed("envelope of span{I, sx, sz} (rigid)", rigid_envelope)
     timed("envelope of span{E_12} via corner lift", corner_envelope)

@@ -145,7 +145,7 @@ def compute_boundary(
         boundary_space=boundary,
         choi_effros=choi_effros_table(e, boundary),
         rigidity_violation=rigidity,
-        absorption_violation=check_absorption(e, phi),
+        absorption_violation=check_absorption(e, phi, boundary),
         certificate=des.certificate,
         descent_trace=des.trace,
         residuals=residuals,

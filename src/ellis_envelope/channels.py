@@ -336,10 +336,12 @@ def _iterative_ergodic_projection(s: np.ndarray) -> tuple[np.ndarray, list[tuple
     ssum = np.eye(d)  # sum_{k=0..N-1} s^k, N = 1
     spow = s.copy()  # s^N
     n = 1
-    while n < 64:
+    while True:
         ssum = ssum + spow @ ssum
-        spow = spow @ spow
         n *= 2
+        if n == 64:  # s^64 would go unread
+            break
+        spow = spow @ spow
     b = ssum / n
     history: list[tuple[int, float]] = []
     total = n  # highest power of s folded in so far
@@ -426,25 +428,82 @@ def random_unital_channel(rng: np.random.Generator, n: int, n_kraus: int = 3) ->
     return ChannelMap.from_kraus(unitalize_kraus(ops))
 
 
-def check_absorption(e: ChannelMap, phi: ChannelMap) -> float:
-    """max_{1<=k<=ABSORPTION_POWERS} || e phi^k e - e ||_F for an ergodic idempotent e of phi.
-
-    Preconditions (checked to ``TOL.ucp``): e is idempotent and absorbs phi on both
-    sides, which makes the returned value a numerical-consistency certificate.
-    The loop carries t_k = S_e S_phi^k, two products per power.
-    """
+def _absorption_bounds(
+    e: ChannelMap, phi: ChannelMap, basis: SubspaceBasis | None = None
+) -> tuple[dict[str, float], float]:
+    """Proven upper bounds behind ``check_absorption``: the three preconditions
+    (idempotent, absorb_left, absorb_right) and max_k ||e phi^k e - e||_F."""
     se, sp = e.superop, phi.superop
     if se.shape != sp.shape:
         raise ValueError("check_absorption: dimension mismatch")
-    idem_res = frobenius(se @ se - se)
-    left = frobenius(sp @ se - se)
-    right = frobenius(se @ sp - se)
-    worst = max(idem_res, left, right)
+    if basis is None:
+        basis = e.range_basis()
+    if basis.n != e.dim_in:
+        raise ValueError(f"check_absorption: basis lives in M_{basis.n}, not M_{e.dim_in}")
+    q = basis.vecs().T  # d x r
+    y = q.conj().T @ se  # r x d
+    delta = se - q @ y
+    dn = frobenius(delta)
+    sqrt_n = float(np.sqrt(e.dim_in))
+    work = np.empty_like(se)
+
+    def known_part(row: np.ndarray, col: np.ndarray) -> float:
+        # || S_e S^k S_e - S_e - Delta S^k Delta ||_F from row = Y S^k, col = S^k Q,
+        # as one rank-2r product [Q, Delta S^k Q] [Y S^k Q Y + Y S^k Delta; Y] - S_e
+        left = np.hstack([q, delta @ col])
+        right = np.vstack([(row @ q) @ y + row @ delta, y])
+        np.matmul(left, right, out=work)
+        np.subtract(work, se, out=work)
+        return frobenius(work)
+
+    row, col = y @ sp, sp @ q
+    preconditions = {
+        "idempotent": known_part(y, q) + dn * dn,
+        "absorb_left": frobenius((col - q) @ y) + (sqrt_n + 1.0) * dn,
+        "absorb_right": frobenius(q @ (row - y)) + (sqrt_n + 1.0) * dn,
+    }
+    out = known_part(row, col)
+    for _ in range(ABSORPTION_POWERS - 1):
+        row, col = row @ sp, sp @ col
+        out = max(out, known_part(row, col))
+    return preconditions, out + sqrt_n * dn * dn
+
+
+def check_absorption(e: ChannelMap, phi: ChannelMap, basis: SubspaceBasis | None = None) -> float:
+    """Upper bound on max_{1<=k<=ABSORPTION_POWERS} || e phi^k e - e ||_F for an
+    ergodic idempotent e of a unital CP map phi on M_n.
+
+    Preconditions (checked to ``TOL.ucp``): e is idempotent and absorbs phi on
+    both sides, which makes the returned value a numerical-consistency
+    certificate. ``basis`` is an orthonormal basis of the range of e (for a
+    Cesaro idempotent, the fixed space of phi); when omitted,
+    ``e.range_basis()`` supplies it. Any basis keeps the bounds below valid;
+    one that spans the range keeps delta at rounding level.
+
+    No d x d by d x d product is formed (d = n^2). Let Q (d x r) hold the
+    basis, Y = Q^* S_e and Delta = S_e - Q Y; the split S_e = Q Y + Delta is
+    exact for any Q, and delta = ||Delta||_F is measured. Then
+
+        S_e S^k S_e = Q (Y S^k Q) Y + Q (Y S^k) Delta + Delta (S^k Q) Y + Delta S^k Delta,
+
+    and the row block Y S^k and column block S^k Q advance by one r x d by
+    d x d product each per power, O(r d^2). Every term but the last is
+    formed. For a unital CP psi = phi^k, Kadison-Schwarz gives
+    psi(x)^* psi(x) <= psi(x^* x), so ||psi(x)||_2^2 <= <psi_*(I), x^* x>
+    <= n ||x||_2^2, because psi_*(I) is PSD with trace tr psi(I) = n. Hence
+    ||Delta S^k Delta||_F <= ||Delta||_op ||S^k||_{2->2} ||Delta||_F
+    <= sqrt(n) delta^2, and the value returned is the largest norm of the
+    formed terms plus sqrt(n) delta^2: an upper bound on the dense value,
+    and at most 2 sqrt(n) delta^2 above it. The unital-CP hypothesis is
+    the caller's (``cesaro_idempotent`` checks it).
+
+    The preconditions are bounded the same way: idempotency by the k = 0
+    formed terms plus ||Delta Delta||_F <= delta^2; absorption by
+    ||(S Q - Q) Y||_F and ||Q (Y S - Y)||_F, each plus
+    ||S Delta - Delta||_F, ||Delta S - Delta||_F <= (sqrt(n) + 1) delta.
+    """
+    preconditions, out = _absorption_bounds(e, phi, basis)
+    worst = max(preconditions.values())
     if worst > TOL.ucp:
         raise ValueError(f"check_absorption: precondition violated (residual {worst:.3e})")
-    out = 0.0
-    t = se
-    for _ in range(ABSORPTION_POWERS):
-        t = t @ sp
-        out = max(out, frobenius(t @ se - se))
     return out

@@ -207,7 +207,7 @@ def _run_channel_info(args, config: RunConfig) -> tuple[str, dict]:
 def _run_channel_cesaro(args, config: RunConfig) -> tuple[str, dict]:
     phi = read_channel(args.channel)
     res = cesaro_idempotent(phi, mode=config.mode)
-    absorption = check_absorption(res.idempotent, phi)
+    absorption = check_absorption(res.idempotent, phi, res.fixed_space)
     residuals = {k: float(v) for k, v in res.residuals.items()}
     worst = max([*residuals.values(), absorption])
     if res.agreement is not None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellis_envelope import channels
+from ellis_envelope.boundary import compute_boundary
 from ellis_envelope.channels import (
     ChannelMap,
     NonConvergenceError,
@@ -26,6 +27,7 @@ from ellis_envelope.channels import (
     unitalize_kraus,
 )
 from ellis_envelope.linalg import SubspaceBasis, frobenius, hermitian_eig, vec
+from ellis_envelope.spectrahedron import OperatorSubspace
 
 from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, subspace_equal
 
@@ -432,6 +434,99 @@ def test_check_absorption():
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     with pytest.raises(ValueError):
         check_absorption(pinch, ChannelMap.conjugation(hadamard))
+
+
+def dense_absorption_residuals(e: ChannelMap, phi: ChannelMap) -> dict[str, float]:
+    """The preconditions of check_absorption, each by one dense product."""
+    se, sp = e.superop, phi.superop
+    return {
+        "idempotent": frobenius(se @ se - se),
+        "absorb_left": frobenius(sp @ se - se),
+        "absorb_right": frobenius(se @ sp - se),
+    }
+
+
+def direct_sum_channel(rng, a, b, n_kraus=3):
+    """Kraus operators A_k (+) B_k of two random unital channels on M_a and M_b."""
+    left = unitalize_kraus([random_complex(rng, a, a) for _ in range(n_kraus)])
+    right = unitalize_kraus([random_complex(rng, b, b) for _ in range(n_kraus)])
+    ops = []
+    for x, y in zip(left, right):
+        k = np.zeros((a + b, a + b), dtype=complex)
+        k[:a, :a], k[a:, a:] = x, y
+        ops.append(k)
+    return ChannelMap.from_kraus(ops)
+
+
+def channel_with_fixed_dim(rng, n, r):
+    """A random unital channel on M_n whose fixed space has dimension r (1, 2 or n)."""
+    if r == 1:
+        return random_unital_channel(rng, n)
+    if r == 2:
+        a = int(rng.integers(1, n))
+        return direct_sum_channel(rng, a, n - a)
+    # identity mixed with a distinct-phase diagonal-unitary conjugation: F = diag M_n
+    t = rng.uniform(0.2, 0.8)
+    u = np.diag(np.exp(2j * np.pi * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n))
+    return ChannelMap(n, n, t * ChannelMap.identity(n).choi + (1 - t) * ChannelMap.conjugation(u).choi)
+
+
+def assert_absorption_bounds_dense(e, phi, basis):
+    """check_absorption's bounds against the dense products, for either basis argument."""
+    q = (e.range_basis() if basis is None else basis).vecs().T
+    delta = frobenius(e.superop - q @ (q.conj().T @ e.superop))
+    ref = absorption_three_products(e, phi)
+    value = check_absorption(e, phi, basis)
+    # value = formed terms + sqrt(n) delta^2; the dropped term is at most sqrt(n) delta^2
+    assert ref - 1e-14 <= value <= ref + 2 * np.sqrt(e.dim_in) * delta**2 + 1e-12, (value, ref, delta)
+    bounds, _ = channels._absorption_bounds(e, phi, basis)
+    for name, residual in dense_absorption_residuals(e, phi).items():
+        # both sides of a residual at roundoff level carry their own rounding
+        assert bounds[name] >= residual - 1e-14, (name, bounds[name], residual)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 6), st.sampled_from(["one", "two", "n"]))
+def test_check_absorption_bounds_the_dense_loop(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    r = {"one": 1, "two": 2, "n": n}[kind]
+    phi = channel_with_fixed_dim(rng, n, r)
+    assert phi.dim_in == n
+    for mode in ("spectral", "iterative", "both"):
+        res = cesaro_idempotent(phi, mode=mode)
+        assert res.fixed_space.dim == r, (mode, res.fixed_space.dim)
+        for basis in (res.fixed_space, None):
+            assert_absorption_bounds_dense(res.idempotent, phi, basis)
+    # a perturbation inside the precondition tolerance puts delta well above roundoff
+    noisy = ChannelMap.from_superop(res.idempotent.superop + 1e-10 * random_complex(rng, n * n, n * n), n, n)
+    for basis in (res.fixed_space, None):
+        assert_absorption_bounds_dense(noisy, phi, basis)
+
+
+def test_absorption_bounds_hold_for_any_basis():
+    # S_e = Q Y + Delta is exact for every Q: with Q far from range(e) the bounds
+    # are loose, but they still bound the dense values, also for maps e that are
+    # not idempotent
+    rng = np.random.default_rng(47)
+    for n in (2, 3):
+        d = n * n
+        for phi in (ChannelMap.conjugation(random_unitary(rng, n)), random_unital_channel(rng, n)):
+            for e in (ChannelMap.conjugation(random_unitary(rng, n)), cesaro_idempotent(phi).idempotent):
+                for r in (1, 2, d // 2):
+                    q, _ = np.linalg.qr(random_complex(rng, d, d))
+                    bounds, value = channels._absorption_bounds(e, phi, SubspaceBasis(q[:, :r].T.reshape(r, n, n)))
+                    assert value >= absorption_three_products(e, phi) - 1e-12
+                    for name, residual in dense_absorption_residuals(e, phi).items():
+                        assert bounds[name] >= residual - 1e-12, (n, r, name)
+
+
+def test_check_absorption_on_the_rank_two_pinching_boundary():
+    pinch = ChannelMap.pinching(2)
+    diag2 = OperatorSubspace.from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    res = compute_boundary(diag2, pinch)
+    assert res.boundary_space.dim == 2
+    assert_absorption_bounds_dense(res.idempotent, pinch, res.boundary_space)
+    assert res.absorption_violation <= 1e-12
 
 
 # -------------------------------------------------------------------- JSON
