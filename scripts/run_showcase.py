@@ -5,7 +5,9 @@ Runs the library on the small systems whose answers are known in closed
 form and prints one summary line per case. Takes a few seconds. Exits
 non-zero if the Cesaro idempotent of a random unital channel on M_20 has an
 absorption bound or a spectral/iterative disagreement above 1e-7, the
-span{I, diag(d)} envelope is not certified at rank 2, the projection of a
+span{I, diag(d)} envelope is not certified at rank 2, the rigid
+span{I, x, x^*, y, y^*} envelope in M_6 is not certified at rank 36 with a
+Choi-Effros associativity residual at most 1e-10, the projection of a
 noisy channel estimate onto the T-set in M_8 is not a member, or the
 cb-norm bracket of the non-CP map on M_3 stays open.
 """
@@ -99,6 +101,21 @@ def diag5_envelope():
     return f"rank={res.rank} certificate={res.certificate}"
 
 
+def rigid6_envelope():
+    # span{I, x, x^*, y, y^*} with random x, y is rigid in M_6: the envelope
+    # is all of M_6, and the multiplication table has 36^3 entries
+    rng = np.random.default_rng(6)
+    x, y = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2))
+    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(6), x, x.conj().T, y, y.conj().T]), seed=0)
+    assoc = res.choi_effros.associativity_residual
+    if res.certificate != "certified" or res.rank != 36 or assoc > 1e-10:
+        raise SystemExit(
+            f"rigid span{{I, x, x*, y, y*}} in M_6: {res.certificate} at rank {res.rank}, "
+            f"associativity {assoc:.1e}; expected certified rank 36, associativity <= 1e-10"
+        )
+    return f"rank={res.rank} associativity={assoc:.1e}"
+
+
 def sz_boundary():
     res = compute_boundary(
         OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)
@@ -150,6 +167,7 @@ def main() -> None:
     timed("envelope of span{I, sx, sz} (rigid)", rigid_envelope)
     timed("envelope of span{E_12} via corner lift", corner_envelope)
     timed("envelope of span{I, diag(d)} in M_5", diag5_envelope)
+    timed("envelope of span{I,x,x*,y,y*} in M_6 (rigid)", rigid6_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
     timed("T-set in M_8: build and project an estimate", t8_projection)
     timed("cb norm of the transpose on M_2", transpose_cb)

@@ -117,9 +117,10 @@ def compute_boundary(
     constraint) is pushed into the absorbed semigroup as e0 . theta, and
     e . e0 . theta . e = e is tested exactly over all of them. Each descent
     step f of e satisfies f = e f e, hence f . e = f; by induction e . e0 = e,
-    so the test is ``probe_minimality`` of e over the plain set. The
-    descent is deterministic, so ``seed`` is unused: it is accepted only for
-    callers that still pass one.
+    so the test is ``probe_minimality`` of e over the plain set, of which e
+    is a member (the absorbed set lies inside it). The descent is
+    deterministic, so ``seed`` is unused: it is accepted only for callers
+    that still pass one.
     """
     tset = build_T_set(space, phi)
     ergodic = cesaro_idempotent(phi)

@@ -5,10 +5,16 @@ convex semigroup; minimal idempotents in it exist, and their ranges are the
 injective envelopes of E. This module finds one by rank descent: starting
 from the ergodic idempotent of a sampled member, it bounds the compression
 violation sup ||e . theta . e - e|| over members theta exactly (the map is
-affine in theta, and the set lies in a known affine slice), and while the
-bound exceeds tolerance, builds a member theta along the violating direction
-and replaces e by the ergodic idempotent of e . theta . e, which has
-strictly smaller rank whenever it differs from e.
+affine in theta, the set lies in a known affine slice, and e itself is the
+reference member, so a bound that certifies reads no other member), and
+while the bound exceeds tolerance, builds a member theta along the
+violating direction from the set's center and replaces e by the ergodic
+idempotent of e . theta . e, which has strictly smaller rank whenever it
+differs from e.
+
+On the range of the minimal idempotent, x . y = e(x y) is an associative
+product (Choi-Effros 1977); ``choi_effros_table`` tabulates it over an
+orthonormal basis, batched in vec coordinates.
 
 Plain operator spaces (not unital or not selfadjoint) are handled through
 the two-by-two corner lift: E is embedded off-diagonally into an operator
@@ -121,24 +127,38 @@ def _violation(e: ChannelMap, theta: ChannelMap) -> float:
 def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarray | None]:
     """Upper bound on sup ||e . theta . e - e||_F over the members theta of ``fset``.
 
-    g(theta) = S_e S_theta S_e - S_e is affine in theta, and every member is
-    theta0 + D for the reference member theta0 = ``fset.center`` and some D
-    in the span of ``fset.null_directions``. A member's Choi matrix is PSD
-    with trace n, so ||D||_F <= 2n, and with sigma the largest singular
-    value of D -> S_e S_D S_e on that span,
+    e must be unital CP and a member of ``fset`` (to tolerance); it is its
+    own reference point. g(theta) = S_e S_theta S_e - S_e is affine in
+    theta. Every member's Choi matrix lies in the affine slice J_p + span N,
+    J_p = ``fset.member`` and N = ``fset.null_directions``; let Pi be the
+    orthogonal projection onto span N and eps = ||(I - Pi)(J_e - J_p)||_F
+    the measured distance of e from the slice. For a member theta,
 
-        ||g(theta)|| <= ||g(theta0)|| + 2 n sigma.
+        J_theta - J_e = D + (I - Pi)(J_p - J_e),   D = Pi(J_theta - J_e),
 
-    Returns that bound and the unit Choi direction attaining sigma (None
-    when the slice is a single point). The bound is a proof up to the
-    facial-reduction and solver tolerances, not a search result.
+    and ||D||_F <= ||J_theta - J_e||_F <= 2n, since both Choi matrices are
+    PSD with trace n. X -> S_e S_X S_e has Frobenius gain ||S_e||_2^2 <= n:
+    for unital CP e, Kadison-Schwarz gives ||e(x)||_2 <= sqrt(n) ||x||_2
+    (see ``check_absorption``), and ||S_X||_F = ||X||_F. With sigma the
+    largest singular value of D -> S_e S_D S_e on span N,
+
+        ||g(theta)|| <= ||g(e)|| + 2 n sigma + n eps.
+
+    The eps term keeps this a proof when e is a member only to
+    ``TOL.certify``. Returns that bound and the unit Choi direction
+    attaining sigma (None when the slice is a single point). The bound is
+    a proof up to the facial-reduction and solver tolerances, not a search
+    result, and reads no sampled member.
     """
     se = e.superop
-    bound = _violation(e, fset.center)
-    dirs = fset.null_directions
-    if not len(dirs):
+    n, dirs = fset.n, fset.null_directions
+    k = len(dirs)
+    flat = dirs.reshape(k, fset.choi_dim**2)
+    off = (e.choi - fset.member).reshape(-1)
+    eps = frobenius(off - (flat.conj() @ off).real @ flat)
+    bound = _violation(e, e) + n * eps
+    if not k:
         return bound, None
-    k, n = len(dirs), fset.n
     s_dirs = dirs.reshape(k, n, n, n, n).transpose(0, 2, 4, 1, 3).reshape(k, n * n, n * n)
     g = (se @ s_dirs @ se).reshape(k, -1)
     u, sv, _ = np.linalg.svd(np.hstack([g.real, g.imag]), full_matrices=False)
@@ -295,39 +315,59 @@ class ChoiEffrosTable:
         }
 
 
+def _max_row_norm(a: np.ndarray) -> float:
+    """Largest Euclidean norm of a row of a: the Frobenius norm of the matrix it vectorizes."""
+    sq = np.ascontiguousarray(a).view(np.float64)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", sq, sq), initial=0.0)))
+
+
+def _product_maps(e: ChannelMap, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x -> e(x m) and x -> e(m x) for each m of a stack, as right factors on row-major vec(x).
+
+    vec(x m) = vec(x) (I (x) m), vec(m x) = vec(x) (m^T (x) I), and e acts
+    as vec(y) -> vec(y) S_e^T. Both stacks have shape (k, n^2, n^2).
+    """
+    k, n = len(mats), e.dim_in
+    eye = np.eye(n)
+    st = e.superop.T
+    right = np.einsum("pq,kab->kpaqb", eye, mats).reshape(k, n * n, n * n) @ st
+    left = np.einsum("kqp,ab->kpaqb", mats, eye).reshape(k, n * n, n * n) @ st
+    return right, left
+
+
 def choi_effros_table(e: ChannelMap, f_basis: SubspaceBasis) -> ChoiEffrosTable:
-    """Expand x . y = e(x y) over the basis of F = range(e)."""
+    """Expand x . y = e(x y) over the basis m_1..m_d of F = range(e).
+
+    Batched over the basis in row-major vec coordinates (``_product_maps``).
+    Concatenated over l, the maps x -> e(x m_l) form one (n^2, d n^2)
+    matrix R, so the products e(m_i m_j) are the rows of vecs R, and the
+    coefficients c[i, j, k] = <m_k, e(m_i m_j)> and their reconstruction
+    are one product each. Each residual is a maximum over the same terms as
+    the entrywise definition: closure over (i, j), unit over m_k (both
+    sides), and associativity ||e(e(m_i m_j) m_l) - e(m_i e(m_j m_l))||_F
+    over (i, j, l), taken one i at a time so that memory stays at d^2 n^2.
+    """
     _require_unital_cp(e, "choi_effros_table")
-    mats = f_basis.mats
-    drift = max(frobenius(e.apply(m) - m) for m in mats)
+    n, d, vecs = e.dim_in, f_basis.dim, f_basis.vecs()
+    drift = _max_row_norm(vecs @ e.superop.T - vecs)
     if drift > TOL.certify:
         raise ValueError(
             f"choi_effros_table: basis is not fixed by e (drift {drift:.3e}); "
             "pass the range of e"
         )
-    d = len(mats)
-    prods = [[e.apply(mats[i] @ mats[j]) for j in range(d)] for i in range(d)]
-    c = np.zeros((d, d, d), dtype=complex)
-    closure = 0.0
-    for i in range(d):
-        for j in range(d):
-            recon = np.zeros_like(prods[i][j])
-            for k in range(d):
-                c[i, j, k] = np.trace(mats[k].conj().T @ prods[i][j])
-                recon = recon + c[i, j, k] * mats[k]
-            closure = max(closure, frobenius(prods[i][j] - recon))
+    times, times_left = _product_maps(e, f_basis.mats)
+    times = times.transpose(1, 0, 2).reshape(n * n, d * n * n)  # R
+    prods = (vecs @ times).reshape(d * d, n * n)  # row (i, j): e(m_i m_j)
+    c = prods @ vecs.conj().T
+    closure = _max_row_norm(prods - c @ vecs)
     assoc = 0.0
     for i in range(d):
-        for j in range(d):
-            for l in range(d):
-                left = e.apply(prods[i][j] @ mats[l])
-                right = e.apply(mats[i] @ prods[j][l])
-                assoc = max(assoc, frobenius(left - right))
-    u = e.apply(np.eye(e.dim_in))
-    unit = 0.0
-    for m in mats:
-        unit = max(unit, frobenius(e.apply(u @ m) - m), frobenius(e.apply(m @ u) - m))
-    return ChoiEffrosTable(c, assoc, unit, closure)
+        left = (prods[i * d : (i + 1) * d] @ times).reshape(d * d, n * n)  # row (j, l): e(e(m_i m_j) m_l)
+        right = prods @ times_left[i]  # row (j, l): e(m_i e(m_j m_l))
+        assoc = max(assoc, _max_row_norm(left - right))
+    unit_right, unit_left = _product_maps(e, e.apply(np.eye(n))[None])
+    unit = max(_max_row_norm(vecs @ unit_left[0] - vecs), _max_row_norm(vecs @ unit_right[0] - vecs))
+    return ChoiEffrosTable(c.reshape(d, d, d), assoc, unit, closure)
 
 
 # ------------------------------------------------------------------------

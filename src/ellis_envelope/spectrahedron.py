@@ -342,10 +342,12 @@ class FeasibleSet:
 
     @cached_property
     def center(self) -> ChannelMap:
-        """Average of ``CENTER_SAMPLES`` sampled members (fixed seeds).
+        """Reference point of a descent step; the certified path does not read it.
 
-        Interior to the face whenever the facial reduction found the smallest
-        face, so its compression is then positive definite.
+        The average of ``CENTER_SAMPLES`` sampled members (fixed seeds),
+        computed on first use. Interior to the face whenever the facial
+        reduction found the smallest face, so its compression is then
+        positive definite.
         """
         choi = sum(sample(self, k).choi for k in range(CENTER_SAMPLES)) / CENTER_SAMPLES
         return ChannelMap(self.n, self.n, herm(choi))

@@ -5,17 +5,21 @@ Oracle strategy: the lift dimensions follow from block orthogonality
 the worked examples are known subalgebras reachable without the solver:
 the diagonal algebra for diagonal systems, the ambient identity map for
 rigid systems, a one-dimensional corner for span{E_12}. Multiplication
-tables are compared against directly expanded matrix products.
+tables are compared against directly expanded matrix products and against
+``reference_choi_effros_table``, the entrywise definition with one
+``e.apply`` per term.
 """
 
 import json
 
 import numpy as np
 import pytest
-from conftest import lift_kraus, random_unital_kraus, random_unitary, subspace_equal
+from conftest import lift_kraus, random_hermitian, random_unital_kraus, random_unitary, subspace_equal
 
+from ellis_envelope.boundary import build_T_set, compute_boundary
 from ellis_envelope.channels import (
     ChannelMap,
+    cesaro_idempotent,
     check_structure,
     compose,
     random_unital_channel,
@@ -33,7 +37,7 @@ from ellis_envelope.envelope import (
     seed_idempotent,
 )
 from ellis_envelope.linalg import SubspaceBasis, frobenius
-from ellis_envelope.spectrahedron import OperatorSubspace, build_system_set, sample
+from ellis_envelope.spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,6 +79,23 @@ def d2_set(d2_space):
 @pytest.fixture(scope="module")
 def d2_result(d2_space):
     return compute_envelope(d2_space, seed=0)
+
+
+@pytest.fixture(scope="module")
+def span_i_m2_set():
+    return build_system_set(OperatorSubspace.from_matrices([I2]))
+
+
+@pytest.fixture(scope="module")
+def corner_lift_set():
+    return build_system_set(paulsen_lift(OperatorSubspace.from_matrices([E12])))
+
+
+@pytest.fixture(scope="module")
+def diag_unitary_t3_set():
+    # UCP maps on M_3 absorbed by conjugation with diag(1, w, w^2), w^3 = 1
+    u = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    return build_T_set(OperatorSubspace.from_matrices([np.eye(3)]), ChannelMap.conjugation(u))
 
 
 # ------------------------------------------------------------------------
@@ -162,16 +183,74 @@ def violation(e, theta):
     return frobenius(se @ theta.superop @ se - se)
 
 
-def test_minimality_bound_dominates_every_sampled_member(d2_set):
-    # the identity is not minimal: the bound must be positive and no member
-    # may exceed it; at the minimal pinching it vanishes
-    e = ChannelMap.identity(2)
-    bound, _ = probe_minimality(e, d2_set)
-    assert bound > 1e-3
-    for seed in range(6):
-        assert violation(e, sample(d2_set, seed=seed)) <= bound + 1e-8
-    assert violation(e, ChannelMap.pinching(2)) <= bound + 1e-8
-    assert probe_minimality(ChannelMap.pinching(2), d2_set)[0] <= 1e-9
+@pytest.mark.parametrize("set_name", ["d2_set", "span_i_m2_set", "corner_lift_set", "diag_unitary_t3_set"])
+def test_minimality_bound_dominates_every_sampled_member(request, set_name):
+    # the bound of e dominates the violation at every member, for the set's
+    # known member J_p (not minimal: the identity, or the absorbing channel's
+    # Cesaro idempotent) and for the certified idempotent; and it still does
+    # when e's Choi matrix sits 1e-7 off the affine slice, which the n eps
+    # term of the bound pays for
+    fset = request.getfixturevalue(set_name)
+    n = fset.n
+    members = [sample(fset, seed=seed) for seed in range(20)]
+    minimal = descend_to_minimal(fset, seed_idempotent(members[0], fset))
+    assert minimal.certificate == "certified"
+    known = ChannelMap(n, n, fset.member)
+    assert probe_minimality(known, fset)[0] > 1e-3
+    assert probe_minimality(minimal.idempotent, fset)[0] <= 1e-9
+    off = fset.law_project(random_hermitian(np.random.default_rng(1), n * n))
+    off *= 1e-7 / frobenius(off)
+    for e in (known, minimal.idempotent):
+        for shift in (0.0, off):
+            moved = ChannelMap(n, n, e.choi + shift)
+            bound, _ = probe_minimality(moved, fset)
+            for theta in members:
+                assert violation(moved, theta) <= bound + 1e-10
+
+
+class CenterRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "mats, seed, phi, rank",
+    [
+        *(
+            pytest.param(mats, seed, None, rank, id=f"{name}-{seed}")
+            for name, mats, rank in [
+                ("rigid", [I2, SX, SZ], 4),
+                ("diag_m2", diag_units(2), 2),
+                ("diag_m3", diag_units(3), 3),
+                ("span_i_m2", [I2], 1),
+                ("span_i_m3", [np.eye(3)], 1),
+            ]
+            for seed in (0, 3)
+        ),
+        pytest.param(diag_units(2), 0, ChannelMap.pinching(2), 2, id="pinching_boundary"),
+        # these take a descent step, which starts from the center
+        pytest.param([E12], 3, None, None, id="corner-3"),
+        pytest.param([I2], 0, ChannelMap.conjugation(SZ), None, id="conj_sz_boundary"),
+    ],
+)
+def test_certified_envelopes_read_no_center(monkeypatch, mats, seed, phi, rank):
+    # a seed idempotent that is already minimal is certified from e itself:
+    # only a descent step reads the sampled center
+    def center(self):
+        raise CenterRead
+
+    monkeypatch.setattr(FeasibleSet, "center", property(center))
+    space = OperatorSubspace.from_matrices(mats)
+
+    def run():
+        return compute_envelope(space, seed=seed) if phi is None else compute_boundary(space, phi)
+
+    if rank is None:
+        with pytest.raises(CenterRead):
+            run()
+        return
+    res = run()
+    assert res.certificate == "certified"
+    assert res.rank == rank
 
 
 def test_minimality_direction_stays_in_the_affine_slice(d2_set):
@@ -429,3 +508,89 @@ def test_choi_effros_json_roundtrippable():
     assert obj["associativity_residual"] <= 1e-12
     json.dumps(obj)
     assert isinstance(table, ChoiEffrosTable)
+
+
+def reference_choi_effros_table(e, f_basis):
+    """The entrywise definition of ``choi_effros_table``: one ``e.apply`` per term."""
+    mats = f_basis.mats
+    d = len(mats)
+    prods = [[e.apply(mats[i] @ mats[j]) for j in range(d)] for i in range(d)]
+    c = np.zeros((d, d, d), dtype=complex)
+    closure = 0.0
+    for i in range(d):
+        for j in range(d):
+            recon = np.zeros_like(prods[i][j])
+            for k in range(d):
+                c[i, j, k] = np.trace(mats[k].conj().T @ prods[i][j])
+                recon = recon + c[i, j, k] * mats[k]
+            closure = max(closure, frobenius(prods[i][j] - recon))
+    assoc = 0.0
+    for i in range(d):
+        for j in range(d):
+            for l in range(d):
+                left = e.apply(prods[i][j] @ mats[l])
+                right = e.apply(mats[i] @ prods[j][l])
+                assoc = max(assoc, frobenius(left - right))
+    u = e.apply(np.eye(e.dim_in))
+    unit = 0.0
+    for m in mats:
+        unit = max(unit, frobenius(e.apply(u @ m) - m), frobenius(e.apply(m @ u) - m))
+    return ChoiEffrosTable(c, assoc, unit, closure)
+
+
+def _ergodic_repeated_unitary_m5():
+    # conjugation by a unitary with eigenvalue multiplicities (2, 2, 1): its
+    # ergodic idempotent is the expectation onto the commutant, d = 4 + 4 + 1
+    q = random_unitary(np.random.default_rng(5), 5)
+    u = q @ np.diag(np.exp(1j * np.array([0.3, 0.3, 1.7, 1.7, 4.1]))) @ q.conj().T
+    e = cesaro_idempotent(ChannelMap.conjugation(u)).idempotent
+    return e, e.range_basis()
+
+
+def _noisy_identity_m2():
+    # CP, 1e-8 off unital and off idempotent, in a basis not closed under
+    # the adjoint: every residual is well above rounding, the two unit sides
+    # differ, and the largest associativity term has i > 0
+    rng = np.random.default_rng(9)
+    g = random_unitary(rng, 4)[:, :2]
+    e = ChannelMap(2, 2, ChannelMap.identity(2).choi + 1e-8 * g @ g.conj().T)
+    return e, SubspaceBasis(random_unitary(rng, 4).T.reshape(4, 2, 2))
+
+
+def _noisy_pinching_m3():
+    # the same noise on a map with a proper range: the closure residual too
+    g = random_unitary(np.random.default_rng(3), 9)[:, :4]
+    e = ChannelMap(3, 3, ChannelMap.pinching(3).choi + 1e-8 * g @ g.conj().T)
+    return e, SubspaceBasis(np.stack(diag_units(3)))
+
+
+def _envelope_idempotent(mats):
+    e = compute_envelope(OperatorSubspace.from_matrices(mats), seed=0).idempotent
+    return e, e.range_basis()
+
+
+def _rigid_m4_mats():
+    rng = np.random.default_rng(4)
+    x, y = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    return [np.eye(4), x, x.conj().T, y, y.conj().T]
+
+
+@pytest.mark.parametrize(
+    "make, dim",
+    [
+        pytest.param(lambda: (ChannelMap.identity(3), SubspaceBasis(np.stack(matrix_units(3)))), 9, id="identity_m3"),
+        pytest.param(lambda: (ChannelMap.pinching(4), SubspaceBasis(np.stack(diag_units(4)))), 4, id="pinching_m4"),
+        pytest.param(_ergodic_repeated_unitary_m5, 9, id="ergodic_unitary_m5"),
+        pytest.param(lambda: _envelope_idempotent([E12]), 4, id="corner_lift"),
+        pytest.param(lambda: _envelope_idempotent(_rigid_m4_mats()), 16, id="rigid_m4"),
+        pytest.param(_noisy_identity_m2, 4, id="noisy_identity_m2"),
+        pytest.param(_noisy_pinching_m3, 3, id="noisy_pinching_m3"),
+    ],
+)
+def test_batched_choi_effros_table_matches_the_entrywise_definition(make, dim):
+    e, basis = make()
+    assert basis.dim == dim
+    got, want = choi_effros_table(e, basis), reference_choi_effros_table(e, basis)
+    assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-13
+    for name in ("associativity_residual", "unit_residual", "closure_residual"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13
