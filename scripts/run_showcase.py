@@ -101,6 +101,15 @@ def diag5_envelope():
     return f"rank={res.rank} certificate={res.certificate}"
 
 
+def span_i8_envelope():
+    # span{I} in M_8: the set has the full face, so the minimality bound is
+    # the closed form of two 64 x 64 spectral norms; the envelope is C
+    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(8)]), seed=0)
+    if res.certificate != "certified" or res.rank != 1:
+        raise SystemExit(f"span{{I}} in M_8: {res.certificate} at rank {res.rank}, expected certified rank 1")
+    return f"rank={res.rank} rigidity={res.rigidity_violation:.1e}"
+
+
 def rigid6_envelope():
     # span{I, x, x^*, y, y^*} with random x, y is rigid in M_6: the envelope
     # is all of M_6, and the multiplication table has 36^3 entries
@@ -167,6 +176,7 @@ def main() -> None:
     timed("envelope of span{I, sx, sz} (rigid)", rigid_envelope)
     timed("envelope of span{E_12} via corner lift", corner_envelope)
     timed("envelope of span{I, diag(d)} in M_5", diag5_envelope)
+    timed("envelope of span{I} in M_8", span_i8_envelope)
     timed("envelope of span{I,x,x*,y,y*} in M_6 (rigid)", rigid6_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
     timed("T-set in M_8: build and project an estimate", t8_projection)

@@ -359,23 +359,20 @@ def _iterative_ergodic_projection(s: np.ndarray) -> tuple[np.ndarray, list[tuple
     )
 
 
-def cesaro_idempotent(
-    phi: ChannelMap, mode: str = "spectral", sv_rtol: float = TOL.fixed_space
-) -> ErgodicResult:
+def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
     """Ergodic (Cesaro) idempotent of a unital CP map.
 
     mode: "spectral" (exact up to linear algebra, default), "iterative"
     (doubling Cesaro averages), or "both" (run both, cross-check to ``TOL.ucp``,
-    report the spectral result with the agreement distance). ``sv_rtol`` is
-    the fixed-space detection threshold of the spectral mode; callers working
-    with maps known only to ~1e-8 (e.g. projected samples) may loosen it.
+    report the spectral result with the agreement distance). The fixed space
+    is detected at ``TOL.fixed_space``, as in ``fixed_space``.
     """
     if mode not in ("spectral", "iterative", "both"):
         raise ValueError(f"cesaro_idempotent: unknown mode {mode!r}")
     _require_unital_cp(phi, "cesaro_idempotent")
     s = phi.superop
     # one SVD of I - s serves the spectral projection and the fixed basis
-    k, l = _ergodic_kernels(s, sv_rtol, "cesaro_idempotent")
+    k, l = _ergodic_kernels(s, TOL.fixed_space, "cesaro_idempotent")
     agreement = None
     if mode == "spectral":
         p = _spectral_ergodic_projection(k, l)

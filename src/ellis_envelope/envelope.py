@@ -38,14 +38,11 @@ from .channels import (
     _require_unital_cp,
     cesaro_idempotent,
     compose,
+    superop_to_choi,
 )
 from .linalg import SubspaceBasis, frobenius, herm, hermitian_eig, matrix_to_json
 from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
 from .tolerances import TOL
-
-# Fixed-space thresholds ``seed_idempotent`` tries in turn, finest first.
-SEED_SV_RTOLS = (TOL.fixed_space, 1e-6)
-
 
 # ------------------------------------------------------------------------
 # two-by-two corner lift
@@ -98,18 +95,12 @@ def corner_extract(big: ChannelMap) -> ChannelMap:
             raise ValueError(
                 f"corner_extract: map moves corner projection {which} by {drift:.3e}"
             )
-    s = np.zeros((n * n, n * n), dtype=complex)
-    worst = 0.0
-    for r in range(n):
-        for q in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[r, q] = 1.0
-            z = big.apply(_embed_corner(unit, n))
-            block = z[:n, n:]
-            rest = z.copy()
-            rest[:n, n:] = 0.0
-            worst = max(worst, frobenius(rest))
-            s[:, r * n + q] = block.reshape(-1)
+    # columns of S_big at the corner units: rows (a, n+b) are the map, the rest leaks
+    cols = big.superop.reshape(2 * n, 2 * n, 2 * n, 2 * n)[:, :, :n, n:]
+    s = cols[:n, n:].reshape(n * n, n * n)
+    leak = np.abs(cols) ** 2
+    leak[:n, n:] = 0.0
+    worst = float(np.sqrt(leak.sum(axis=(0, 1)).max()))
     if worst > TOL.solver:
         raise ValueError(f"corner_extract: corner leakage {worst:.3e} > {TOL.solver:.1e}")
     return ChannelMap.from_superop(s, n, n)
@@ -129,41 +120,79 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarra
 
     e must be unital CP and a member of ``fset`` (to tolerance); it is its
     own reference point. g(theta) = S_e S_theta S_e - S_e is affine in
-    theta. Every member's Choi matrix lies in the affine slice J_p + span N,
-    J_p = ``fset.member`` and N = ``fset.null_directions``; let Pi be the
-    orthogonal projection onto span N and eps = ||(I - Pi)(J_e - J_p)||_F
+    theta. Every member's Choi matrix lies in the affine slice J_p + H,
+    J_p = ``fset.member`` and H the Hermitian part of range(P), P the law
+    projector of ``FeasibleSet``; let eps = ||(I - Pi_H)(J_e - J_p)||_F be
     the measured distance of e from the slice. For a member theta,
 
-        J_theta - J_e = D + (I - Pi)(J_p - J_e),   D = Pi(J_theta - J_e),
+        J_theta - J_e = D + (I - Pi_H)(J_p - J_e),   D = Pi_H(J_theta - J_e),
 
     and ||D||_F <= ||J_theta - J_e||_F <= 2n, since both Choi matrices are
     PSD with trace n. X -> S_e S_X S_e has Frobenius gain ||S_e||_2^2 <= n:
     for unital CP e, Kadison-Schwarz gives ||e(x)||_2 <= sqrt(n) ||x||_2
     (see ``check_absorption``), and ||S_X||_F = ||X||_F. With sigma the
-    largest singular value of D -> S_e S_D S_e on span N,
+    largest singular value of L: D -> S_e S_D S_e on H,
 
         ||g(theta)|| <= ||g(e)|| + 2 n sigma + n eps.
 
     The eps term keeps this a proof when e is a member only to
-    ``TOL.certify``. Returns that bound and the unit Choi direction
-    attaining sigma (None when the slice is a single point). The bound is
-    a proof up to the facial-reduction and solver tolerances, not a search
-    result, and reads no sampled member.
+    ``TOL.certify``. Returns that bound and a unit Hermitian Choi direction
+    in H attaining sigma (None when H = {0}). The bound is a proof up to
+    the facial-reduction and solver tolerances, not a search result, and
+    reads no sampled member.
+
+    On a proper face, sigma is the top singular value of L on the basis
+    ``fset.null_directions`` of H. On the full face, range(P) = {D : R_D =
+    P_in R_D P_out}, R the reshuffle, and S_D = R_D^T, so L(D) = A S_D B
+    with A = S_e P_out^T and B = P_in^T S_e. Over complex D in range(P),
+    which contains H, the sup of ||L(D)||_F / ||D||_F is ||A||_2 ||B||_2,
+    attained at S_D = v_A u_B^* (top right singular vector of A, top left
+    one of B). It equals sigma: P is Hermitian-preserving, so range(P) =
+    H + iH, and for X, Y in H and CP e the maps L(X), L(Y) have Hermitian
+    Choi matrices with a real inner product, so ||L(X + iY)||^2 = ||L(X)||^2 +
+    ||L(Y)||^2 <= sigma^2 ||X + iY||^2. Each Hermitian part of the
+    attaining D thus attains sigma; the larger is returned, never one of
+    rounding size. As P is an orthogonal projector, eps =
+    ||``fset.law_project``(J_e - J_p)||_F there.
     """
+    probe = _full_face_probe if fset.face_dim == fset.choi_dim else _slice_probe
+    eps, sigma, direction = probe(e, fset)
+    return _violation(e, e) + fset.n * eps + 2 * fset.n * sigma, direction
+
+
+def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float, np.ndarray | None]:
+    """eps, sigma and direction of ``probe_minimality`` from the basis ``fset.null_directions``."""
     se = e.superop
     n, dirs = fset.n, fset.null_directions
     k = len(dirs)
     flat = dirs.reshape(k, fset.choi_dim**2)
     off = (e.choi - fset.member).reshape(-1)
     eps = frobenius(off - (flat.conj() @ off).real @ flat)
-    bound = _violation(e, e) + n * eps
     if not k:
-        return bound, None
+        return eps, 0.0, None
     s_dirs = dirs.reshape(k, n, n, n, n).transpose(0, 2, 4, 1, 3).reshape(k, n * n, n * n)
     g = (se @ s_dirs @ se).reshape(k, -1)
     u, sv, _ = np.linalg.svd(np.hstack([g.real, g.imag]), full_matrices=False)
-    direction = np.tensordot(u[:, 0], dirs, axes=1)
-    return bound + 2 * n * float(sv[0]), direction
+    return eps, float(sv[0]), np.tensordot(u[:, 0], dirs, axes=1)
+
+
+def _full_face_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float, np.ndarray]:
+    """eps, sigma and direction of ``probe_minimality`` in closed form on the full face.
+
+    ||A||_2 = ||S_e Q_out||_2 and ||B||_2 = ||Q_in^* S_e||_2 for orthonormal
+    bases Q of the projectors' ranges, so the singular vectors stay in those
+    ranges even where sigma is of rounding size.
+    """
+    se, n, eye = e.superop, fset.n, np.eye(fset.choi_dim)
+    eps = frobenius(fset.law_project(e.choi - fset.member))
+    # P^T = I - conj(C) C^T has the eigenvalue 0 on the k columns of C and 1 on the rest
+    q_in, q_out = (np.linalg.eigh(eye - c.conj() @ c.T)[1][:, c.shape[1] :] for c in (fset.span_in, fset.span_out))
+    _, sa, vha = np.linalg.svd(se @ q_out)
+    ub, sb, _ = np.linalg.svd(q_in.conj().T @ se)
+    x = np.outer(q_out @ vha[0].conj(), (q_in @ ub[:, 0]).conj())  # S_D = v_A u_B^*
+    d = superop_to_choi(x, n, n)
+    best = max((herm(d), herm(-1j * d)), key=frobenius)
+    return eps, float(sa[0] * sb[0]), best / frobenius(best)
 
 
 def _smaller_idempotent(
@@ -214,28 +243,22 @@ def _member_idempotent(e: ChannelMap, fset: FeasibleSet) -> bool:
 
 
 def seed_idempotent(theta: ChannelMap, fset: FeasibleSet) -> ChannelMap:
-    """Ergodic idempotent of a member, robust to projection-level noise.
+    """Ergodic idempotent of a member, checked to be an idempotent unital CP member.
 
-    Projected members are exact to rounding, but if noise lifts a fixed
-    direction of S_theta - I above the finest threshold (near-identity
-    samples from very rigid sets), retry with the coarser one until the
-    result is an idempotent unital CP member to the tolerances
-    ``choi_effros_table`` requires later; every rung is checked, so
-    loosening cannot produce a bad seed.
+    The check applies the tolerances ``choi_effros_table`` requires later.
+    A Cesaro failure, or a result that fails the check, raises
+    ``NonConvergenceError`` with history [(0, residual)]: the worst
+    membership residual, or inf when no idempotent was produced.
     """
-    failures: list[tuple[int, float]] = []
-    for k, sv_rtol in enumerate(SEED_SV_RTOLS):
-        try:
-            e = cesaro_idempotent(theta, sv_rtol=sv_rtol).idempotent
-        except (ValueError, NonConvergenceError):
-            failures.append((k, np.inf))
-            continue
+    try:
+        e = cesaro_idempotent(theta).idempotent
+    except (ValueError, NonConvergenceError):
+        worst = np.inf
+    else:
         if _member_idempotent(e, fset):
             return e
-        failures.append((k, fset.membership(e).worst))
-    raise NonConvergenceError(
-        "seed_idempotent: no threshold produced an idempotent member", failures
-    )
+        worst = fset.membership(e).worst
+    raise NonConvergenceError("seed_idempotent: the ergodic idempotent is not an idempotent member", [(0, worst)])
 
 
 @dataclass(frozen=True)

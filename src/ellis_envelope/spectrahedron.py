@@ -79,15 +79,9 @@ def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def herm_to_real(j: np.ndarray) -> np.ndarray:
-    upper = j[_triu(j.shape[0])]
-    return np.concatenate(
-        [np.real(np.diag(j)), np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
-    )
-
-
 def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of ``herm_to_real``; a stack of coordinate rows gives a stack of matrices."""
+    """Hermitian matrix (or stack) from isometric real coordinates: the diagonal, then
+    sqrt(2) Re and sqrt(2) Im of the strict upper triangle, row-major."""
     k = d * (d - 1) // 2
     j = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
     j[(..., *_triu(d))] = (r[..., d : d + k] + 1j * r[..., d + k :]) / np.sqrt(2.0)
@@ -183,20 +177,6 @@ def _row_span(a: np.ndarray) -> np.ndarray:
     """
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     return vh[: int(np.sum(s > TOL.affine_rcond * s[0]))].conj().T
-
-
-def _hermitian_range(u: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal Hermitian matrices, shape (k, n, n), spanning range(I - u u^*) in vec(M_n).
-
-    The range must be closed under x -> x^*. The vectorized real-coordinate
-    basis of ``herm_to_real`` is a unitary t, and t^* (I - u u^*) t is then a
-    real symmetric projector whose eigenvectors are the coordinates of
-    Hermitian matrices.
-    """
-    t = real_to_herm(np.eye(n * n), n).reshape(n * n, n * n).T
-    ut = u.conj().T @ t
-    w, a = np.linalg.eigh(np.eye(n * n) - (ut.conj().T @ ut).real)
-    return real_to_herm(a[:, w > 0.5].T, n)
 
 
 def _structural_face(laws, n: int) -> np.ndarray:
@@ -320,17 +300,12 @@ class FeasibleSet:
         """Orthonormal Hermitian basis, shape (k, d, d), of the face directions D with P(D) = D.
 
         Every member differs from every other by a combination of these:
-        they span the affine slice the set lies in. On the full face they
-        are J4[i,a,j,b] = h[i,j] g[a,b] for orthonormal Hermitian bases h of
-        range(P_in) and g of range(P_out^T) = range(I - conj(W) W^T).
-        Otherwise they are the kernel of the face law map Y -> (U^* R, R W),
-        R the reshuffle of V Y V^*, over the real coordinates of Y.
+        they span the affine slice the set lies in. They are the kernel of
+        the face law map Y -> (U^* R, R W), R the reshuffle of V Y V^*, over
+        the real coordinates of Y: an SVD of r^2 rows. ``probe_minimality``
+        reads them on proper faces only.
         """
-        n, d, r = self.n, self.choi_dim, self.face_dim
-        if r == d:
-            h = _hermitian_range(self.span_in, n)
-            g = _hermitian_range(self.span_out.conj(), n)
-            return np.einsum("kij,lab->kliajb", h, g).reshape(-1, d, d)
+        n, r = self.n, self.face_dim
         rows = _shuffle(self.expand(real_to_herm(np.eye(r * r), r)), n)
         defect = np.concatenate(
             [(self.span_in.conj().T @ rows).reshape(r * r, -1), (rows @ self.span_out).reshape(r * r, -1)],

@@ -286,8 +286,8 @@ def test_cesaro_nonconvergence_exits_two(capsys, inputs, monkeypatch):
 
 
 def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
-    # every rung of seed_idempotent fails outright and its history marks each
-    # with an infinite residual, which strict JSON cannot carry
+    # seed_idempotent's one Cesaro attempt fails outright and its history
+    # marks it with an infinite residual, which strict JSON cannot carry
     def refuse(*args, **kwargs):
         raise ValueError("forced")
 
@@ -296,7 +296,7 @@ def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
     assert code == 2
     assert out == ""
     diag = nonconvergence_diagnostics(err)
-    assert [r for _, r in diag["history_tail"]] == [None] * len(envelope.SEED_SV_RTOLS)
+    assert [r for _, r in diag["history_tail"]] == [None]
 
 
 def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):

@@ -10,6 +10,7 @@ tables are compared against directly expanded matrix products and against
 ``e.apply`` per term.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,8 +25,8 @@ from ellis_envelope.channels import (
     compose,
     random_unital_channel,
 )
-from ellis_envelope import spectrahedron
-from ellis_envelope.channels import _require_unital_cp
+from ellis_envelope import envelope, spectrahedron
+from ellis_envelope.channels import _require_unital_cp, choi_to_superop
 from ellis_envelope.envelope import (
     ChoiEffrosTable,
     choi_effros_table,
@@ -38,6 +39,7 @@ from ellis_envelope.envelope import (
 )
 from ellis_envelope.linalg import SubspaceBasis, frobenius
 from ellis_envelope.spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
+from ellis_envelope.tolerances import TOL
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,6 +171,45 @@ def test_corner_extract_rejects_leakage():
         corner_extract(ChannelMap.transpose_map(4))
 
 
+def corner_by_loop(big):
+    """Reference corner map and leakage: one ``big.apply`` per matrix unit of the corner."""
+    n = big.dim_in // 2
+    s = np.zeros((n * n, n * n), dtype=complex)
+    worst = 0.0
+    for r in range(n):
+        for q in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[r, q] = 1.0
+            z = big.apply(corner_embed(unit))
+            s[:, r * n + q] = z[:n, n:].reshape(-1)
+            z[:n, n:] = 0.0
+            worst = max(worst, frobenius(z))
+    return s, worst
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_corner_extract_matches_the_loop_on_lifted_idempotents(seed):
+    big = compute_envelope(OperatorSubspace.from_matrices([E12]), seed=seed).idempotent
+    s, worst = corner_by_loop(big)
+    assert worst <= TOL.solver
+    assert np.max(np.abs(corner_extract(big).superop - s)) <= 1e-15
+
+
+def test_corner_extract_measures_leakage_as_the_loop_does():
+    # (1 - t) id + t transpose fixes both corner projections and leaks t of
+    # every corner unit into the opposite corner
+    ident, transpose = ChannelMap.identity(4), ChannelMap.transpose_map(4)
+    for t, leaks in ((0.5 * TOL.solver, False), (1.5 * TOL.solver, True)):
+        big = ChannelMap(4, 4, (1 - t) * ident.choi + t * transpose.choi)
+        s, worst = corner_by_loop(big)
+        assert worst == pytest.approx(t, rel=1e-9)
+        if leaks:
+            with pytest.raises(ValueError, match=f"leakage {worst:.3e}"):
+                corner_extract(big)
+        else:
+            assert np.max(np.abs(corner_extract(big).superop - s)) <= 1e-15
+
+
 def test_corner_extract_needs_even_ambient():
     with pytest.raises(ValueError, match="M_.2n."):
         corner_extract(ChannelMap.identity(3))
@@ -206,6 +247,60 @@ def test_minimality_bound_dominates_every_sampled_member(request, set_name):
             bound, _ = probe_minimality(moved, fset)
             for theta in members:
                 assert violation(moved, theta) <= bound + 1e-10
+
+
+def diag_unitary_t_set(n):
+    u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return build_T_set(OperatorSubspace.from_matrices([np.eye(n)]), ChannelMap.conjugation(u))
+
+
+FULL_FACE_SETS = [
+    *[(f"span_i_m{n}", lambda n=n: build_system_set(OperatorSubspace.from_matrices([np.eye(n)]))) for n in (2, 3, 4)],
+    *[(f"diag_unitary_t{n}", lambda n=n: diag_unitary_t_set(n)) for n in (3, 4)],
+    # the rigid system without facial reduction: at the identity the attaining
+    # D comes out anti-Hermitian, so only its part herm(-i D) can be returned
+    (
+        "rigid_unreduced",
+        lambda: dataclasses.replace(
+            build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ])), face=np.eye(4, dtype=complex)
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in FULL_FACE_SETS], ids=[name for name, _ in FULL_FACE_SETS])
+def test_full_face_closed_form_equals_the_slice_svd(build):
+    # on the full face, sigma = ||S_e P_out^T||_2 ||P_in^T S_e||_2 and eps =
+    # ||law_project(J_e - J_p)||_F are the values the SVD over the general
+    # null_directions basis gives, at every e, not only at a minimal one;
+    # the direction is a unit Hermitian slice direction that L moves by sigma
+    fset = build()
+    n = fset.n
+    assert fset.face_dim == fset.choi_dim
+    theta = sample(fset, seed=0)
+    candidates = [
+        ChannelMap.identity(n),
+        ChannelMap.pinching(n),
+        ChannelMap.trace_state(n),
+        ChannelMap(n, n, fset.member),
+        cesaro_idempotent(theta).idempotent,
+        seed_idempotent(theta, fset),
+        random_unital_channel(np.random.default_rng(n), n),  # complex, with sigma != 1
+    ]
+    for e in candidates:
+        eps, sigma, direction = envelope._full_face_probe(e, fset)
+        eps_ref, sigma_ref, _ = envelope._slice_probe(e, fset)
+        assert abs(eps - eps_ref) <= 1e-13
+        if e.rank() > 1:
+            assert sigma == pytest.approx(sigma_ref, rel=1e-12)
+        else:
+            assert max(sigma, sigma_ref) <= 1e-13
+        assert abs(frobenius(direction) - 1.0) <= 1e-12
+        assert frobenius(direction - direction.conj().T) <= 1e-12
+        assert frobenius(fset.law_project(direction)) <= 1e-12
+        if e.rank() > 1:
+            moved = frobenius(e.superop @ choi_to_superop(direction, n, n) @ e.superop)
+            assert moved == pytest.approx(sigma, rel=1e-9)
 
 
 class CenterRead(Exception):

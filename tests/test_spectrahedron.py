@@ -34,11 +34,11 @@ from ellis_envelope.spectrahedron import (
     OperatorSubspace,
     _pair_bounds,
     _structural_face,
+    _triu,
     build_system_set,
     cb_norm,
     cb_norm_bracket,
     dykstra_project,
-    herm_to_real,
     maximize_linear,
     real_to_herm,
     sample,
@@ -217,6 +217,12 @@ def laws_of(n, xs, s_psi):
     if s_psi is not None:
         laws.append(("absorb", s_psi - np.eye(n * n)))
     return laws
+
+
+def herm_to_real(j):
+    """Real coordinates of a Hermitian matrix, the inverse of ``real_to_herm``."""
+    upper = j[_triu(j.shape[0])]
+    return np.concatenate([np.real(np.diag(j)), np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag])
 
 
 def reference_null_space(a):
