@@ -7,9 +7,10 @@ non-zero if the Cesaro idempotent of a random unital channel on M_20 has an
 absorption bound or a spectral/iterative disagreement above 1e-7, the
 span{I, diag(d)} envelope is not certified at rank 2, the rigid
 span{I, x, x^*, y, y^*} envelope in M_6 is not certified at rank 36 with a
-Choi-Effros associativity residual at most 1e-10, the projection of a
-noisy channel estimate onto the T-set in M_8 is not a member, or the
-cb-norm bracket of the non-CP map on M_3 stays open.
+Choi-Effros associativity residual at most 1e-10, the boundary of a
+diagonal unitary on M_6 relative to span{I} is not certified at rank 1,
+the projection of a noisy channel estimate onto the T-set in M_8 is not a
+member, or the cb-norm bracket of the non-CP map on M_3 stays open.
 """
 
 import time
@@ -76,18 +77,18 @@ def diagonal_envelope():
     diag2 = OperatorSubspace.from_matrices(
         [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
     )
-    env = compute_envelope(diag2, seed=0)
+    env = compute_envelope(diag2)
     return f"rank={env.rank} certificate={env.certificate}"
 
 
 def rigid_envelope():
-    res = compute_envelope(OperatorSubspace.from_matrices([I2, SX, SZ]), seed=0)
+    res = compute_envelope(OperatorSubspace.from_matrices([I2, SX, SZ]))
     return f"rank={res.rank} rigidity={res.rigidity_violation:.1e}"
 
 
 def corner_envelope():
     space = OperatorSubspace.from_matrices([np.array([[0, 1], [0, 0]], dtype=complex)])
-    res = compute_envelope(space, seed=0)
+    res = compute_envelope(space)
     return f"rank={res.rank} mode={res.mode} certificate={res.certificate}"
 
 
@@ -95,7 +96,7 @@ def diag5_envelope():
     # span{I, diag(d)} in M_5: the envelope is C^2 (the two extreme
     # eigenvalues), so this must certify at rank 2
     d = np.random.default_rng(1).standard_normal(5)
-    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(5), np.diag(d)]), seed=0)
+    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(5), np.diag(d)]))
     if res.certificate != "certified" or res.rank != 2:
         raise SystemExit(f"span{{I, diag(d)}} in M_5: {res.certificate} at rank {res.rank}, expected certified rank 2")
     return f"rank={res.rank} certificate={res.certificate}"
@@ -104,7 +105,7 @@ def diag5_envelope():
 def span_i8_envelope():
     # span{I} in M_8: the set has the full face, so the minimality bound is
     # the closed form of two 64 x 64 spectral norms; the envelope is C
-    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(8)]), seed=0)
+    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(8)]))
     if res.certificate != "certified" or res.rank != 1:
         raise SystemExit(f"span{{I}} in M_8: {res.certificate} at rank {res.rank}, expected certified rank 1")
     return f"rank={res.rank} rigidity={res.rigidity_violation:.1e}"
@@ -115,7 +116,7 @@ def rigid6_envelope():
     # is all of M_6, and the multiplication table has 36^3 entries
     rng = np.random.default_rng(6)
     x, y = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2))
-    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(6), x, x.conj().T, y, y.conj().T]), seed=0)
+    res = compute_envelope(OperatorSubspace.from_matrices([np.eye(6), x, x.conj().T, y, y.conj().T]))
     assoc = res.choi_effros.associativity_residual
     if res.certificate != "certified" or res.rank != 36 or assoc > 1e-10:
         raise SystemExit(
@@ -129,6 +130,19 @@ def sz_boundary():
     res = compute_boundary(
         OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)
     )
+    return f"rank={res.rank} fixed dim={res.fixed_space.dim} certificate={res.certificate}"
+
+
+def diag6_boundary():
+    # conjugation by diag(exp(2 pi i k / 6)) relative to span{I}: the fixed
+    # space is the diagonal algebra and the boundary is C, reached in one
+    # descent step from the center
+    u = np.diag(np.exp(2j * np.pi * np.arange(6) / 6))
+    res = compute_boundary(OperatorSubspace.from_matrices([np.eye(6)]), ChannelMap.conjugation(u))
+    if res.certificate != "certified" or res.rank != 1:
+        raise SystemExit(
+            f"diagonal unitary on M_6: boundary {res.certificate} at rank {res.rank}, expected certified rank 1"
+        )
     return f"rank={res.rank} fixed dim={res.fixed_space.dim} certificate={res.certificate}"
 
 
@@ -179,6 +193,7 @@ def main() -> None:
     timed("envelope of span{I} in M_8", span_i8_envelope)
     timed("envelope of span{I,x,x*,y,y*} in M_6 (rigid)", rigid6_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
+    timed("boundary of a diagonal unitary on M_6", diag6_boundary)
     timed("T-set in M_8: build and project an estimate", t8_projection)
     timed("cb norm of the transpose on M_2", transpose_cb)
     timed("cb norm of a non-CP map on M_3", noncp3_cb)

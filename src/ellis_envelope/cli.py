@@ -10,7 +10,7 @@ file given by --out) and exits with
        invalid flag combinations.
 
 Reports are deterministic for a fixed configuration: keys are sorted, no
-timestamps, and every report records the seed, the certification tolerance,
+timestamps, and every report records the certification tolerance,
 every threshold of ``tolerances.TOL`` (as ``config.tolerances``), and the
 package/python/numpy versions it was produced with.  Runs over non-trivial
 inputs stay at desk scale; ambient dimensions are capped at 64.
@@ -57,7 +57,6 @@ class RunConfig:
     iterates behind it.
     """
 
-    seed: int = 0
     report_tol: float = TOL.certify
     mode: str = "auto"
     json_indent: int = 2
@@ -68,8 +67,6 @@ class RunConfig:
                 f"report tolerance ({self.report_tol:g}) must be strictly above "
                 f"the solver tolerance ({TOL.solver:g})"
             )
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.json_indent < 0:
             raise ValueError("json indent must be nonnegative")
 
@@ -228,7 +225,7 @@ def _run_channel_cesaro(args, config: RunConfig) -> tuple[str, dict]:
 def _run_envelope_compute(args, config: RunConfig) -> tuple[str, dict]:
     space, file_mode = read_space(args.space)
     mode = file_mode if config.mode == "auto" else config.mode
-    res = compute_envelope(space, mode=mode, seed=config.seed, tol=config.report_tol)
+    res = compute_envelope(space, mode=mode, tol=config.report_tol)
     result = res.to_json()
     result["input_dim"] = space.dim
     result["ambient"] = space.ambient
@@ -327,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the input as an operator system or a plain space "
         "(default auto: follow the mode recorded in the file)",
     )
-    env_c.add_argument(
-        "--seed", type=int, default=0, help="seed of the sampled member the descent starts from (default 0)"
-    )
     _add_tol_opt(env_c)
     _add_output_opts(env_c)
 
@@ -346,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig(
-        seed=getattr(args, "seed", 0),
         report_tol=getattr(args, "tol", TOL.certify),
         mode=getattr(args, "mode", "auto"),
         json_indent=getattr(args, "json_indent", 2),

@@ -2,13 +2,16 @@
 
 The feasible set of unital CP maps fixing an operator system E is a compact
 convex semigroup; minimal idempotents in it exist, and their ranges are the
-injective envelopes of E. This module finds one by rank descent: starting
-from the ergodic idempotent of a sampled member, it bounds the compression
+injective envelopes of E. By Ellis' lemma one lies below any idempotent,
+whatever member the search starts from, so the start is deterministic: the
+set's center, the member nearest the trace state x -> tr(x) I/n
+(``FeasibleSet.center``). This module finds one by rank descent: starting
+from the ergodic idempotent of the center, it bounds the compression
 violation sup ||e . theta . e - e|| over members theta exactly (the map is
 affine in theta, the set lies in a known affine slice, and e itself is the
 reference member, so a bound that certifies reads no other member), and
 while the bound exceeds tolerance, builds a member theta along the
-violating direction from the set's center and replaces e by the ergodic
+violating direction from the same center and replaces e by the ergodic
 idempotent of e . theta . e, which has strictly smaller rank whenever it
 differs from e.
 
@@ -41,7 +44,7 @@ from .channels import (
     superop_to_choi,
 )
 from .linalg import SubspaceBasis, frobenius, herm, hermitian_eig, matrix_to_json
-from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
+from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
 from .tolerances import TOL
 
 # ------------------------------------------------------------------------
@@ -139,7 +142,7 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarra
     ``TOL.certify``. Returns that bound and a unit Hermitian Choi direction
     in H attaining sigma (None when H = {0}). The bound is a proof up to
     the facial-reduction and solver tolerances, not a search result, and
-    reads no sampled member.
+    reads no member but e and J_p.
 
     On a proper face, sigma is the top singular value of L on the basis
     ``fset.null_directions`` of H. On the full face, range(P) = {D : R_D =
@@ -200,13 +203,15 @@ def _smaller_idempotent(
 ) -> tuple[ChannelMap, float] | None:
     """An idempotent member of strictly smaller rank than e, or None.
 
-    Steps from theta0 = ``fset.center`` along ``direction`` by half the
-    largest step keeping the compressed Choi matrix PSD (one eigenvalue
-    problem against the Cholesky factor of Y0), trying both signs. The
-    ergodic idempotent f of e . theta . e has rank(f) < rank(e) unless
-    e . theta . e = e. None means no member along the direction could be
-    built: Y0 is singular (the face is incomplete) or no step dropped the
-    rank. Returns f with the violation of the theta that produced it.
+    Steps from theta0 = ``fset.center``, the member nearest the trace
+    state, along ``direction`` by half the largest step keeping the
+    compressed Choi matrix PSD (one eigenvalue problem against the Cholesky
+    factor of Y0), trying both signs. The ergodic idempotent f of
+    e . theta . e has rank(f) < rank(e) unless e . theta . e = e. None
+    means no member along the direction could be built: Y0 is singular (the
+    face is incomplete, or the nearest member lies on its relative
+    boundary) or no step dropped the rank. Returns f with the violation of
+    the theta that produced it.
     """
     theta0 = fset.center
     try:
@@ -418,7 +423,6 @@ class EnvelopeResult:
     certificate: str
     descent_trace: tuple[tuple[int, int, float], ...]
     choi_effros: ChoiEffrosTable
-    seed: int
     tol: float
 
     @property
@@ -436,7 +440,6 @@ class EnvelopeResult:
             "envelope_basis": [matrix_to_json(m) for m in self.envelope_space.mats],
             "descent_trace": [[it, rk, float(res)] for it, rk, res in self.descent_trace],
             "choi_effros": self.choi_effros.to_json(),
-            "seed": self.seed,
             "tol": self.tol,
         }
         if self.corner_map is not None:
@@ -454,8 +457,10 @@ def compute_envelope(
 
     mode "auto" dispatches on the structure flags: unital selfadjoint spaces
     run directly ("system"), everything else goes through the corner lift
-    ("space"). ``seed`` picks the sampled member the descent starts from.
-    The returned certificate is inherited from the descent.
+    ("space"). The descent starts from the ergodic idempotent of
+    ``FeasibleSet.center``, so the result is deterministic and ``seed`` is
+    unused: it is accepted only for callers that still pass one. The
+    returned certificate is inherited from the descent.
     """
     if mode not in ("auto", "system", "space"):
         raise ValueError(f"compute_envelope: unknown mode {mode!r}")
@@ -463,7 +468,7 @@ def compute_envelope(
         mode = "system" if (space.unital and space.selfadjoint) else "space"
     if mode == "space":
         lifted = paulsen_lift(space)
-        inner = compute_envelope(lifted, mode="system", seed=seed, tol=tol)
+        inner = compute_envelope(lifted, mode="system", tol=tol)
         corner = corner_extract(inner.idempotent)
         env = corner.range_basis()
         inclusion = max(env.distance(x) for x in space.basis.mats)
@@ -478,11 +483,10 @@ def compute_envelope(
             certificate=inner.certificate,
             descent_trace=inner.descent_trace,
             choi_effros=inner.choi_effros,
-            seed=seed,
             tol=tol,
         )
     fset = build_system_set(space)
-    e0 = seed_idempotent(sample(fset, seed), fset)
+    e0 = seed_idempotent(fset.center, fset)
     des = descend_to_minimal(fset, e0, tol=tol)
     e = des.idempotent
     f_basis = e.range_basis()
@@ -499,6 +503,5 @@ def compute_envelope(
         certificate=des.certificate,
         descent_trace=des.trace,
         choi_effros=table,
-        seed=seed,
         tol=tol,
     )

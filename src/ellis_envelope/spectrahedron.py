@@ -46,9 +46,6 @@ from .linalg import (
 )
 from .tolerances import TOL
 
-# Sampled members averaged into ``FeasibleSet.center``.
-CENTER_SAMPLES = 4
-
 # Random combinations of E's Hermitian elements (fixed seed) that join the
 # elements themselves in exposing the first face.
 FACE_COMBINATIONS = 4
@@ -317,15 +314,17 @@ class FeasibleSet:
 
     @cached_property
     def center(self) -> ChannelMap:
-        """Reference point of a descent step; the certified path does not read it.
+        """Base member of every descent step, and the envelope's seed.
 
-        The average of ``CENTER_SAMPLES`` sampled members (fixed seeds),
-        computed on first use. Interior to the face whenever the facial
-        reduction found the smallest face, so its compression is then
-        positive definite.
+        The Frobenius-nearest member to the Choi matrix I/n of the trace
+        state x -> tr(x) I/n, computed on first use. It is deterministic,
+        and it is I/n itself whenever the trace state is a member (span{I}
+        and its T-sets). A descent step needs its compression to be
+        positive definite; that holds when the face is the smallest one and
+        the projection lands in its relative interior, as on every pinned
+        test set.
         """
-        choi = sum(sample(self, k).choi for k in range(CENTER_SAMPLES)) / CENTER_SAMPLES
-        return ChannelMap(self.n, self.n, herm(choi))
+        return dykstra_project(np.eye(self.choi_dim) / self.n, self)
 
     def law_project(self, j: np.ndarray) -> np.ndarray:
         """(I - P)(J), for a matrix or a stack: the part of J that the laws see.
@@ -506,25 +505,23 @@ def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
 
 
 def sample(fset: FeasibleSet, seed: int) -> ChannelMap:
-    """Random member: project a Gaussian Hermitian perturbation of Choi(id)."""
+    """Random member: project a Gaussian Hermitian perturbation of Choi(id).
+
+    No computation of the library draws one; the descent and
+    ``maximize_linear`` start from the deterministic ``FeasibleSet.center``.
+    """
     rng = np.random.default_rng(seed)
     d = fset.choi_dim
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return dykstra_project(ChannelMap.identity(fset.n).choi + herm(g), fset)
 
 
-def maximize_linear(
-    fset: FeasibleSet,
-    objective: np.ndarray,
-    n_starts: int = 8,
-    seed: int = 0,
-    steps: int = 60,
-) -> tuple[ChannelMap, float]:
+def maximize_linear(fset: FeasibleSet, objective: np.ndarray, steps: int = 60) -> tuple[ChannelMap, float]:
     """Best-effort maximizer of Re<objective, J> over the set.
 
-    Projected gradient ascent with backtracking from ``n_starts`` random
-    members. Convex maximization peaks at extreme points and this is a
-    heuristic lower bound on the true maximum, not a certificate.
+    Projected gradient ascent with backtracking from ``fset.center``.
+    Convex maximization peaks at extreme points and this is a heuristic
+    lower bound on the true maximum, not a certificate.
     """
     d = fset.choi_dim
     c = herm(as_matrix(objective, d, d))
@@ -532,24 +529,20 @@ def maximize_linear(
     def value(j: np.ndarray) -> float:
         return float(np.real(np.trace(c.conj().T @ j)))
 
-    best_j, best_v = None, -np.inf
-    for k in range(n_starts):
-        j = sample(fset, seed + k).choi
-        v = value(j)
-        step = 1.0
-        for _ in range(steps):
-            cand = dykstra_project(j + step * c, fset).choi
-            cv = value(cand)
-            if cv > v + ASCENT_MIN_GAIN:
-                j, v = cand, cv
-                step *= 1.5
-            else:
-                step *= 0.5
-                if step < 1e-8:
-                    break
-        if v > best_v:
-            best_j, best_v = j, v
-    return ChannelMap(fset.n, fset.n, best_j), best_v
+    j = fset.center.choi
+    v = value(j)
+    step = 1.0
+    for _ in range(steps):
+        cand = dykstra_project(j + step * c, fset).choi
+        cv = value(cand)
+        if cv > v + ASCENT_MIN_GAIN:
+            j, v = cand, cv
+            step *= 1.5
+        else:
+            step *= 0.5
+            if step < 1e-8:
+                break
+    return ChannelMap(fset.n, fset.n, j), v
 
 
 # ------------------------------------------------------------------------

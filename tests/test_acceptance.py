@@ -275,8 +275,6 @@ def test_10_reports_are_byte_identical(tmp_path, capsys):
                 "envelope",
                 "compute",
                 str(p),
-                "--seed",
-                "11",
                 "--out",
                 str(target),
             ]

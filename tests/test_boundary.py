@@ -169,6 +169,23 @@ def test_boundary_of_cyclic_shift_m3():
         assert value <= 1e-7
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5, 9) for m in (n, n + 0.37)])
+def test_diagonal_unitary_boundary_is_a_state_map(n, m):
+    # conjugation by diag(exp(2 pi i k / m)) has distinct phases, so its
+    # fixed space is the diagonal algebra and the minimal absorbed
+    # idempotents over span{I} are the rank-1 maps x -> rho(x) I; the
+    # descent step from the center reaches one in a single round
+    u = np.diag(np.exp(2j * np.pi * np.arange(n) / m))
+    res = compute_boundary(OperatorSubspace.from_matrices([np.eye(n)]), ChannelMap.conjugation(u))
+    assert res.certificate == "certified"
+    assert res.rank == 1
+    assert res.fixed_space.dim == n
+    assert [rk for _, rk, _ in res.descent_trace] == [n, 1]
+    assert res.rigidity_violation <= 1e-6
+    for value in res.residuals.values():
+        assert value <= 1e-7
+
+
 def test_sampled_member_fixed_spaces_stay_inside_f_phi(span_i, conj_sz):
     tset = build_T_set(span_i, conj_sz)
     f_phi = cesaro_idempotent(conj_sz).fixed_space

@@ -85,7 +85,7 @@ def run(capsys, argv):
 def report_of(out):
     rep = json.loads(out)
     assert set(rep) == {"command", "config", "versions", "certificate", "result"}
-    assert set(rep["config"]) == {"seed", "report_tol", "mode", "json_indent", "tolerances"}
+    assert set(rep["config"]) == {"report_tol", "mode", "json_indent", "tolerances"}
     assert rep["config"]["tolerances"] == asdict(TOL)
     for key in ("package", "python", "numpy"):
         assert key in rep["versions"]
@@ -105,9 +105,7 @@ def test_runconfig_rejects_inverted_tolerances():
         RunConfig(report_tol=1e-9).validate()
 
 
-def test_runconfig_rejects_negative_seed_and_indent():
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
-        RunConfig(seed=-1).validate()
+def test_runconfig_rejects_negative_indent():
     with pytest.raises(ValueError, match="indent must be nonnegative"):
         RunConfig(json_indent=-1).validate()
 
@@ -222,7 +220,7 @@ def test_boundary_compute(capsys, inputs):
 
 
 def test_envelope_reports_are_byte_identical(capsys, inputs):
-    args = ["envelope", "compute", inputs["d2"], "--seed", "3"]
+    args = ["envelope", "compute", inputs["d2"]]
     code1, out1, _ = run(capsys, args)
     code2, out2, _ = run(capsys, args)
     assert code1 == code2 == 0
@@ -424,7 +422,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_removed_flags_exit_one(capsys, inputs, monkeypatch):
-    # --parallel and boundary --seed are gone; the thread variable is not read
+    # --parallel and both --seed flags are gone; the thread variable is not read
     code, _, err = run(capsys, ["channel", "info", inputs["pinch"], "--parallel", "3"])
     assert code == 1
     assert "unrecognized arguments: --parallel 3" in err
@@ -432,6 +430,9 @@ def test_removed_flags_exit_one(capsys, inputs, monkeypatch):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "unrecognized arguments: --seed 5" in err
+    code, _, err = run(capsys, ["envelope", "compute", inputs["d2"], "--seed", "3"])
+    assert code == 1
+    assert "unrecognized arguments: --seed 3" in err
     monkeypatch.setenv("ELLIS_ENVELOPE_THREADS", "many")
     code, out, _ = run(capsys, ["channel", "info", inputs["pinch"]])
     assert code == 0

@@ -38,7 +38,7 @@ from ellis_envelope.envelope import (
     seed_idempotent,
 )
 from ellis_envelope.linalg import SubspaceBasis, frobenius
-from ellis_envelope.spectrahedron import FeasibleSet, OperatorSubspace, build_system_set, sample
+from ellis_envelope.spectrahedron import OperatorSubspace, build_system_set, sample
 from ellis_envelope.tolerances import TOL
 
 I2 = np.eye(2, dtype=complex)
@@ -303,7 +303,7 @@ def test_full_face_closed_form_equals_the_slice_svd(build):
             assert moved == pytest.approx(sigma, rel=1e-9)
 
 
-class CenterRead(Exception):
+class SampleDrawn(Exception):
     pass
 
 
@@ -322,28 +322,20 @@ class CenterRead(Exception):
             for seed in (0, 3)
         ),
         pytest.param(diag_units(2), 0, ChannelMap.pinching(2), 2, id="pinching_boundary"),
-        # these take a descent step, which starts from the center
-        pytest.param([E12], 3, None, None, id="corner-3"),
-        pytest.param([I2], 0, ChannelMap.conjugation(SZ), None, id="conj_sz_boundary"),
+        # these take a descent step from the center
+        pytest.param([E12], 3, None, 1, id="corner-3"),
+        pytest.param([I2], 0, ChannelMap.conjugation(SZ), 1, id="conj_sz_boundary"),
     ],
 )
 def test_certified_envelopes_read_no_center(monkeypatch, mats, seed, phi, rank):
-    # a seed idempotent that is already minimal is certified from e itself:
-    # only a descent step reads the sampled center
-    def center(self):
-        raise CenterRead
+    # no library path draws a sampled member: the seed and every descent
+    # step start from the deterministic center, the member nearest I/n
+    def draw(*args, **kwargs):
+        raise SampleDrawn
 
-    monkeypatch.setattr(FeasibleSet, "center", property(center))
+    monkeypatch.setattr(spectrahedron, "sample", draw)
     space = OperatorSubspace.from_matrices(mats)
-
-    def run():
-        return compute_envelope(space, seed=seed) if phi is None else compute_boundary(space, phi)
-
-    if rank is None:
-        with pytest.raises(CenterRead):
-            run()
-        return
-    res = run()
+    res = compute_envelope(space, seed=seed) if phi is None else compute_boundary(space, phi)
     assert res.certificate == "certified"
     assert res.rank == rank
 
@@ -547,10 +539,10 @@ def test_envelope_to_json_shape(d2_result):
         "envelope_basis",
         "descent_trace",
         "choi_effros",
-        "seed",
         "tol",
     ):
         assert key in obj
+    assert "seed" not in obj  # the descent is deterministic
     assert "corner_map" not in obj  # system mode
     json.dumps(obj)  # json-serializable throughout
 

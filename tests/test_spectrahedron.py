@@ -11,6 +11,7 @@ points.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -431,6 +432,9 @@ ACCEPTANCE_SETS = [
     ),
     ("conj sz", lambda: build_T_set(OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)), 4, 10),
 ]
+# each builder runs once per session: the tests below share one set and its
+# cached null directions
+ACCEPTANCE_SETS = [(name, functools.cache(build), face, rows) for name, build, face, rows in ACCEPTANCE_SETS]
 
 
 @pytest.mark.parametrize("name, build, face, rows", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
@@ -539,10 +543,18 @@ def test_null_directions_span_the_affine_slice(d2_set, ucp2_set, singleton_set):
 
 
 def test_center_is_an_interior_member(d2_set, ucp2_set):
-    for fset in (d2_set, ucp2_set):
-        assert fset.membership(fset.center).ok
-        y0 = fset.compress(fset.center.choi)
-        assert float(hermitian_eig(herm(y0)).values[0]) > 1e-3
+    # the member nearest I/n has a positive definite compression on every
+    # pinned set; where the trace state x -> tr(x) I/n is a member (span{I}
+    # and its T-sets), it is that member
+    sets = [("diag fixture", d2_set), ("span{I} fixture", ucp2_set)]
+    sets += [(name, build()) for name, build, _, _ in ACCEPTANCE_SETS]
+    for name, fset in sets:
+        center = fset.center
+        assert fset.membership(center).ok, name
+        y0 = fset.compress(center.choi)
+        assert float(hermitian_eig(herm(y0)).values[0]) > 1e-3, name
+        if name.startswith(("span{I}", "T_", "shift", "conj")):
+            assert frobenius(center.choi - np.eye(fset.choi_dim) / fset.n) <= 1e-12, name
 
 
 # ------------------------------------------------------------- projection
@@ -692,14 +704,14 @@ def test_membership_closed_under_convex_combination(ucp2_set):
 def test_maximize_on_singleton_returns_its_point(singleton_set):
     rng = np.random.default_rng(9)
     c = random_hermitian(rng, 4)
-    phi, val = maximize_linear(singleton_set, c, n_starts=2)
+    phi, val = maximize_linear(singleton_set, c)
     j_id = ChannelMap.identity(2).choi
     assert frobenius(phi.choi - j_id) < 1e-6
     assert val == pytest.approx(float(np.real(np.trace(c @ j_id))), abs=1e-6)
 
 
 def test_maximize_zero_objective(ucp2_set):
-    phi, val = maximize_linear(ucp2_set, np.zeros((4, 4)), n_starts=2)
+    phi, val = maximize_linear(ucp2_set, np.zeros((4, 4)))
     assert val == pytest.approx(0.0, abs=1e-12)
     assert ucp2_set.membership(phi).ok
 
@@ -710,7 +722,7 @@ def test_maximize_beats_known_feasible_point(ucp2_set):
     # by conjugation with sigma_z), which bounds it from above
     c = ChannelMap.pinching(2).choi - ChannelMap.identity(2).choi
     pinch_value = float(np.real(np.trace(c @ ChannelMap.pinching(2).choi)))
-    phi, val = maximize_linear(ucp2_set, c, n_starts=3)
+    phi, val = maximize_linear(ucp2_set, c)
     assert val >= pinch_value - 1e-8
     assert val <= 2.0 + 1e-6
     assert ucp2_set.membership(phi).ok
