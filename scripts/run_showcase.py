@@ -9,8 +9,10 @@ span{I, diag(d)} envelope is not certified at rank 2, the rigid
 span{I, x, x^*, y, y^*} envelope in M_6 is not certified at rank 36 with a
 Choi-Effros associativity residual at most 1e-10, the boundary of a
 diagonal unitary on M_6 relative to span{I} is not certified at rank 1,
-the projection of a noisy channel estimate onto the T-set in M_8 is not a
-member, or the cb-norm bracket of the non-CP map on M_3 stays open.
+a 1e-8 perturbation of the cyclic shift on M_3 moves its boundary
+idempotent relative to span{I} by more than 1e-6, the projection of a
+noisy channel estimate onto the T-set in M_8 is not a member, or the
+cb-norm bracket of the non-CP map on M_3 stays open.
 """
 
 import time
@@ -146,6 +148,29 @@ def diag6_boundary():
     return f"rank={res.rank} fixed dim={res.fixed_space.dim} certificate={res.certificate}"
 
 
+def nudged(u, seed):
+    """u exp(1e-8 i H) for a random Hermitian H of unit Frobenius norm."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    w, q = np.linalg.eigh(g + g.conj().T)
+    return u @ (q * np.exp(1e-8j * w / np.linalg.norm(w))) @ q.conj().T
+
+
+def shift3_boundary_stability():
+    # the descent steps from the center alone, so the rank-1 boundary
+    # idempotent of the shift depends continuously on the unitary
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    space = OperatorSubspace.from_matrices([np.eye(3)])
+    base = compute_boundary(space, ChannelMap.conjugation(shift)).idempotent.choi
+    moved = max(
+        np.linalg.norm(compute_boundary(space, ChannelMap.conjugation(nudged(shift, seed))).idempotent.choi - base)
+        for seed in range(5)
+    )
+    if moved > 1e-6:
+        raise SystemExit(f"shift on M_3: a 1e-8 perturbation moved the boundary idempotent by {moved:.1e}, expected <= 1e-6")
+    return f"moved <= {moved:.1e} by five 1e-8 perturbations"
+
+
 def t8_projection():
     # UCP maps on M_8 absorbed by conjugation with a distinct-phase diagonal
     # unitary: the set has n^4 = 4096 Choi coordinates on its full face
@@ -194,6 +219,7 @@ def main() -> None:
     timed("envelope of span{I,x,x*,y,y*} in M_6 (rigid)", rigid6_envelope)
     timed("boundary of conj sz relative to span{I}", sz_boundary)
     timed("boundary of a diagonal unitary on M_6", diag6_boundary)
+    timed("boundary of the shift on M_3, perturbed", shift3_boundary_stability)
     timed("T-set in M_8: build and project an estimate", t8_projection)
     timed("cb norm of the transpose on M_2", transpose_cb)
     timed("cb norm of a non-CP map on M_3", noncp3_cb)

@@ -129,7 +129,7 @@ def compute_boundary(
     e = des.idempotent
     boundary = e.range_basis()
     f_phi = ergodic.fixed_space
-    rigidity, _ = probe_minimality(e, build_system_set(space))
+    rigidity = probe_minimality(e, build_system_set(space))
     residuals = {
         "range_in_fixed": max(f_phi.distance(m) for m in boundary.mats),
         "absorbed": frobenius(phi.superop @ e.superop - e.superop),

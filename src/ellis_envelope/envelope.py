@@ -6,14 +6,13 @@ injective envelopes of E. By Ellis' lemma one lies below any idempotent,
 whatever member the search starts from, so the start is deterministic: the
 set's center, the member nearest the trace state x -> tr(x) I/n
 (``FeasibleSet.center``). This module finds one by rank descent: starting
-from the ergodic idempotent of the center, it bounds the compression
-violation sup ||e . theta . e - e|| over members theta exactly (the map is
-affine in theta, the set lies in a known affine slice, and e itself is the
-reference member, so a bound that certifies reads no other member), and
-while the bound exceeds tolerance, builds a member theta along the
-violating direction from the same center and replaces e by the ergodic
-idempotent of e . theta . e, which has strictly smaller rank whenever it
-differs from e.
+from an idempotent member e, it bounds the compression violation
+sup ||e . theta . e - e|| over members theta exactly (the map is affine in
+theta, the set lies in a known affine slice, and e itself is the reference
+member, so a bound that certifies reads no other member), and while the
+bound exceeds tolerance, replaces e by the ergodic idempotent of
+e . theta0 . e for the center theta0, which has strictly smaller rank
+whenever e . theta0 . e differs from e (``descend_to_minimal``).
 
 On the range of the minimal idempotent, x . y = e(x y) is an associative
 product (Choi-Effros 1977); ``choi_effros_table`` tabulates it over an
@@ -41,9 +40,8 @@ from .channels import (
     _require_unital_cp,
     cesaro_idempotent,
     compose,
-    superop_to_choi,
 )
-from .linalg import SubspaceBasis, frobenius, herm, hermitian_eig, matrix_to_json
+from .linalg import SubspaceBasis, frobenius, matrix_to_json
 from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
 from .tolerances import TOL
 
@@ -118,7 +116,7 @@ def _violation(e: ChannelMap, theta: ChannelMap) -> float:
     return frobenius(se @ theta.superop @ se - se)
 
 
-def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarray | None]:
+def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     """Upper bound on sup ||e . theta . e - e||_F over the members theta of ``fset``.
 
     e must be unital CP and a member of ``fset`` (to tolerance); it is its
@@ -139,10 +137,9 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarra
         ||g(theta)|| <= ||g(e)|| + 2 n sigma + n eps.
 
     The eps term keeps this a proof when e is a member only to
-    ``TOL.certify``. Returns that bound and a unit Hermitian Choi direction
-    in H attaining sigma (None when H = {0}). The bound is a proof up to
-    the facial-reduction and solver tolerances, not a search result, and
-    reads no member but e and J_p.
+    ``TOL.certify``. Returns that bound: a proof up to the facial-reduction
+    and solver tolerances, not a search result, reading no member but e
+    and J_p.
 
     On a proper face, sigma is the top singular value of L on the basis
     ``fset.null_directions`` of H. On the full face, range(P) = {D : R_D =
@@ -153,18 +150,17 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> tuple[float, np.ndarra
     one of B). It equals sigma: P is Hermitian-preserving, so range(P) =
     H + iH, and for X, Y in H and CP e the maps L(X), L(Y) have Hermitian
     Choi matrices with a real inner product, so ||L(X + iY)||^2 = ||L(X)||^2 +
-    ||L(Y)||^2 <= sigma^2 ||X + iY||^2. Each Hermitian part of the
-    attaining D thus attains sigma; the larger is returned, never one of
-    rounding size. As P is an orthogonal projector, eps =
+    ||L(Y)||^2 <= sigma^2 ||X + iY||^2, and one Hermitian part of the
+    attaining D attains sigma. As P is an orthogonal projector, eps =
     ||``fset.law_project``(J_e - J_p)||_F there.
     """
     probe = _full_face_probe if fset.face_dim == fset.choi_dim else _slice_probe
-    eps, sigma, direction = probe(e, fset)
-    return _violation(e, e) + fset.n * eps + 2 * fset.n * sigma, direction
+    eps, sigma = probe(e, fset)
+    return _violation(e, e) + fset.n * eps + 2 * fset.n * sigma
 
 
-def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float, np.ndarray | None]:
-    """eps, sigma and direction of ``probe_minimality`` from the basis ``fset.null_directions``."""
+def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:
+    """eps and sigma of ``probe_minimality`` from the basis ``fset.null_directions``."""
     se = e.superop
     n, dirs = fset.n, fset.null_directions
     k = len(dirs)
@@ -172,68 +168,22 @@ def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float, np.nda
     off = (e.choi - fset.member).reshape(-1)
     eps = frobenius(off - (flat.conj() @ off).real @ flat)
     if not k:
-        return eps, 0.0, None
+        return eps, 0.0
     s_dirs = dirs.reshape(k, n, n, n, n).transpose(0, 2, 4, 1, 3).reshape(k, n * n, n * n)
     g = (se @ s_dirs @ se).reshape(k, -1)
-    u, sv, _ = np.linalg.svd(np.hstack([g.real, g.imag]), full_matrices=False)
-    return eps, float(sv[0]), np.tensordot(u[:, 0], dirs, axes=1)
+    return eps, float(np.linalg.svd(np.hstack([g.real, g.imag]), compute_uv=False)[0])
 
 
-def _full_face_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float, np.ndarray]:
-    """eps, sigma and direction of ``probe_minimality`` in closed form on the full face.
+def _full_face_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:
+    """eps and sigma of ``probe_minimality`` in closed form on the full face.
 
-    ||A||_2 = ||S_e Q_out||_2 and ||B||_2 = ||Q_in^* S_e||_2 for orthonormal
-    bases Q of the projectors' ranges, so the singular vectors stay in those
-    ranges even where sigma is of rounding size.
+    P_in^T = I - conj(U) U^T and P_out^T = I - conj(W) W^T, with U, W = ``span_in``, ``span_out``.
     """
-    se, n, eye = e.superop, fset.n, np.eye(fset.choi_dim)
+    se, u, w = e.superop, fset.span_in, fset.span_out
     eps = frobenius(fset.law_project(e.choi - fset.member))
-    # P^T = I - conj(C) C^T has the eigenvalue 0 on the k columns of C and 1 on the rest
-    q_in, q_out = (np.linalg.eigh(eye - c.conj() @ c.T)[1][:, c.shape[1] :] for c in (fset.span_in, fset.span_out))
-    _, sa, vha = np.linalg.svd(se @ q_out)
-    ub, sb, _ = np.linalg.svd(q_in.conj().T @ se)
-    x = np.outer(q_out @ vha[0].conj(), (q_in @ ub[:, 0]).conj())  # S_D = v_A u_B^*
-    d = superop_to_choi(x, n, n)
-    best = max((herm(d), herm(-1j * d)), key=frobenius)
-    return eps, float(sa[0] * sb[0]), best / frobenius(best)
-
-
-def _smaller_idempotent(
-    e: ChannelMap, fset: FeasibleSet, direction: np.ndarray
-) -> tuple[ChannelMap, float] | None:
-    """An idempotent member of strictly smaller rank than e, or None.
-
-    Steps from theta0 = ``fset.center``, the member nearest the trace
-    state, along ``direction`` by half the largest step keeping the
-    compressed Choi matrix PSD (one eigenvalue problem against the Cholesky
-    factor of Y0), trying both signs. The ergodic idempotent f of
-    e . theta . e has rank(f) < rank(e) unless e . theta . e = e. None
-    means no member along the direction could be built: Y0 is singular (the
-    face is incomplete, or the nearest member lies on its relative
-    boundary) or no step dropped the rank. Returns f with the violation of
-    the theta that produced it.
-    """
-    theta0 = fset.center
-    try:
-        chol = np.linalg.cholesky(fset.compress(theta0.choi))
-    except np.linalg.LinAlgError:
-        return None
-    linv = np.linalg.inv(chol)
-    mu = hermitian_eig(herm(linv @ fset.compress(direction) @ linv.conj().T)).values
-    for sign in (1.0, -1.0):
-        worst = float(np.max(-sign * mu))  # Y0 + t sign D is PSD iff t * worst <= 1
-        if worst <= 0:
-            continue
-        theta = ChannelMap(fset.n, fset.n, herm(theta0.choi + (0.5 * sign / worst) * direction))
-        if not fset.membership(theta).ok:
-            continue
-        try:
-            f = seed_idempotent(compose(e, compose(theta, e)), fset)
-        except NonConvergenceError:
-            continue
-        if f.rank() < e.rank():
-            return f, _violation(e, theta)
-    return None
+    a = se - (se @ w.conj()) @ w.T
+    b = se - u.conj() @ (u.T @ se)
+    return eps, float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
 
 
 def _member_idempotent(e: ChannelMap, fset: FeasibleSet) -> bool:
@@ -272,9 +222,9 @@ class DescentResult:
 
     certificate: "certified" (``violation``, the bound of
     ``probe_minimality`` on sup ||e . theta . e - e||, is at most tol) or
-    "unverified" (the bound exceeds tol, but no member along the violating
-    direction could be built). ``trace`` holds (round, rank, violation of
-    the member that drove the step), starting with (0, rank(e0), 0.0).
+    "unverified" (the bound exceeds tol, but the center's step does not
+    lower the rank). ``trace`` holds (round, rank, ||e . theta0 . e - e||_F
+    of the e the step replaced), starting with (0, rank(e0), 0.0).
     """
 
     idempotent: ChannelMap
@@ -286,10 +236,21 @@ class DescentResult:
 def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = TOL.certify) -> DescentResult:
     """Rank descent from the idempotent member ``e0`` to a minimal one.
 
-    Each round bounds the violation exactly; above tol, a member theta along
-    the violating direction gives the ergodic idempotent f of e . theta . e,
-    with f = e f e and rank(f) < rank(e). Strict rank decrease bounds the
-    number of rounds by rank(e0).
+    Ellis' lemma with one fixed member, theta0 = ``fset.center``: while the
+    bound of ``probe_minimality`` exceeds tol, e becomes the ergodic
+    idempotent f of e . theta0 . e, an idempotent member with f = e f e. The
+    fixed space of e . theta0 . e lies in range(e) and fills it only if
+    e . theta0 . e = e, so otherwise rank(f) < rank(e); a step that keeps
+    the rank ends the descent "unverified", and rounds are at most rank(e0).
+
+    No step is missed when the compression of theta0 is positive definite,
+    which puts theta0 in the set's relative interior: every member theta
+    gives theta0 = t theta + (1 - t) theta' with t > 0 and theta' a member.
+    range(e) with x . y = e(x y) is a C*-algebra (Choi-Effros 1977) whose
+    unitaries are extreme in its unit ball (Kadison 1951), so the identity
+    there is extreme among unital CP self-maps, and e . theta0 . e = e
+    forces e . theta . e = e: e is minimal. A singular compression gives no
+    such guarantee.
     """
     if not _member_idempotent(e0, fset):
         raise ValueError(
@@ -300,14 +261,18 @@ def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = TOL.certi
     e = e0
     trace: list[tuple[int, int, float]] = [(0, e.rank(), 0.0)]
     while True:
-        bound, direction = probe_minimality(e, fset)
+        bound = probe_minimality(e, fset)
         if bound <= tol:
             return DescentResult(e, "certified", bound, tuple(trace))
-        step = None if direction is None else _smaller_idempotent(e, fset, direction)
-        if step is None:
+        theta0 = fset.center
+        try:
+            f = seed_idempotent(compose(e, compose(theta0, e)), fset)
+        except NonConvergenceError:
+            f = e
+        if f.rank() >= e.rank():
             return DescentResult(e, "unverified", bound, tuple(trace))
-        e, v = step
-        trace.append((len(trace), e.rank(), v))
+        trace.append((len(trace), f.rank(), _violation(e, theta0)))
+        e = f
 
 
 # ------------------------------------------------------------------------

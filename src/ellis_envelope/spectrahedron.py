@@ -314,15 +314,14 @@ class FeasibleSet:
 
     @cached_property
     def center(self) -> ChannelMap:
-        """Base member of every descent step, and the envelope's seed.
+        """The one member every descent step uses, and the envelope's seed.
 
         The Frobenius-nearest member to the Choi matrix I/n of the trace
         state x -> tr(x) I/n, computed on first use. It is deterministic,
         and it is I/n itself whenever the trace state is a member (span{I}
-        and its T-sets). A descent step needs its compression to be
-        positive definite; that holds when the face is the smallest one and
-        the projection lands in its relative interior, as on every pinned
-        test set.
+        and its T-sets). A positive definite compression puts it in the
+        set's relative interior, where ``descend_to_minimal`` misses no
+        step; that holds on every pinned test set.
         """
         return dykstra_project(np.eye(self.choi_dim) / self.n, self)
 
@@ -466,8 +465,9 @@ def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
     halves ||grad|| or meets Armijo; the first test still accepts steps once
     theta's decrease is below rounding. X is returned once two consecutive
     gradients are within ``TOL.solver`` (the step between them leaves it at
-    rounding level) and membership holds; ``history`` holds (iteration,
-    ||grad||).
+    rounding level) and membership holds, or at once at the start, whose
+    Z already lies in the range of I - P (a member input is returned as
+    is); ``history`` holds (iteration, ||grad||).
     """
     d = fset.choi_dim
     c = fset.compress(herm(as_matrix(j0, d, d)))
@@ -475,7 +475,7 @@ def dykstra_project(j0: np.ndarray, fset: FeasibleSet) -> ChannelMap:
     w = herm(fset.project_affine_compressed(c))
     theta, g, eig, x = _dual_point(c, y_p, fset, w)
     history: list[tuple[int, float]] = []
-    within = False
+    within = True  # the start needs one small gradient, every later point two
     for it in range(1, NEWTON_MAX_ITER + 1):
         gnorm = frobenius(g)
         history.append((it, gnorm))

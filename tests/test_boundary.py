@@ -186,6 +186,34 @@ def test_diagonal_unitary_boundary_is_a_state_map(n, m):
         assert value <= 1e-7
 
 
+def perturbed(u, seed, size=1e-8):
+    """u exp(i size H) for a random Hermitian H of unit Frobenius norm."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    w, q = np.linalg.eigh(g + g.conj().T)
+    w /= np.linalg.norm(w)
+    return u @ (q * np.exp(1j * size * w)) @ q.conj().T
+
+
+@pytest.mark.parametrize(
+    "u",
+    [SZ, shift_matrix(3), np.diag(np.exp(2j * np.pi * np.arange(5) / 5.37))],
+    ids=["conj_sz", "shift_m3", "diag_unitary_m5"],
+)
+def test_boundary_idempotent_is_stable_under_perturbation(u):
+    # the descent steps from the center alone, so a 1e-8 change of the
+    # unitary cannot pick a different rank-1 idempotent, even where the
+    # minimality bound's top singular value is degenerate
+    n = len(u)
+    space = OperatorSubspace.from_matrices([np.eye(n)])
+    base = compute_boundary(space, ChannelMap.conjugation(u)).idempotent
+    for seed in range(5):
+        res = compute_boundary(space, ChannelMap.conjugation(perturbed(u, seed)))
+        assert res.certificate == "certified"
+        assert res.rank == 1
+        assert frobenius(res.idempotent.choi - base.choi) <= 1e-6, seed
+
+
 def test_sampled_member_fixed_spaces_stay_inside_f_phi(span_i, conj_sz):
     tset = build_T_set(span_i, conj_sz)
     f_phi = cesaro_idempotent(conj_sz).fixed_space

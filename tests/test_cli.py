@@ -48,6 +48,7 @@ def inputs(tmp_path_factory):
         "d2": put("d2.json", diag.to_json("system")),
         "span_i": put("span_i.json", OperatorSubspace.from_matrices([I2]).to_json("system")),
         "rigid": put("rigid.json", OperatorSubspace.from_matrices([I2, SX, SZ]).to_json("system")),
+        "corner": put("corner.json", OperatorSubspace.from_matrices([np.triu(SX)]).to_json("space")),
         "table": put("table.json", cyclic_group(3).to_json()),
         "badtable": put("badtable.json", {"order": 2, "table": [[1, 1], [0, 0]]}),
         "badjson": _put_text(d, "badjson.json", "{not json"),
@@ -298,10 +299,11 @@ def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
 
 
 def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):
-    # one Newton iteration never returns: the exit needs two consecutive
-    # gradients within the solver tolerance
+    # one Newton iteration returns only a start that is already the
+    # projection; the corner lift's center is not, and after a step the exit
+    # needs two consecutive gradients within the solver tolerance
     monkeypatch.setattr(spectrahedron, "NEWTON_MAX_ITER", 1)
-    code, out, err = run(capsys, ["envelope", "compute", inputs["d2"]])
+    code, out, err = run(capsys, ["envelope", "compute", inputs["corner"]])
     assert code == 2
     assert out == ""
     assert "dykstra_project" in nonconvergence_diagnostics(err)["detail"]

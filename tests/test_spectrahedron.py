@@ -557,6 +557,18 @@ def test_center_is_an_interior_member(d2_set, ucp2_set):
             assert frobenius(center.choi - np.eye(fset.choi_dim) / fset.n) <= 1e-12, name
 
 
+def test_span_i_center_is_its_start_without_a_newton_step(monkeypatch):
+    # I/n is a member of span{I}'s set, so the projection returns its start:
+    # one small gradient there meets the optimality conditions
+    def no_step(*args, **kwargs):
+        raise AssertionError("dykstra_project took a Newton step")
+
+    monkeypatch.setattr(spectrahedron, "_newton_direction", no_step)
+    for n in range(2, 9):
+        center = build_system_set(OperatorSubspace.from_matrices([np.eye(n)])).center
+        assert frobenius(center.choi - np.eye(n * n) / n) <= 1e-12, n
+
+
 # ------------------------------------------------------------- projection
 
 
