@@ -22,8 +22,8 @@ import numpy as np
 from .channels import (
     ChannelMap,
     _require_unital_cp,
-    cesaro_idempotent,
     check_absorption,
+    fixed_space,
 )
 from .envelope import (
     ChoiEffrosTable,
@@ -111,24 +111,22 @@ def compute_boundary(
 ) -> BoundaryResult:
     """Minimal idempotent of the absorbed semigroup, with certificates.
 
-    Starts the descent at the Cesaro idempotent e0 of the channel (always a
-    member). The rigidity check follows the two-step extension device: every
-    member theta of the plain system set of ``space`` (no absorption
-    constraint) is pushed into the absorbed semigroup as e0 . theta, and
-    e . e0 . theta . e = e is tested exactly over all of them. Each descent
-    step f of e satisfies f = e f e, hence f . e = f; by induction e . e0 = e,
-    so the test is ``probe_minimality`` of e over the plain set, of which e
-    is a member (the absorbed set lies inside it). The descent is
-    deterministic, so ``seed`` is unused: it is accepted only for callers
-    that still pass one.
+    The descent takes its one step from the set's known member, the Cesaro
+    idempotent m of the channel. The rigidity check follows the two-step
+    extension device: every member theta of the plain system set of
+    ``space`` (no absorption constraint) is pushed into the absorbed
+    semigroup as m . theta, and e . m . theta . e = e is tested exactly over
+    all of them. The step keeps e . m = e (``descend_to_minimal``), so the
+    test is ``probe_minimality`` of e over the plain set, of which e is a
+    member (the absorbed set lies inside it). The descent is deterministic,
+    so ``seed`` is unused: it is accepted only for callers that still pass
+    one.
     """
     tset = build_T_set(space, phi)
-    ergodic = cesaro_idempotent(phi)
-    e0 = ergodic.idempotent
-    des = descend_to_minimal(tset, e0, tol=tol)
+    des = descend_to_minimal(tset, ChannelMap(tset.n, tset.n, tset.member), tol=tol)
     e = des.idempotent
     boundary = e.range_basis()
-    f_phi = ergodic.fixed_space
+    f_phi = fixed_space(phi)
     rigidity = probe_minimality(e, build_system_set(space))
     residuals = {
         "range_in_fixed": max(f_phi.distance(m) for m in boundary.mats),

@@ -2,17 +2,17 @@
 
 The feasible set of unital CP maps fixing an operator system E is a compact
 convex semigroup; minimal idempotents in it exist, and their ranges are the
-injective envelopes of E. By Ellis' lemma one lies below any idempotent,
-whatever member the search starts from, so the start is deterministic: the
-set's center, the member nearest the trace state x -> tr(x) I/n
-(``FeasibleSet.center``). This module finds one by rank descent: starting
-from an idempotent member e, it bounds the compression violation
-sup ||e . theta . e - e|| over members theta exactly (the map is affine in
-theta, the set lies in a known affine slice, and e itself is the reference
-member, so a bound that certifies reads no other member), and while the
-bound exceeds tolerance, replaces e by the ergodic idempotent of
-e . theta0 . e for the center theta0, which has strictly smaller rank
-whenever e . theta0 . e differs from e (``descend_to_minimal``).
+injective envelopes of E (Hamana 1979). By Ellis' lemma one lies below any
+idempotent. Here one ergodic projection takes the search there: from the
+set's known idempotent member m (the identity for envelopes), f is the
+ergodic idempotent of m . theta0 . m for the set's center theta0, the
+member nearest the trace state x -> tr(x) I/n (``FeasibleSet.center``).
+Then f . theta0 . f = f, which makes f minimal when theta0 lies in the
+set's relative interior (``descend_to_minimal``). The start and the step
+are deterministic. This module then bounds the compression violation
+sup ||f . theta . f - f|| over members theta exactly (the map is affine in
+theta, the set lies in a known affine slice, and f itself is the reference
+member, so a bound that certifies reads no other member).
 
 On the range of the minimal idempotent, x . y = e(x y) is an associative
 product (Choi-Effros 1977); ``choi_effros_table`` tabulates it over an
@@ -39,7 +39,6 @@ from .channels import (
     NonConvergenceError,
     _require_unital_cp,
     cesaro_idempotent,
-    compose,
 )
 from .linalg import SubspaceBasis, frobenius, matrix_to_json
 from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
@@ -218,13 +217,12 @@ def seed_idempotent(theta: ChannelMap, fset: FeasibleSet) -> ChannelMap:
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Outcome of the rank descent.
+    """Outcome of the one-step rank descent.
 
     certificate: "certified" (``violation``, the bound of
     ``probe_minimality`` on sup ||e . theta . e - e||, is at most tol) or
-    "unverified" (the bound exceeds tol, but the center's step does not
-    lower the rank). ``trace`` holds (round, rank, ||e . theta0 . e - e||_F
-    of the e the step replaced), starting with (0, rank(e0), 0.0).
+    "unverified" (the bound exceeds tol). ``trace`` holds the two rows
+    (0, rank(e0), 0.0) and (1, rank(f), ||e0 . theta0 . e0 - e0||_F).
     """
 
     idempotent: ChannelMap
@@ -234,23 +232,27 @@ class DescentResult:
 
 
 def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = TOL.certify) -> DescentResult:
-    """Rank descent from the idempotent member ``e0`` to a minimal one.
+    """One step from the idempotent member ``e0`` to f = Ces(e0 . theta0 . e0).
 
-    Ellis' lemma with one fixed member, theta0 = ``fset.center``: while the
-    bound of ``probe_minimality`` exceeds tol, e becomes the ergodic
-    idempotent f of e . theta0 . e, an idempotent member with f = e f e. The
-    fixed space of e . theta0 . e lies in range(e) and fills it only if
-    e . theta0 . e = e, so otherwise rank(f) < rank(e); a step that keeps
-    the rank ends the descent "unverified", and rounds are at most rank(e0).
+    Ellis' lemma with one fixed member, theta0 = ``fset.center``, in a
+    single ergodic projection. f is the ergodic idempotent of
+    p = e0 . theta0 . e0, a limit of averages of the powers p^k =
+    e0 . (theta0 . e0)^k, so e0 . f = f . e0 = f, and f absorbs p: f . p = f.
+    Hence f . theta0 . f = (f . e0) . theta0 . (e0 . f) = f . p . f = f, and
+    a second step from f would return f: there is none to take. For a
+    boundary, e0 is the Cesaro idempotent of phi, so f . e0 = f gives
+    f . phi = f, which its rigidity test and ``check_absorption`` rely on.
 
-    No step is missed when the compression of theta0 is positive definite,
-    which puts theta0 in the set's relative interior: every member theta
-    gives theta0 = t theta + (1 - t) theta' with t > 0 and theta' a member.
-    range(e) with x . y = e(x y) is a C*-algebra (Choi-Effros 1977) whose
-    unitaries are extreme in its unit ball (Kadison 1951), so the identity
-    there is extreme among unital CP self-maps, and e . theta0 . e = e
-    forces e . theta . e = e: e is minimal. A singular compression gives no
-    such guarantee.
+    f . theta0 . f = f makes f minimal when the compression of theta0 is
+    positive definite, which puts theta0 in the set's relative interior:
+    every member theta gives theta0 = t theta + (1 - t) theta' with t > 0
+    and theta' a member. range(f) with x . y = f(x y) is a C*-algebra
+    (Choi-Effros 1977) whose unitaries are extreme in its unit ball
+    (Kadison 1951), so the identity there is extreme among unital CP
+    self-maps, and f . theta . f = f for every member theta. A singular
+    compression gives no such guarantee, and ``probe_minimality`` decides:
+    "certified" if its bound on f is at most tol, otherwise "unverified".
+    A Cesaro failure raises ``NonConvergenceError`` (``seed_idempotent``).
     """
     if not _member_idempotent(e0, fset):
         raise ValueError(
@@ -258,21 +260,13 @@ def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = TOL.certi
             f"(membership worst {fset.membership(e0).worst:.3e}, "
             f"idempotency {frobenius(e0.superop @ e0.superop - e0.superop):.3e})"
         )
-    e = e0
-    trace: list[tuple[int, int, float]] = [(0, e.rank(), 0.0)]
-    while True:
-        bound = probe_minimality(e, fset)
-        if bound <= tol:
-            return DescentResult(e, "certified", bound, tuple(trace))
-        theta0 = fset.center
-        try:
-            f = seed_idempotent(compose(e, compose(theta0, e)), fset)
-        except NonConvergenceError:
-            f = e
-        if f.rank() >= e.rank():
-            return DescentResult(e, "unverified", bound, tuple(trace))
-        trace.append((len(trace), f.rank(), _violation(e, theta0)))
-        e = f
+    se = e0.superop
+    sp = se @ (fset.center.superop @ se)
+    f = seed_idempotent(ChannelMap.from_superop(sp, fset.n, fset.n), fset)
+    bound = probe_minimality(f, fset)
+    certificate = "certified" if bound <= tol else "unverified"
+    trace = ((0, e0.rank(), 0.0), (1, f.rank(), frobenius(sp - se)))
+    return DescentResult(f, certificate, bound, trace)
 
 
 # ------------------------------------------------------------------------
@@ -422,10 +416,10 @@ def compute_envelope(
 
     mode "auto" dispatches on the structure flags: unital selfadjoint spaces
     run directly ("system"), everything else goes through the corner lift
-    ("space"). The descent starts from the ergodic idempotent of
-    ``FeasibleSet.center``, so the result is deterministic and ``seed`` is
-    unused: it is accepted only for callers that still pass one. The
-    returned certificate is inherited from the descent.
+    ("space"). The descent steps once from the identity, the set's known
+    member, so the result is deterministic and ``seed`` is unused: it is
+    accepted only for callers that still pass one. The returned certificate
+    is inherited from the descent.
     """
     if mode not in ("auto", "system", "space"):
         raise ValueError(f"compute_envelope: unknown mode {mode!r}")
@@ -451,8 +445,7 @@ def compute_envelope(
             tol=tol,
         )
     fset = build_system_set(space)
-    e0 = seed_idempotent(fset.center, fset)
-    des = descend_to_minimal(fset, e0, tol=tol)
+    des = descend_to_minimal(fset, ChannelMap(fset.n, fset.n, fset.member), tol=tol)
     e = des.idempotent
     f_basis = e.range_basis()
     inclusion = max(f_basis.distance(x) for x in space.basis.mats)

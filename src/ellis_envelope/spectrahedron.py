@@ -314,14 +314,14 @@ class FeasibleSet:
 
     @cached_property
     def center(self) -> ChannelMap:
-        """The one member every descent step uses, and the envelope's seed.
+        """The one member the descent step uses.
 
         The Frobenius-nearest member to the Choi matrix I/n of the trace
         state x -> tr(x) I/n, computed on first use. It is deterministic,
         and it is I/n itself whenever the trace state is a member (span{I}
         and its T-sets). A positive definite compression puts it in the
-        set's relative interior, where ``descend_to_minimal`` misses no
-        step; that holds on every pinned test set.
+        set's relative interior, where the step of ``descend_to_minimal``
+        reaches a minimal idempotent; that holds on every pinned test set.
         """
         return dykstra_project(np.eye(self.choi_dim) / self.n, self)
 

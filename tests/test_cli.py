@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ellis_envelope import channels, cli, envelope, spectrahedron
-from ellis_envelope.channels import ChannelMap
+from ellis_envelope.channels import ChannelMap, NonConvergenceError
 from ellis_envelope.cli import RunConfig, main
 from ellis_envelope.jsonio import dump_report
 from ellis_envelope.semigroups import cyclic_group
@@ -216,6 +216,29 @@ def test_boundary_compute(capsys, inputs):
     assert rep["result"]["fixed_space_dim"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, ranks, step",
+    [
+        # envelopes step once from the identity, at distance ||S_theta0 - I||_F
+        (["envelope", "compute", "d2"], [4, 2], np.sqrt(2.0)),
+        (["envelope", "compute", "span_i"], [4, 1], np.sqrt(3.0)),
+        (["envelope", "compute", "corner"], [16, 4], None),
+        # boundaries step once from the channel's Cesaro idempotent
+        (["boundary", "compute", "halfsz", "--fix", "span_i"], [2, 1], None),
+    ],
+    ids=["envelope-d2", "envelope-span_i", "envelope-corner", "boundary-halfsz"],
+)
+def test_descent_trace_has_two_rows(capsys, inputs, argv, ranks, step):
+    code, out, _ = run(capsys, [inputs.get(a, a) for a in argv])
+    assert code == 0
+    trace = report_of(out)["result"]["descent_trace"]
+    assert [it for it, _, _ in trace] == [0, 1]
+    assert [rk for _, rk, _ in trace] == ranks
+    assert trace[0][2] == 0.0
+    if step is not None:
+        assert trace[1][2] == pytest.approx(step, rel=1e-12)
+
+
 # ------------------------------------------------------------------------
 # determinism
 
@@ -252,14 +275,17 @@ def test_out_flag_writes_file_and_silences_stdout(capsys, inputs, tmp_path):
 
 def test_incomplete_face_exits_two(capsys, inputs, monkeypatch):
     # with facial reduction disabled the rigid system's set keeps violating
-    # directions but has no interior point to step from
+    # directions but has no interior point: its center is the identity, so
+    # the one step returns the identity again
     monkeypatch.setattr(spectrahedron, "_structural_face", lambda laws, n: np.eye(n * n, dtype=complex))
     code, out, _ = run(capsys, ["envelope", "compute", inputs["rigid"]])
     assert code == 2
     rep = report_of(out)
     assert rep["certificate"] == "unverified"
     assert rep["result"]["rigidity_violation"] > 1e-6
-    assert rep["result"]["descent_trace"] == [[0, 4, 0.0]]
+    trace = rep["result"]["descent_trace"]
+    assert [rk for _, rk, _ in trace] == [4, 4]
+    assert trace[1][2] <= 1e-12
 
 
 def _reject_constant(name):
@@ -296,6 +322,19 @@ def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):
     assert out == ""
     diag = nonconvergence_diagnostics(err)
     assert [r for _, r in diag["history_tail"]] == [None]
+
+
+def test_boundary_step_failure_exits_two(capsys, inputs, monkeypatch):
+    # the set's known member is built before the step, so only the step's
+    # Cesaro call fails, and the failure reaches the CLI as non-convergence
+    def refuse(*args, **kwargs):
+        raise NonConvergenceError("forced", [(0, 1.0)])
+
+    monkeypatch.setattr(envelope, "cesaro_idempotent", refuse)
+    code, out, err = run(capsys, ["boundary", "compute", inputs["halfsz"], "--fix", inputs["span_i"]])
+    assert code == 2
+    assert out == ""
+    assert "seed_idempotent" in nonconvergence_diagnostics(err)["detail"]
 
 
 def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):

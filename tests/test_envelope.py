@@ -398,7 +398,27 @@ def test_descent_on_incomplete_face_is_unverified(monkeypatch):
     res = descend_to_minimal(fset, ChannelMap.identity(2))
     assert res.certificate == "unverified"
     assert res.violation > 1e-6
-    assert res.trace == ((0, 4, 0.0),)
+    assert [rk for _, rk, _ in res.trace] == [4, 4]
+    assert res.trace[1][2] <= 1e-12
+
+
+@pytest.mark.parametrize("set_name", ["d2_set", "span_i_m2_set", "corner_lift_set", "diag_unitary_t3_set"])
+def test_descent_is_one_step(request, set_name):
+    # f = Ces(e0 . theta0 . e0) is a limit of maps e0 . x . e0, so e0 absorbs
+    # f on both sides, and f = f . (e0 . theta0 . e0) gives f . theta0 . f =
+    # f; a second step from f therefore returns f's rank with no violation
+    fset = request.getfixturevalue(set_name)
+    n, s0 = fset.n, fset.center.superop
+    starts = [ChannelMap(n, n, fset.member)] + [seed_idempotent(sample(fset, seed=seed), fset) for seed in range(5)]
+    for e0 in starts:
+        f = descend_to_minimal(fset, e0).idempotent
+        sf, se = f.superop, e0.superop
+        assert frobenius(sf @ s0 @ sf - sf) <= 1e-10
+        assert frobenius(sf @ se - sf) <= 1e-10
+        assert frobenius(se @ sf - sf) <= 1e-10
+        again = descend_to_minimal(fset, f)
+        assert [rk for _, rk, _ in again.trace] == [f.rank(), f.rank()]
+        assert again.trace[1][2] <= 1e-10
 
 
 # ------------------------------------------------------------------------
