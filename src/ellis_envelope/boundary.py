@@ -6,7 +6,8 @@ ranges inside the fixed space F_phi; the Cesaro idempotent of phi itself
 belongs to it. A minimal idempotent there carries the boundary structure:
 its range together with the multiplication x . y = e(x y) is the
 noncommutative Poisson boundary of phi relative to E, and the inclusion of
-E in it is rigid.
+E in it is rigid. This one set decides both: the minimality bound over it
+also bounds e . theta . e - e over every UCP theta fixing E.
 
 Normality hypotheses on phi are vacuous at matrix scale; nothing is imposed.
 No bidual construction is attempted (the bidual of B(H) is not injective,
@@ -29,7 +30,6 @@ from .envelope import (
     ChoiEffrosTable,
     choi_effros_table,
     descend_to_minimal,
-    probe_minimality,
 )
 from .linalg import SubspaceBasis, frobenius, matrix_to_json
 from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
@@ -66,7 +66,8 @@ class BoundaryResult:
     lies in F_phi ("range_in_fixed"), the idempotent is absorbed by the
     channel ("absorbed"), and the space is fixed by the channel
     ("space_in_fixed"). ``absorption_violation`` is max_k ||e phi^k e - e||
-    for k up to ``ABSORPTION_POWERS``.
+    for k up to ``ABSORPTION_POWERS``. ``rigidity_violation`` bounds
+    sup ||e . theta . e - e||_F over every UCP theta fixing the space.
     """
 
     channel: ChannelMap
@@ -111,23 +112,21 @@ def compute_boundary(
 ) -> BoundaryResult:
     """Minimal idempotent of the absorbed semigroup, with certificates.
 
-    The descent takes its one step from the set's known member, the Cesaro
-    idempotent m of the channel. The rigidity check follows the two-step
-    extension device: every member theta of the plain system set of
-    ``space`` (no absorption constraint) is pushed into the absorbed
-    semigroup as m . theta, and e . m . theta . e = e is tested exactly over
-    all of them. The step keeps e . m = e (``descend_to_minimal``), so the
-    test is ``probe_minimality`` of e over the plain set, of which e is a
-    member (the absorbed set lies inside it). The descent is deterministic,
-    so ``seed`` is unused: it is accepted only for callers that still pass
-    one.
+    One descent step from the T-set's known member m, the Cesaro idempotent
+    of phi, gives e with e . m = e (``descend_to_minimal``). Its bound,
+    ``probe_minimality`` over the T-set T, is ``rigidity_violation``, and it
+    also covers the plain system set P of ``space``: T lies in P; for theta
+    in P, m . theta is in T (phi . m = m, and m fixes E); so
+    e . (m . theta) . e = e . theta . e, and the sup of ||e . theta . e - e||
+    over P is the sup over T. A certified e is minimal among the
+    E-projections of M_n up to tol, and rigid over E. ``seed`` is unused
+    (the descent is deterministic) and kept for callers that still pass it.
     """
     tset = build_T_set(space, phi)
     des = descend_to_minimal(tset, ChannelMap(tset.n, tset.n, tset.member), tol=tol)
     e = des.idempotent
     boundary = e.range_basis()
     f_phi = fixed_space(phi)
-    rigidity = probe_minimality(e, build_system_set(space))
     residuals = {
         "range_in_fixed": max(f_phi.distance(m) for m in boundary.mats),
         "absorbed": frobenius(phi.superop @ e.superop - e.superop),
@@ -143,7 +142,7 @@ def compute_boundary(
         idempotent=e,
         boundary_space=boundary,
         choi_effros=choi_effros_table(e, boundary),
-        rigidity_violation=rigidity,
+        rigidity_violation=des.violation,
         absorption_violation=check_absorption(e, phi, boundary),
         certificate=des.certificate,
         descent_trace=des.trace,

@@ -52,9 +52,9 @@ class RunConfig:
     """The settings of a run; every report records them with ``TOL``.
 
     ``report_tol`` is the certification threshold applied to residuals and
-    minimality bounds and must stay strictly above the solver tolerance
-    ``TOL.solver``: a certificate cannot be tighter than the accuracy of the
-    iterates behind it.
+    minimality bounds. It must be finite, or it would certify any bound, and
+    strictly above the solver tolerance ``TOL.solver``: a certificate cannot
+    be tighter than the accuracy of the iterates behind it.
     """
 
     report_tol: float = TOL.certify
@@ -62,10 +62,10 @@ class RunConfig:
     json_indent: int = 2
 
     def validate(self) -> None:
-        if not TOL.solver < self.report_tol:
+        if not TOL.solver < self.report_tol < np.inf:
             raise ValueError(
-                f"report tolerance ({self.report_tol:g}) must be strictly above "
-                f"the solver tolerance ({TOL.solver:g})"
+                f"report tolerance ({self.report_tol:g}) must be finite and "
+                f"strictly above the solver tolerance ({TOL.solver:g})"
             )
         if self.json_indent < 0:
             raise ValueError("json indent must be nonnegative")

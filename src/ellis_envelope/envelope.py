@@ -240,8 +240,8 @@ def descend_to_minimal(fset: FeasibleSet, e0: ChannelMap, tol: float = TOL.certi
     e0 . (theta0 . e0)^k, so e0 . f = f . e0 = f, and f absorbs p: f . p = f.
     Hence f . theta0 . f = (f . e0) . theta0 . (e0 . f) = f . p . f = f, and
     a second step from f would return f: there is none to take. For a
-    boundary, e0 is the Cesaro idempotent of phi, so f . e0 = f gives
-    f . phi = f, which its rigidity test and ``check_absorption`` rely on.
+    boundary, e0 = Ces(phi), and f . e0 = f makes the bound cover the plain
+    system set (``compute_boundary``) and gives f . phi = f (``check_absorption``).
 
     f . theta0 . f = f makes f minimal when the compression of theta0 is
     positive definite, which puts theta0 in the set's relative interior:

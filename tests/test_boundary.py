@@ -19,8 +19,9 @@ from ellis_envelope.channels import (
     random_unital_channel,
 )
 from ellis_envelope.boundary import build_T_set, compute_boundary
+from ellis_envelope.envelope import probe_minimality
 from ellis_envelope.linalg import SubspaceBasis, frobenius
-from ellis_envelope.spectrahedron import OperatorSubspace, sample
+from ellis_envelope.spectrahedron import OperatorSubspace, build_system_set, sample
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -155,8 +156,8 @@ def test_boundary_of_cyclic_shift_m3():
     space = OperatorSubspace.from_matrices([np.eye(3, dtype=complex)])
     phi = ChannelMap.conjugation(shift_matrix(3))
     res = compute_boundary(space, phi)
-    # the rigidity test drops the left factor e0 of e . e0 . theta . e,
-    # which is exact because the descent from e0 keeps e . e0 = e
+    # e . e0 = e is what makes the T-set bound cover the plain system set:
+    # e . (e0 . theta) . e = e . theta . e, with e0 . theta in the T-set
     e0 = cesaro_idempotent(phi).idempotent
     assert frobenius(res.idempotent.superop @ e0.superop - res.idempotent.superop) <= 1e-8
     assert res.certificate == "certified"
@@ -167,6 +168,71 @@ def test_boundary_of_cyclic_shift_m3():
     assert res.absorption_violation <= 1e-7
     for value in res.residuals.values():
         assert value <= 1e-7
+
+
+def half_sz():
+    return ChannelMap.from_superop(
+        0.5 * (ChannelMap.identity(2).superop + ChannelMap.conjugation(SZ).superop), 2, 2
+    )
+
+
+def span_eye(n):
+    return OperatorSubspace.from_matrices([np.eye(n, dtype=complex)])
+
+
+def diag_space(n):
+    return OperatorSubspace.from_matrices(diag_units(n))
+
+
+# the boundary pairs of scripts/make_inputs.py
+SAMPLE_PAIRS = {
+    "conj_sz": lambda: (span_eye(2), ChannelMap.conjugation(SZ)),
+    "half_sz": lambda: (span_eye(2), half_sz()),
+    "shift_m3": lambda: (span_eye(3), ChannelMap.conjugation(shift_matrix(3))),
+    "trace_state": lambda: (span_eye(2), ChannelMap.trace_state(2)),
+    "pinching_span_i": lambda: (span_eye(2), ChannelMap.pinching(2)),
+    "pinching_diag": lambda: (diag_space(2), ChannelMap.pinching(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_PAIRS))
+def test_rigidity_violation_is_the_t_set_bound(name):
+    # one feasible set decides a boundary: the reported rigidity bound is
+    # the descent's minimality bound over the T-set, not a second probe
+    space, phi = SAMPLE_PAIRS[name]()
+    res = compute_boundary(space, phi)
+    assert res.certificate == "certified"
+    assert res.rigidity_violation == probe_minimality(res.idempotent, build_T_set(space, phi))
+
+
+PROOF_PAIRS = {
+    "conj_sz": SAMPLE_PAIRS["conj_sz"],
+    "half_sz": SAMPLE_PAIRS["half_sz"],
+    "shift_m3": SAMPLE_PAIRS["shift_m3"],
+    "pinching_diag_m3": lambda: (diag_space(3), ChannelMap.pinching(3)),
+    "diag_unitary_m4": lambda: (
+        span_eye(4),
+        ChannelMap.conjugation(np.diag(np.exp(2j * np.pi * np.arange(4) / 4.37))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PROOF_PAIRS))
+def test_t_set_bound_covers_the_plain_system_set(name):
+    # for theta in the plain system set P of E, m . theta lies in the T-set,
+    # m = Ces(phi); so for e = m, and for the boundary idempotent e with
+    # e . m = e, e . (m . theta) . e = e . theta . e and the T-set bound
+    # covers every member of P. The slack absorbs rounding in the sampled
+    # members, which the bound itself does not carry.
+    space, phi = PROOF_PAIRS[name]()
+    tset = build_T_set(space, phi)
+    plain = build_system_set(space)
+    thetas = [sample(plain, seed=s).superop for s in range(6)]
+    for e in (cesaro_idempotent(phi).idempotent, compute_boundary(space, phi).idempotent):
+        bound = probe_minimality(e, tset)
+        se = e.superop
+        worst = max(frobenius(se @ st @ se - se) for st in thetas)
+        assert worst <= bound + 1e-8, (worst, bound)
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(5, 9) for m in (n, n + 0.37)])

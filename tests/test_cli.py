@@ -401,6 +401,15 @@ def test_tolerance_below_solver_exits_one(capsys, inputs):
     assert "strictly above" in err
 
 
+def test_infinite_tolerance_exits_one(capsys, inputs):
+    # an infinite tolerance would certify any bound, and it has no strict
+    # JSON encoding for the report's config
+    code, out, err = run(capsys, ["envelope", "compute", inputs["rigid"], "--tol", "inf"])
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_malformed_channel_json_exits_one(capsys, tmp_path):
     good = ChannelMap.pinching(2).to_json()
     bad_entry = json.loads(json.dumps(good))
