@@ -31,8 +31,8 @@ from .envelope import (
     choi_effros_table,
     descend_to_minimal,
 )
-from .linalg import SubspaceBasis, frobenius, matrix_to_json
-from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
+from .linalg import OperatorSubspace, frobenius, matrix_to_json
+from .spectrahedron import FeasibleSet, build_system_set
 from .tolerances import TOL
 
 
@@ -46,9 +46,9 @@ def build_T_set(space: OperatorSubspace, phi: ChannelMap) -> FeasibleSet:
     known member its affine slice is measured from.
     """
     _require_unital_cp(phi, "build_T_set")
-    if phi.dim_in != space.ambient:
+    if phi.dim_in != space.n:
         raise ValueError("build_T_set: channel and space have different ambient dimensions")
-    for k, x in enumerate(space.basis.mats):
+    for k, x in enumerate(space.mats):
         res = frobenius(phi.apply(x) - x)
         if res > TOL.solver:
             raise ValueError(
@@ -72,9 +72,9 @@ class BoundaryResult:
 
     channel: ChannelMap
     space: OperatorSubspace
-    fixed_space: SubspaceBasis
+    fixed_space: OperatorSubspace
     idempotent: ChannelMap
-    boundary_space: SubspaceBasis
+    boundary_space: OperatorSubspace
     choi_effros: ChoiEffrosTable
     rigidity_violation: float
     absorption_violation: float
@@ -131,7 +131,7 @@ def compute_boundary(
         "range_in_fixed": max(f_phi.distance(m) for m in boundary.mats),
         "absorbed": frobenius(phi.superop @ e.superop - e.superop),
         "space_in_fixed": max(
-            frobenius(phi.apply(x) - x) for x in space.basis.mats
+            frobenius(phi.apply(x) - x) for x in space.mats
         ),
         "membership": tset.membership(e).worst,
     }

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    SubspaceBasis,
+    OperatorSubspace,
     as_matrix,
     frobenius,
     herm,
@@ -157,12 +157,12 @@ class ChannelMap:
         """Number of superoperator singular values above ``TOL.rank``."""
         return int(np.sum(np.linalg.svd(self.superop, compute_uv=False) > TOL.rank))
 
-    def range_basis(self) -> SubspaceBasis:
+    def range_basis(self) -> OperatorSubspace:
         """Orthonormal basis (as matrices) of the range of the map."""
         u, s, _ = np.linalg.svd(self.superop)
         r = int(np.sum(s > TOL.rank))
         mats = [unvec(u[:, k], self.dim_out, self.dim_out) for k in range(r)]
-        return SubspaceBasis(np.stack(mats))
+        return OperatorSubspace(np.stack(mats))
 
     def to_json(self) -> dict:
         return {
@@ -271,33 +271,34 @@ def _require_unital_cp(phi: ChannelMap, who: str) -> None:
         raise ValueError(f"{who}: map is not CP (min Choi eigenvalue {wmin:.3e})")
 
 
-def _ergodic_kernels(s: np.ndarray, sv_rtol: float, who: str) -> tuple[np.ndarray, np.ndarray]:
+def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal columns spanning ker(I - s) and ker((I - s)^*), from one SVD.
 
-    Singular values of I - s below ``sv_rtol * max(1, ||s||)`` count as zero.
+    Singular values of I - s below ``TOL.fixed_space * max(1, ||s||)`` count as zero.
     The first block is vec F_phi; the second is ran(I - s)^perp, along whose
     complement the ergodic projection maps onto F_phi.
     """
     d = s.shape[0]
     u, sv, vh = np.linalg.svd(np.eye(d) - s)
-    thresh = sv_rtol * max(1.0, _spectral_norm(s))
+    thresh = TOL.fixed_space * max(1.0, _spectral_norm(s))
     r = int(np.sum(sv < thresh))
     if r == 0:
         raise ValueError(f"{who}: no fixed points found (eigenvalue 1 is not in the spectrum)")
     return vh[d - r :].conj().T, u[:, d - r :]
 
 
-def fixed_space(phi: ChannelMap, sv_rtol: float = TOL.fixed_space) -> SubspaceBasis:
+def fixed_space(phi: ChannelMap) -> OperatorSubspace:
     """Orthonormal basis of F_phi = {x : phi(x) = x} for a unital CP map.
 
     Computed as the null space of I - S, S the superoperator; singular
-    values below ``sv_rtol * max(1, ||S||)`` are treated as zero. The basis
-    is orthonormal but not canonical (the SVD fixes it only up to a unitary
-    change within the null space): compare fixed spaces by their projectors.
+    values below ``TOL.fixed_space * max(1, ||S||)`` are treated as zero.
+    The basis is orthonormal but not canonical (the SVD fixes it only up to
+    a unitary change within the null space): compare fixed spaces by their
+    projectors.
     """
     _require_unital_cp(phi, "fixed_space")
-    k, _ = _ergodic_kernels(phi.superop, sv_rtol, "fixed_space")
-    return SubspaceBasis(k.T.reshape(-1, phi.dim_in, phi.dim_in))
+    k, _ = _ergodic_kernels(phi.superop, "fixed_space")
+    return OperatorSubspace(k.T.reshape(-1, phi.dim_in, phi.dim_in))
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ class ErgodicResult:
     """
 
     idempotent: ChannelMap
-    fixed_space: SubspaceBasis
+    fixed_space: OperatorSubspace
     method: str
     residuals: dict[str, float]
     agreement: float | None = None
@@ -372,7 +373,7 @@ def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
     _require_unital_cp(phi, "cesaro_idempotent")
     s = phi.superop
     # one SVD of I - s serves the spectral projection and the fixed basis
-    k, l = _ergodic_kernels(s, TOL.fixed_space, "cesaro_idempotent")
+    k, l = _ergodic_kernels(s, "cesaro_idempotent")
     agreement = None
     if mode == "spectral":
         p = _spectral_ergodic_projection(k, l)
@@ -398,7 +399,7 @@ def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
     }
     return ErgodicResult(
         idempotent=e,
-        fixed_space=SubspaceBasis(k.T.reshape(-1, n, n)),
+        fixed_space=OperatorSubspace(k.T.reshape(-1, n, n)),
         method=mode,
         residuals=residuals,
         agreement=agreement,
@@ -426,7 +427,7 @@ def random_unital_channel(rng: np.random.Generator, n: int, n_kraus: int = 3) ->
 
 
 def _absorption_bounds(
-    e: ChannelMap, phi: ChannelMap, basis: SubspaceBasis | None = None
+    e: ChannelMap, phi: ChannelMap, basis: OperatorSubspace | None = None
 ) -> tuple[dict[str, float], float]:
     """Proven upper bounds behind ``check_absorption``: the three preconditions
     (idempotent, absorb_left, absorb_right) and max_k ||e phi^k e - e||_F."""
@@ -466,7 +467,7 @@ def _absorption_bounds(
     return preconditions, out + sqrt_n * dn * dn
 
 
-def check_absorption(e: ChannelMap, phi: ChannelMap, basis: SubspaceBasis | None = None) -> float:
+def check_absorption(e: ChannelMap, phi: ChannelMap, basis: OperatorSubspace | None = None) -> float:
     """Upper bound on max_{1<=k<=ABSORPTION_POWERS} || e phi^k e - e ||_F for an
     ergodic idempotent e of a unital CP map phi on M_n.
 

@@ -228,7 +228,7 @@ def _run_envelope_compute(args, config: RunConfig) -> tuple[str, dict]:
     res = compute_envelope(space, mode=mode, tol=config.report_tol)
     result = res.to_json()
     result["input_dim"] = space.dim
-    result["ambient"] = space.ambient
+    result["ambient"] = space.n
     return res.certificate, result
 
 
@@ -238,7 +238,7 @@ def _run_boundary_compute(args, config: RunConfig) -> tuple[str, dict]:
     res = compute_boundary(space, phi, tol=config.report_tol)
     result = res.to_json()
     result["input_dim"] = space.dim
-    result["ambient"] = space.ambient
+    result["ambient"] = space.n
     return res.certificate, result
 
 

@@ -40,8 +40,8 @@ from .channels import (
     _require_unital_cp,
     cesaro_idempotent,
 )
-from .linalg import SubspaceBasis, frobenius, matrix_to_json
-from .spectrahedron import FeasibleSet, OperatorSubspace, build_system_set
+from .linalg import OperatorSubspace, frobenius, matrix_to_json
+from .spectrahedron import FeasibleSet, build_system_set
 from .tolerances import TOL
 
 # ------------------------------------------------------------------------
@@ -55,9 +55,9 @@ def paulsen_lift(space: OperatorSubspace) -> OperatorSubspace:
     selfadjoint by construction. The four blocks are pairwise orthogonal, so
     the dimension is exactly 2 dim(E) + 2.
     """
-    n = space.ambient
+    n = space.n
     gens = [_embed_diag(np.eye(n), 0, n), _embed_diag(np.eye(n), 1, n)]
-    for x in space.basis.mats:
+    for x in space.mats:
         gens.append(_embed_corner(x, n))
         gens.append(_embed_corner(x, n).conj().T)
     return OperatorSubspace.from_matrices(gens)
@@ -322,7 +322,7 @@ def _product_maps(e: ChannelMap, mats: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return right, left
 
 
-def choi_effros_table(e: ChannelMap, f_basis: SubspaceBasis) -> ChoiEffrosTable:
+def choi_effros_table(e: ChannelMap, f_basis: OperatorSubspace) -> ChoiEffrosTable:
     """Expand x . y = e(x y) over the basis m_1..m_d of F = range(e).
 
     Batched over the basis in row-major vec coordinates (``_product_maps``).
@@ -375,7 +375,7 @@ class EnvelopeResult:
     space: OperatorSubspace
     mode: str
     idempotent: ChannelMap
-    envelope_space: SubspaceBasis
+    envelope_space: OperatorSubspace
     corner_map: ChannelMap | None
     inclusion_residual: float
     rigidity_violation: float
@@ -430,7 +430,7 @@ def compute_envelope(
         inner = compute_envelope(lifted, mode="system", tol=tol)
         corner = corner_extract(inner.idempotent)
         env = corner.range_basis()
-        inclusion = max(env.distance(x) for x in space.basis.mats)
+        inclusion = max(env.distance(x) for x in space.mats)
         return EnvelopeResult(
             space=space,
             mode="space",
@@ -448,7 +448,7 @@ def compute_envelope(
     des = descend_to_minimal(fset, ChannelMap(fset.n, fset.n, fset.member), tol=tol)
     e = des.idempotent
     f_basis = e.range_basis()
-    inclusion = max(f_basis.distance(x) for x in space.basis.mats)
+    inclusion = max(f_basis.distance(x) for x in space.mats)
     table = choi_effros_table(e, f_basis)
     return EnvelopeResult(
         space=space,

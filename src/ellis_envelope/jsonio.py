@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .channels import ChannelMap
 from .semigroups import CayleyTable
-from .spectrahedron import OperatorSubspace
+from .linalg import OperatorSubspace
 
 MAX_AMBIENT = 64
 

@@ -1,10 +1,11 @@
 """Dense complex-matrix primitives shared by every other module.
 
 Matrices are numpy ``complex128`` arrays, row-major, and ``vec`` always means
-row-major flattening (``m.reshape(-1)``).  Subspaces of M_n are stored as
-stacks of matrices that are orthonormal under the Frobenius inner product
-``<a, b> = tr(a^* b)``, which coincides with the l2 inner product of their
-vectorizations.
+row-major flattening (``m.reshape(-1)``).  Every subspace of M_n, input or
+result, is an ``OperatorSubspace``: a stack of matrices that are orthonormal
+under the Frobenius inner product ``<a, b> = tr(a^* b)``, which coincides
+with the l2 inner product of their vectorizations. Its structure flags are
+read off that basis.
 
 Tolerances: every threshold shared across the package is a field of
 ``tolerances.TOL``.
@@ -13,6 +14,7 @@ Tolerances: every threshold shared across the package is a field of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,14 +60,14 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises ValueError if the input is not square or deviates from Hermitian
-    by more than ``TOL.hermiticity * max(1, ||a||_F)``.
+    by more than ``TOL.structure * max(1, ||a||_F)``.
     """
     a = as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError(f"hermitian_eig: matrix is {n}x{m}, not square")
     dev = frobenius(a - a.conj().T)
-    if dev > TOL.hermiticity * max(1.0, frobenius(a)):
+    if dev > TOL.structure * max(1.0, frobenius(a)):
         raise ValueError(f"hermitian_eig: not Hermitian (||a - a^*||_F = {dev:.3e})")
     w, v = np.linalg.eigh(herm(a))
     return HermitianEig(values=w, vectors=v)
@@ -79,16 +81,27 @@ def psd_project(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SubspaceBasis:
-    """Frobenius-orthonormal basis of a subspace of M_n; ``mats`` has shape (dim, n, n)."""
+class OperatorSubspace:
+    """A subspace E of M_n, held as a Frobenius-orthonormal basis ``mats`` of shape (dim, n, n).
+
+    The structure flags are read off the basis at ``TOL.structure``:
+    ``unital`` means I is in the span, ``selfadjoint`` means the span is
+    closed under the adjoint. Both hold for an operator system, and so for
+    the range of every unital CP idempotent (Choi-Effros 1977).
+    """
 
     mats: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.mats, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError(f"SubspaceBasis: expected (k, n, n) stack, got {m.shape}")
+            raise ValueError(f"OperatorSubspace: expected (k, n, n) stack, got {m.shape}")
         object.__setattr__(self, "mats", m)
+
+    @classmethod
+    def from_matrices(cls, mats) -> "OperatorSubspace":
+        """Span of arbitrary matrices, orthonormalized (``orthonormalize``)."""
+        return orthonormalize(mats)
 
     @property
     def dim(self) -> int:
@@ -97,6 +110,14 @@ class SubspaceBasis:
     @property
     def n(self) -> int:
         return self.mats.shape[1]
+
+    @cached_property
+    def unital(self) -> bool:
+        return bool(self.distance(np.eye(self.n)) <= TOL.structure * np.sqrt(self.n))
+
+    @cached_property
+    def selfadjoint(self) -> bool:
+        return bool(max(self.distance(m.conj().T) for m in self.mats) <= TOL.structure)
 
     def vecs(self) -> np.ndarray:
         """Row-stacked vectorizations, shape (dim, n^2)."""
@@ -112,9 +133,31 @@ class SubspaceBasis:
         """Frobenius distance from a matrix to the subspace."""
         return frobenius(as_matrix(a, self.n, self.n) - self.project(a))
 
+    def to_json(self, mode: str = "system") -> dict:
+        return {
+            "ambient": self.n,
+            "basis": [matrix_to_json(m) for m in self.mats],
+            "mode": mode,
+        }
 
-def orthonormalize(mats) -> SubspaceBasis:
-    """Gram-Schmidt a list of matrices into a SubspaceBasis.
+    @classmethod
+    def from_json(cls, obj: dict) -> tuple["OperatorSubspace", str]:
+        try:
+            n = int(obj["ambient"])
+            mats = [matrix_from_json(m) for m in obj["basis"]]
+            mode = obj.get("mode", "system")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"operator space json: missing field ({exc})") from exc
+        if mode not in ("system", "space"):
+            raise ValueError(f"operator space json: unknown mode {mode!r}")
+        space = cls.from_matrices(mats)
+        if space.n != n:
+            raise ValueError(f"operator space json: basis is {space.n}x{space.n}, ambient says {n}")
+        return space, mode
+
+
+def orthonormalize(mats) -> OperatorSubspace:
+    """Gram-Schmidt a list of matrices into an OperatorSubspace.
 
     Modified Gram-Schmidt with one reorthogonalization pass; vectors whose
     residual norm falls below ``TOL.span_rtol * max input norm`` are dropped, so
@@ -141,7 +184,7 @@ def orthonormalize(mats) -> SubspaceBasis:
             kept.append(v / norm)
     if not kept:
         raise ValueError("orthonormalize: span is numerically zero")
-    return SubspaceBasis(np.stack(kept).reshape(len(kept), n, n))
+    return OperatorSubspace(np.stack(kept).reshape(len(kept), n, n))
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -48,9 +48,6 @@ class CayleyTable:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def mul(self, s: int, t: int) -> int:
-        return int(self.table[s, t])
-
     def validate(self) -> None:
         """Check associativity; raises AssociativityError with the first violation.
 
@@ -75,7 +72,7 @@ class CayleyTable:
         return {"order": self.order, "table": self.table.tolist()}
 
     @classmethod
-    def from_json(cls, obj: dict, validate: bool = True) -> "CayleyTable":
+    def from_json(cls, obj: dict) -> "CayleyTable":
         try:
             order, rows = int(obj["order"]), obj["table"]
         except (KeyError, TypeError) as exc:
@@ -84,8 +81,7 @@ class CayleyTable:
         if t.shape != (order, order):
             raise ValueError(f"cayley json: table shape {t.shape} does not match order {order}")
         out = cls(t)
-        if validate:
-            out.validate()
+        out.validate()
         return out
 
 
@@ -126,9 +122,6 @@ class IdempotentPoset:
             if all(not self.below[j, i] or self.below[i, j] for j in range(k)):
                 out.append(self.idempotents[i])
         return out
-
-    def is_minimal(self, e: int) -> bool:
-        return e in self.minimal()
 
     def similarity_classes(self) -> list[tuple[int, ...]]:
         k = len(self.idempotents)
@@ -296,10 +289,10 @@ class SubSemigroup:
     elements: tuple[int, ...]
 
 
-def random_subsemigroup(sg: CayleyTable, seed: int, max_generators: int = 3) -> SubSemigroup:
-    """Closure of a random generator set, reindexed to a standalone table."""
+def random_subsemigroup(sg: CayleyTable, seed: int) -> SubSemigroup:
+    """Closure of one to three random generators, reindexed to a standalone table."""
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, max_generators + 1))
+    k = int(rng.integers(1, 4))
     gens = rng.choice(sg.order, size=k, replace=False)
     closed = set(int(g) for g in gens)
     frontier = set(closed)

@@ -2,6 +2,8 @@
 
 A set of unital CP maps with prescribed fixed points (and optionally a
 left-absorption law psi . phi = phi) is a spectrahedron in Choi coordinates.
+The fixed points span an operator system E, given as a
+``linalg.OperatorSubspace``.
 This module represents such sets, projects onto them exactly with a dual
 semismooth Newton method, samples members, ascends linear functionals, and
 brackets the completely bounded norm: one pair of density matrices (rho0, rho1)
@@ -34,16 +36,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .channels import ChannelMap, NonConvergenceError, cesaro_idempotent
-from .linalg import (
-    SubspaceBasis,
-    as_matrix,
-    frobenius,
-    herm,
-    hermitian_eig,
-    matrix_from_json,
-    matrix_to_json,
-    orthonormalize,
-)
+from .linalg import OperatorSubspace, as_matrix, frobenius, herm, hermitian_eig
 from .tolerances import TOL
 
 # Random combinations of E's Hermitian elements (fixed seed) that join the
@@ -85,70 +78,6 @@ def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
     j = j + np.swapaxes(j, -1, -2).conj()
     j[..., np.arange(d), np.arange(d)] = r[..., :d]
     return j
-
-
-# ------------------------------------------------------------------------
-# operator subspaces (the E of the feasible sets)
-
-
-@dataclass(frozen=True)
-class OperatorSubspace:
-    """A subspace of M_n given by an orthonormal matrix basis, with structure flags.
-
-    Flags are verified on construction: ``unital`` means I is in the span,
-    ``selfadjoint`` means the span is closed under the adjoint.
-    """
-
-    ambient: int
-    basis: SubspaceBasis
-    unital: bool
-    selfadjoint: bool
-
-    def __post_init__(self):
-        n = self.ambient
-        if self.basis.n != n:
-            raise ValueError(f"OperatorSubspace: basis is {self.basis.n}x{self.basis.n}, ambient {n}")
-        eye_dist = self.basis.distance(np.eye(n))
-        if self.unital != bool(eye_dist <= TOL.structure * np.sqrt(n)):
-            raise ValueError(f"OperatorSubspace: unital flag contradicts basis (distance {eye_dist:.3e})")
-        adj_dist = max(self.basis.distance(m.conj().T) for m in self.basis.mats)
-        if self.selfadjoint != bool(adj_dist <= TOL.structure):
-            raise ValueError(f"OperatorSubspace: selfadjoint flag contradicts basis (distance {adj_dist:.3e})")
-
-    @classmethod
-    def from_matrices(cls, mats) -> "OperatorSubspace":
-        stack = np.stack([np.asarray(m, dtype=complex) for m in mats])
-        basis = orthonormalize(stack)
-        n = basis.n
-        unital = basis.distance(np.eye(n)) <= TOL.structure * np.sqrt(n)
-        selfadjoint = max(basis.distance(m.conj().T) for m in basis.mats) <= TOL.structure
-        return cls(n, basis, bool(unital), bool(selfadjoint))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def to_json(self, mode: str = "system") -> dict:
-        return {
-            "ambient": self.ambient,
-            "basis": [matrix_to_json(m) for m in self.basis.mats],
-            "mode": mode,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> tuple["OperatorSubspace", str]:
-        try:
-            n = int(obj["ambient"])
-            mats = [matrix_from_json(m) for m in obj["basis"]]
-            mode = obj.get("mode", "system")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"operator space json: missing field ({exc})") from exc
-        if mode not in ("system", "space"):
-            raise ValueError(f"operator space json: unknown mode {mode!r}")
-        space = cls.from_matrices(mats)
-        if space.ambient != n:
-            raise ValueError(f"operator space json: basis is {space.ambient}x{space.ambient}, ambient says {n}")
-        return space, mode
 
 
 # ------------------------------------------------------------------------
@@ -376,9 +305,9 @@ def build_system_set(
             "build_system_set: need a unital selfadjoint subspace (operator system); "
             "plain operator spaces go through the two-by-two corner lift first"
         )
-    n = space.ambient
+    n = space.n
     laws = [("unital", np.eye(n, dtype=complex))]
-    laws += [(f"fix:{k}", x) for k, x in enumerate(space.basis.mats)]
+    laws += [(f"fix:{k}", x) for k, x in enumerate(space.mats)]
     member = ChannelMap.identity(n)
     if absorb is not None:
         if absorb.dim_in != n or absorb.dim_out != n:

@@ -33,10 +33,9 @@ class Tolerances:
     # Choi matrix, and (relative) of the PSD matrices that expose a face.
     rank: float = 1e-7
     # Structural flags (relative): Hermitian, CP, unital, trace preserving,
-    # identity in the span, span closed under the adjoint.
+    # identity in the span, span closed under the adjoint; also the
+    # Hermitian eigensolver's input guard.
     structure: float = 1e-9
-    # Input guard of the Hermitian eigensolver (relative).
-    hermiticity: float = 1e-9
     # Singular values of S - I below it, relative to ||S||, span the fixed
     # space of the map with superoperator S.
     fixed_space: float = 1e-9

@@ -26,7 +26,7 @@ from ellis_envelope.envelope import (
     corner_extract,
     paulsen_lift,
 )
-from ellis_envelope.linalg import SubspaceBasis, frobenius, hermitian_eig, herm
+from ellis_envelope.linalg import OperatorSubspace, frobenius, hermitian_eig, herm
 from ellis_envelope.semigroups import (
     check_remark_similarity,
     enumerate_semigroups,
@@ -37,7 +37,6 @@ from ellis_envelope.semigroups import (
     transformation_monoid,
 )
 from ellis_envelope.spectrahedron import (
-    OperatorSubspace,
     build_system_set,
     cb_norm,
     cb_norm_bracket,
@@ -169,7 +168,7 @@ def test_04_diagonal_envelopes_across_seeds():
         for res in results:
             assert res.certificate == "certified"
             assert res.rank == n
-            assert subspace_equal(res.envelope_space, space.basis, tol=1e-6)[0]
+            assert subspace_equal(res.envelope_space, space, tol=1e-6)[0]
         base = results[0].idempotent.superop
         for res in results[1:]:
             assert frobenius(res.idempotent.superop - base) <= 1e-6
@@ -190,12 +189,12 @@ def test_05_rigid_system_collapses_to_identity(rigid_envelope):
 def test_06_corner_lift_and_one_dimensional_envelope(corner_envelope):
     space = OperatorSubspace.from_matrices([E12])
     lifted = paulsen_lift(space)
-    assert lifted.ambient == 4
+    assert lifted.n == 4
     assert lifted.dim == 4
     assert lifted.unital and lifted.selfadjoint
     z = np.zeros((4, 4), dtype=complex)
     z[:2, 2:] = E12
-    assert lifted.basis.distance(z) <= 1e-12
+    assert lifted.distance(z) <= 1e-12
     rng = np.random.default_rng(5)
     for _ in range(5):
         kraus = random_unital_kraus(rng, 2)
@@ -229,10 +228,10 @@ def test_07_multiplication_tables_are_associative_with_unit(
 def test_08_boundaries_live_on_commutants(sz_boundary, shift_boundary):
     assert sz_boundary.fixed_space.dim == 2
     assert subspace_equal(
-        sz_boundary.fixed_space, SubspaceBasis(np.stack(diag_units(2))), tol=1e-8
+        sz_boundary.fixed_space, OperatorSubspace(np.stack(diag_units(2))), tol=1e-8
     )[0]
     c = shift_matrix(3)
-    circulants = SubspaceBasis(
+    circulants = OperatorSubspace(
         np.stack([np.linalg.matrix_power(c, k) / np.sqrt(3.0) for k in range(3)])
     )
     assert shift_boundary.fixed_space.dim == 3

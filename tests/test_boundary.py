@@ -20,8 +20,8 @@ from ellis_envelope.channels import (
 )
 from ellis_envelope.boundary import build_T_set, compute_boundary
 from ellis_envelope.envelope import probe_minimality
-from ellis_envelope.linalg import SubspaceBasis, frobenius
-from ellis_envelope.spectrahedron import OperatorSubspace, build_system_set, sample
+from ellis_envelope.linalg import OperatorSubspace, frobenius
+from ellis_envelope.spectrahedron import build_system_set, sample
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,7 +52,7 @@ def circulant_basis(n):
     for _ in range(n):
         mats.append(p / np.sqrt(n))
         p = p @ c
-    return SubspaceBasis(np.stack(mats))
+    return OperatorSubspace(np.stack(mats))
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def test_boundary_of_sigma_z_conjugation(sz_boundary):
     res = sz_boundary
     assert res.certificate == "certified"
     assert res.fixed_space.dim == 2
-    assert subspace_equal(res.fixed_space, SubspaceBasis(np.stack(diag_units(2))), tol=1e-9)[0]
+    assert subspace_equal(res.fixed_space, OperatorSubspace(np.stack(diag_units(2))), tol=1e-9)[0]
     # minimal absorbed idempotents for scalar E are states: rank one
     assert res.rank == 1
     assert res.descent_trace[0][1] == 2
@@ -203,6 +203,14 @@ def test_rigidity_violation_is_the_t_set_bound(name):
     res = compute_boundary(space, phi)
     assert res.certificate == "certified"
     assert res.rigidity_violation == probe_minimality(res.idempotent, build_T_set(space, phi))
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_PAIRS))
+def test_boundary_and_fixed_spaces_are_operator_systems(name):
+    # both are ranges of unital CP idempotents (the boundary idempotent and Ces(phi))
+    res = compute_boundary(*SAMPLE_PAIRS[name]())
+    for sub in (res.boundary_space, res.fixed_space):
+        assert sub.unital and sub.selfadjoint
 
 
 PROOF_PAIRS = {
@@ -286,7 +294,7 @@ def test_sampled_member_fixed_spaces_stay_inside_f_phi(span_i, conj_sz):
     for seed in range(4):
         theta = sample(tset, seed=seed)
         # theta = phi.theta forces range(theta), hence F_theta, into F_phi
-        f_theta = fixed_space(theta, sv_rtol=1e-6)
+        f_theta = fixed_space(theta)
         for m in f_theta.mats:
             assert f_phi.distance(m) <= 1e-6
 
@@ -330,4 +338,4 @@ def test_boundary_respects_random_unitary_commutant():
     f = cesaro_idempotent(phi).fixed_space
     assert f.dim == 2
     projs = [u @ np.diag(np.eye(2)[i]).astype(complex) @ u.conj().T for i in range(2)]
-    assert subspace_equal(f, SubspaceBasis(np.stack([p for p in projs])), tol=1e-8)[0]
+    assert subspace_equal(f, OperatorSubspace(np.stack([p for p in projs])), tol=1e-8)[0]

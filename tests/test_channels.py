@@ -26,8 +26,7 @@ from ellis_envelope.channels import (
     superop_to_choi,
     unitalize_kraus,
 )
-from ellis_envelope.linalg import SubspaceBasis, frobenius, hermitian_eig, vec
-from ellis_envelope.spectrahedron import OperatorSubspace
+from ellis_envelope.linalg import OperatorSubspace, frobenius, hermitian_eig, vec
 
 from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, subspace_equal
 
@@ -50,7 +49,7 @@ def commutant_basis(u):
     _, s, vh = np.linalg.svd(a)
     r = int(np.sum(s < 1e-10 * max(1.0, s[0])))
     mats = [vh[-(k + 1)].conj().reshape(n, n) for k in range(r)]
-    return SubspaceBasis(np.stack(mats))
+    return OperatorSubspace(np.stack(mats))
 
 
 def plain_cesaro_average(s, big_n):
@@ -254,7 +253,7 @@ def test_fixed_space_identity_is_everything():
 def test_fixed_space_of_conjugation_is_commutant():
     u = np.diag([1.0, -1.0]).astype(complex)
     fs = fixed_space(ChannelMap.conjugation(u))
-    diag2 = SubspaceBasis(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex))
+    diag2 = OperatorSubspace(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex))
     ok, dist = subspace_equal(fs, diag2)
     assert ok, dist
     rng = np.random.default_rng(29)
@@ -266,11 +265,11 @@ def test_fixed_space_of_conjugation_is_commutant():
 
 def test_fixed_space_pinching_and_trace_state():
     fs = fixed_space(ChannelMap.pinching(3))
-    diag3 = SubspaceBasis(np.stack([np.diag(np.eye(3)[i]) for i in range(3)]).astype(complex))
+    diag3 = OperatorSubspace(np.stack([np.diag(np.eye(3)[i]) for i in range(3)]).astype(complex))
     ok, _ = subspace_equal(fs, diag3)
     assert ok
     fs1 = fixed_space(ChannelMap.trace_state(2))
-    ok, _ = subspace_equal(fs1, SubspaceBasis(np.stack([I2 / np.sqrt(2)])))
+    ok, _ = subspace_equal(fs1, OperatorSubspace(np.stack([I2 / np.sqrt(2)])))
     assert ok
 
 
@@ -315,7 +314,7 @@ def test_cesaro_handles_peripheral_spectrum():
     u = np.diag(np.exp(1j * np.array([0.0, 2.0]))).astype(complex)
     res = cesaro_idempotent(ChannelMap.conjugation(u), mode="both")
     assert res.agreement < 1e-7
-    diag2 = SubspaceBasis(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex))
+    diag2 = OperatorSubspace(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex))
     ok, dist = subspace_equal(res.fixed_space, diag2)
     assert ok, dist
     ok, dist = subspace_equal(res.idempotent.range_basis(), diag2)
@@ -381,6 +380,23 @@ def test_cesaro_factors_the_map_once(monkeypatch, mode):
     monkeypatch.setattr(channels, "_require_unital_cp", counting_require)
     cesaro_idempotent(phi, mode=mode)
     assert (len(full), len(values_only), len(checks)) == (1, 1, 1)
+
+
+# the channels of scripts/make_inputs.py
+SAMPLE_CHANNELS = {
+    "pinching_m2": lambda: ChannelMap.pinching(2),
+    "conj_sz": lambda: ChannelMap.conjugation(SZ),
+    "half_sz": lambda: ChannelMap(2, 2, 0.5 * (ChannelMap.identity(2).choi + ChannelMap.conjugation(SZ).choi)),
+    "shift_m3": lambda: ChannelMap.conjugation(np.roll(np.eye(3), 1, axis=0).astype(complex)),
+    "trace_state_m2": lambda: ChannelMap.trace_state(2),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_CHANNELS))
+def test_cesaro_fixed_space_is_an_operator_system(name):
+    # F_phi is the range of the unital CP idempotent Ces(phi)
+    f = cesaro_idempotent(SAMPLE_CHANNELS[name]()).fixed_space
+    assert f.unital and f.selfadjoint
 
 
 def test_cesaro_fixed_space_equals_fixed_space_of_the_map():
@@ -514,7 +530,7 @@ def test_absorption_bounds_hold_for_any_basis():
             for e in (ChannelMap.conjugation(random_unitary(rng, n)), cesaro_idempotent(phi).idempotent):
                 for r in (1, 2, d // 2):
                     q, _ = np.linalg.qr(random_complex(rng, d, d))
-                    bounds, value = channels._absorption_bounds(e, phi, SubspaceBasis(q[:, :r].T.reshape(r, n, n)))
+                    bounds, value = channels._absorption_bounds(e, phi, OperatorSubspace(q[:, :r].T.reshape(r, n, n)))
                     assert value >= absorption_three_products(e, phi) - 1e-12
                     for name, residual in dense_absorption_residuals(e, phi).items():
                         assert bounds[name] >= residual - 1e-12, (n, r, name)

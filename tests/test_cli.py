@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from ellis_envelope import channels, cli, envelope, spectrahedron
+from ellis_envelope import channels, cli, envelope, linalg, spectrahedron
 from ellis_envelope.channels import ChannelMap, NonConvergenceError
 from ellis_envelope.cli import RunConfig, main
 from ellis_envelope.jsonio import dump_report
@@ -442,7 +442,7 @@ def test_ambient_cap_is_checked_before_decoding(capsys, tmp_path, monkeypatch):
     def refuse(obj):
         raise AssertionError("a matrix was decoded before the ambient cap was checked")
 
-    monkeypatch.setattr(spectrahedron, "matrix_from_json", refuse)
+    monkeypatch.setattr(linalg, "matrix_from_json", refuse)
     monkeypatch.setattr(channels, "matrix_from_json", refuse)
     one = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
     space = tmp_path / "space65.json"

@@ -37,8 +37,8 @@ from ellis_envelope.envelope import (
     probe_minimality,
     seed_idempotent,
 )
-from ellis_envelope.linalg import SubspaceBasis, frobenius
-from ellis_envelope.spectrahedron import OperatorSubspace, build_system_set, sample
+from ellis_envelope.linalg import OperatorSubspace, frobenius
+from ellis_envelope.spectrahedron import build_system_set, sample
 from ellis_envelope.tolerances import TOL
 
 I2 = np.eye(2, dtype=complex)
@@ -112,7 +112,7 @@ def test_lift_dimensions_are_two_dim_plus_two():
     ]
     for mats, want in cases:
         lifted = paulsen_lift(OperatorSubspace.from_matrices(mats))
-        assert lifted.ambient == 2 * mats[0].shape[0]
+        assert lifted.n == 2 * mats[0].shape[0]
         assert lifted.dim == want
         assert lifted.unital and lifted.selfadjoint
 
@@ -120,11 +120,11 @@ def test_lift_dimensions_are_two_dim_plus_two():
 def test_lift_contains_corner_embeddings():
     space = OperatorSubspace.from_matrices([E12, I2 + 0.3 * SX])
     lifted = paulsen_lift(space)
-    for x in space.basis.mats:
+    for x in space.mats:
         z = corner_embed(x)
-        assert lifted.basis.distance(z) <= 1e-12
-        assert lifted.basis.distance(z.conj().T) <= 1e-12
-    assert lifted.basis.distance(np.eye(4, dtype=complex)) <= 1e-12
+        assert lifted.distance(z) <= 1e-12
+        assert lifted.distance(z.conj().T) <= 1e-12
+    assert lifted.distance(np.eye(4, dtype=complex)) <= 1e-12
 
 
 def test_lift_map_is_ucp_and_fixes_block_projections():
@@ -431,7 +431,7 @@ def test_envelope_of_diagonal_system_is_diagonal_algebra(d2_result, d2_space):
     assert res.certificate == "certified"
     assert res.rank == 2
     assert res.corner_map is None
-    assert subspace_equal(res.envelope_space, d2_space.basis, tol=1e-7)[0]
+    assert subspace_equal(res.envelope_space, d2_space, tol=1e-7)[0]
     assert res.inclusion_residual <= 1e-8
     assert res.rigidity_violation <= 1e-6
     assert res.choi_effros.ok
@@ -443,7 +443,7 @@ def test_envelope_of_diagonal_system_m3():
     res = compute_envelope(space, seed=0)
     assert res.certificate == "certified"
     assert res.rank == 3
-    assert subspace_equal(res.envelope_space, space.basis, tol=1e-7)[0]
+    assert subspace_equal(res.envelope_space, space, tol=1e-7)[0]
 
 
 def test_envelope_of_rigid_system_is_identity():
@@ -489,6 +489,30 @@ def test_envelope_space_mode_one_corner():
     assert res.idempotent.rank() == 4
     assert res.inclusion_residual <= 1e-6
     assert res.rigidity_violation <= 1e-6
+
+
+# the system-mode spaces of scripts/make_inputs.py
+SAMPLE_SYSTEMS = {
+    "diag_m2": lambda: diag_units(2),
+    "diag_m3": lambda: diag_units(3),
+    "span_i_m2": lambda: [I2],
+    "span_i_m3": lambda: [np.eye(3, dtype=complex)],
+    "rigid_m2": lambda: [I2, SX, SZ],
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_SYSTEMS))
+def test_envelope_space_is_an_operator_system(name):
+    # the range of a unital CP idempotent is an operator system (Choi-Effros 1977)
+    env = compute_envelope(OperatorSubspace.from_matrices(SAMPLE_SYSTEMS[name]())).envelope_space
+    assert env.unital and env.selfadjoint
+
+
+def test_corner_envelope_space_is_neither_unital_nor_selfadjoint():
+    # the corner map's range is span{E_12}: the envelope of E itself, not an operator system
+    env = compute_envelope(OperatorSubspace.from_matrices([E12])).envelope_space
+    assert env.dim == 1
+    assert not env.unital and not env.selfadjoint
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -573,7 +597,7 @@ def test_envelope_to_json_shape(d2_result):
 
 def test_choi_effros_identity_gives_matrix_units_table():
     e = ChannelMap.identity(2)
-    basis = SubspaceBasis(np.stack(matrix_units(2)))
+    basis = OperatorSubspace(np.stack(matrix_units(2)))
     table = choi_effros_table(e, basis)
     mats = matrix_units(2)
     want = np.zeros((4, 4, 4), dtype=complex)
@@ -591,7 +615,7 @@ def test_choi_effros_identity_gives_matrix_units_table():
 
 def test_choi_effros_pinching_gives_diagonal_product():
     e = ChannelMap.pinching(3)
-    basis = SubspaceBasis(np.stack(diag_units(3)))
+    basis = OperatorSubspace(np.stack(diag_units(3)))
     table = choi_effros_table(e, basis)
     want = np.zeros((3, 3, 3), dtype=complex)
     for i in range(3):
@@ -602,14 +626,14 @@ def test_choi_effros_pinching_gives_diagonal_product():
 
 
 def test_choi_effros_requires_fixed_basis():
-    basis = SubspaceBasis(np.stack([E12]))
+    basis = OperatorSubspace(np.stack([E12]))
     with pytest.raises(ValueError, match="not fixed"):
         choi_effros_table(ChannelMap.pinching(2), basis)
 
 
 def test_choi_effros_json_roundtrippable():
     table = choi_effros_table(
-        ChannelMap.pinching(2), SubspaceBasis(np.stack(diag_units(2)))
+        ChannelMap.pinching(2), OperatorSubspace(np.stack(diag_units(2)))
     )
     obj = table.to_json()
     assert obj["associativity_residual"] <= 1e-12
@@ -661,14 +685,14 @@ def _noisy_identity_m2():
     rng = np.random.default_rng(9)
     g = random_unitary(rng, 4)[:, :2]
     e = ChannelMap(2, 2, ChannelMap.identity(2).choi + 1e-8 * g @ g.conj().T)
-    return e, SubspaceBasis(random_unitary(rng, 4).T.reshape(4, 2, 2))
+    return e, OperatorSubspace(random_unitary(rng, 4).T.reshape(4, 2, 2))
 
 
 def _noisy_pinching_m3():
     # the same noise on a map with a proper range: the closure residual too
     g = random_unitary(np.random.default_rng(3), 9)[:, :4]
     e = ChannelMap(3, 3, ChannelMap.pinching(3).choi + 1e-8 * g @ g.conj().T)
-    return e, SubspaceBasis(np.stack(diag_units(3)))
+    return e, OperatorSubspace(np.stack(diag_units(3)))
 
 
 def _envelope_idempotent(mats):
@@ -685,8 +709,8 @@ def _rigid_m4_mats():
 @pytest.mark.parametrize(
     "make, dim",
     [
-        pytest.param(lambda: (ChannelMap.identity(3), SubspaceBasis(np.stack(matrix_units(3)))), 9, id="identity_m3"),
-        pytest.param(lambda: (ChannelMap.pinching(4), SubspaceBasis(np.stack(diag_units(4)))), 4, id="pinching_m4"),
+        pytest.param(lambda: (ChannelMap.identity(3), OperatorSubspace(np.stack(matrix_units(3)))), 9, id="identity_m3"),
+        pytest.param(lambda: (ChannelMap.pinching(4), OperatorSubspace(np.stack(diag_units(4)))), 4, id="pinching_m4"),
         pytest.param(_ergodic_repeated_unitary_m5, 9, id="ergodic_unitary_m5"),
         pytest.param(lambda: _envelope_idempotent([E12]), 4, id="corner_lift"),
         pytest.param(lambda: _envelope_idempotent(_rigid_m4_mats()), 16, id="rigid_m4"),

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellis_envelope.linalg import (
-    SubspaceBasis,
     frobenius,
     herm,
     hermitian_eig,

@@ -290,19 +290,11 @@ def test_subspace_flags_computed_from_basis():
     assert sys3.unital and sys3.selfadjoint and sys3.dim == 3
 
 
-def test_subspace_rejects_contradictory_flags():
-    basis = OperatorSubspace.from_matrices(diag_units(2)).basis
-    with pytest.raises(ValueError, match="unital"):
-        OperatorSubspace(2, basis, unital=False, selfadjoint=True)
-    with pytest.raises(ValueError, match="selfadjoint"):
-        OperatorSubspace(2, basis, unital=True, selfadjoint=False)
-
-
 def test_subspace_json_roundtrip():
     space = OperatorSubspace.from_matrices([I2, SX])
     back, mode = OperatorSubspace.from_json(space.to_json(mode="space"))
     assert mode == "space"
-    eq, _ = subspace_equal(space.basis, back.basis)
+    eq, _ = subspace_equal(space, back)
     assert eq
     assert back.unital and back.selfadjoint
 
