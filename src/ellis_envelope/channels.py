@@ -8,7 +8,9 @@ Conventions, frozen across the package:
   phi is completely positive iff choi is PSD.
 - The superoperator S is m^2 x n^2 with ``vec(phi(x)) = S @ vec(x)``.
 - The two representations are entrywise reshuffles of each other:
-  ``S[(a,b),(i,j)] = choi[(i,a),(j,b)]``.
+  ``S[(a,b),(i,j)] = choi[(i,a),(j,b)]``. ``choi_to_superop`` and
+  ``superop_to_choi`` are the only code that converts between the two index
+  orders; every other module states its laws on S and converts through them.
 
 Compositions multiply superoperators; the Hilbert-Schmidt adjoint is the
 conjugate transpose of the superoperator.
@@ -16,7 +18,7 @@ conjugate transpose of the superoperator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,27 +52,24 @@ class NonConvergenceError(RuntimeError):
 
 
 def choi_to_superop(choi: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    c4 = choi.reshape(dim_in, dim_out, dim_in, dim_out)
-    return c4.transpose(1, 3, 0, 2).reshape(dim_out * dim_out, dim_in * dim_in)
+    """S[(a,b),(i,j)] = choi[(i,a),(j,b)], for a matrix or a stack (leading axes kept)."""
+    c = choi.reshape(-1, dim_in, dim_out, dim_in, dim_out).transpose(0, 2, 4, 1, 3)
+    return c.reshape(choi.shape[:-2] + (dim_out * dim_out, dim_in * dim_in))
 
 
 def superop_to_choi(s: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    s4 = s.reshape(dim_out, dim_out, dim_in, dim_in)
-    return s4.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out)
+    """The inverse of ``choi_to_superop``, for a matrix or a stack."""
+    c = s.reshape(-1, dim_out, dim_out, dim_in, dim_in).transpose(0, 3, 1, 4, 2)
+    return c.reshape(s.shape[:-2] + (dim_in * dim_out, dim_in * dim_out))
 
 
 @dataclass(frozen=True)
 class ChannelMap:
-    """A linear map M_{dim_in} -> M_{dim_out} stored by its Choi matrix.
-
-    ``cp_hint`` records complete positivity known by construction (Kraus form,
-    composition of CP maps); ``check_structure`` computes it spectrally.
-    """
+    """A linear map M_{dim_in} -> M_{dim_out} stored by its Choi matrix."""
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    cp_hint: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         d = self.dim_in * self.dim_out
@@ -81,9 +80,9 @@ class ChannelMap:
         return choi_to_superop(self.choi, self.dim_in, self.dim_out)
 
     @classmethod
-    def from_superop(cls, s: np.ndarray, dim_in: int, dim_out: int, cp_hint=None) -> "ChannelMap":
+    def from_superop(cls, s: np.ndarray, dim_in: int, dim_out: int) -> "ChannelMap":
         s = as_matrix(s, dim_out * dim_out, dim_in * dim_in)
-        return cls(dim_in, dim_out, superop_to_choi(s, dim_in, dim_out), cp_hint)
+        return cls(dim_in, dim_out, superop_to_choi(s, dim_in, dim_out))
 
     @classmethod
     def from_kraus(cls, kraus, dim_in: int | None = None, dim_out: int | None = None) -> "ChannelMap":
@@ -101,7 +100,7 @@ class ChannelMap:
                 raise ValueError(f"from_kraus: operator shape {k.shape} != {(dim_out, dim_in)}")
             w = vec(k.T)  # w[(i,a)] = K[a,i]
             choi += np.outer(w, w.conj())
-        return cls(dim_in, dim_out, choi, cp_hint=True)
+        return cls(dim_in, dim_out, choi)
 
     @classmethod
     def identity(cls, n: int) -> "ChannelMap":
@@ -151,7 +150,7 @@ class ChannelMap:
 
     def adjoint(self) -> "ChannelMap":
         """Hilbert-Schmidt adjoint: <phi*(y), x> = <y, phi(x)>."""
-        return ChannelMap.from_superop(self.superop.conj().T, self.dim_out, self.dim_in, self.cp_hint)
+        return ChannelMap.from_superop(self.superop.conj().T, self.dim_out, self.dim_in)
 
     def rank(self) -> int:
         """Number of superoperator singular values above ``TOL.rank``."""
@@ -189,8 +188,7 @@ def compose(f: ChannelMap, g: ChannelMap) -> ChannelMap:
     """The composition f . g (apply g first)."""
     if g.dim_out != f.dim_in:
         raise ValueError(f"compose: dimension mismatch ({f.dim_in} vs {g.dim_out})")
-    hint = True if (f.cp_hint and g.cp_hint) else None
-    return ChannelMap.from_superop(f.superop @ g.superop, g.dim_in, f.dim_out, cp_hint=hint)
+    return ChannelMap.from_superop(f.superop @ g.superop, g.dim_in, f.dim_out)
 
 
 def _spectral_norm(a: np.ndarray) -> float:
@@ -389,9 +387,8 @@ def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
                 [(0, agreement)],
             )
     n = phi.dim_in
-    e = ChannelMap.from_superop(p, n, n, cp_hint=phi.cp_hint)
     # Cesaro limits of CP maps are CP; hermitize away rounding drift.
-    e = ChannelMap(n, n, herm(e.choi), cp_hint=e.cp_hint)
+    e = ChannelMap(n, n, herm(superop_to_choi(p, n, n)))
     residuals = {
         "idempotent": frobenius(e.superop @ e.superop - e.superop),
         "absorb_left": frobenius(s @ e.superop - e.superop),

@@ -39,6 +39,7 @@ from .channels import (
     NonConvergenceError,
     _require_unital_cp,
     cesaro_idempotent,
+    choi_to_superop,
 )
 from .linalg import OperatorSubspace, frobenius, matrix_to_json
 from .spectrahedron import FeasibleSet, build_system_set
@@ -141,17 +142,19 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     and J_p.
 
     On a proper face, sigma is the top singular value of L on the basis
-    ``fset.null_directions`` of H. On the full face, range(P) = {D : R_D =
-    P_in R_D P_out}, R the reshuffle, and S_D = R_D^T, so L(D) = A S_D B
-    with A = S_e P_out^T and B = P_in^T S_e. Over complex D in range(P),
-    which contains H, the sup of ||L(D)||_F / ||D||_F is ||A||_2 ||B||_2,
-    attained at S_D = v_A u_B^* (top right singular vector of A, top left
-    one of B). It equals sigma: P is Hermitian-preserving, so range(P) =
-    H + iH, and for X, Y in H and CP e the maps L(X), L(Y) have Hermitian
-    Choi matrices with a real inner product, so ||L(X + iY)||^2 = ||L(X)||^2 +
-    ||L(Y)||^2 <= sigma^2 ||X + iY||^2, and one Hermitian part of the
-    attaining D attains sigma. As P is an orthogonal projector, eps =
-    ||``fset.law_project``(J_e - J_p)||_F there.
+    ``fset.null_directions`` of H. On the full face, range(P) = {D : S_D =
+    (I - W W^*) S_D (I - U U^*)}, U and W the set's ``span_in`` and
+    ``span_out``, so L(D) = A S_D B with A = S_e (I - W W^*) and
+    B = (I - U U^*) S_e; as U spans vec E, B = 0 exactly when range(e) lies
+    in E. Over complex D in range(P), which contains H, the sup of
+    ||L(D)||_F / ||D||_F is ||A||_2 ||B||_2, attained at S_D = v_A u_B^*
+    (top right singular vector of A, top left one of B). It equals sigma:
+    P is Hermitian-preserving, so range(P) = H + iH, and for X, Y in H and
+    CP e the maps L(X), L(Y) have Hermitian Choi matrices with a real inner
+    product, so ||L(X + iY)||^2 = ||L(X)||^2 + ||L(Y)||^2 <= sigma^2
+    ||X + iY||^2, and one Hermitian part of the attaining D attains sigma.
+    As P is an orthogonal projector, eps = ||``fset.law_project``(J_e -
+    J_p)||_F there.
     """
     probe = _full_face_probe if fset.face_dim == fset.choi_dim else _slice_probe
     eps, sigma = probe(e, fset)
@@ -168,20 +171,17 @@ def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:
     eps = frobenius(off - (flat.conj() @ off).real @ flat)
     if not k:
         return eps, 0.0
-    s_dirs = dirs.reshape(k, n, n, n, n).transpose(0, 2, 4, 1, 3).reshape(k, n * n, n * n)
-    g = (se @ s_dirs @ se).reshape(k, -1)
+    g = (se @ choi_to_superop(dirs, n, n) @ se).reshape(k, -1)
     return eps, float(np.linalg.svd(np.hstack([g.real, g.imag]), compute_uv=False)[0])
 
 
 def _full_face_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:
-    """eps and sigma of ``probe_minimality`` in closed form on the full face.
-
-    P_in^T = I - conj(U) U^T and P_out^T = I - conj(W) W^T, with U, W = ``span_in``, ``span_out``.
-    """
+    """eps and sigma of ``probe_minimality`` in closed form on the full face:
+    A = S_e (I - W W^*) and B = (I - U U^*) S_e, U, W = ``span_in``, ``span_out``."""
     se, u, w = e.superop, fset.span_in, fset.span_out
     eps = frobenius(fset.law_project(e.choi - fset.member))
-    a = se - (se @ w.conj()) @ w.T
-    b = se - u.conj() @ (u.T @ se)
+    a = se - (se @ w) @ w.conj().T
+    b = se - u @ (u.conj().T @ se)
     return eps, float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
 
 

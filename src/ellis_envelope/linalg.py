@@ -84,10 +84,12 @@ def psd_project(a: np.ndarray) -> np.ndarray:
 class OperatorSubspace:
     """A subspace E of M_n, held as a Frobenius-orthonormal basis ``mats`` of shape (dim, n, n).
 
-    The structure flags are read off the basis at ``TOL.structure``:
-    ``unital`` means I is in the span, ``selfadjoint`` means the span is
-    closed under the adjoint. Both hold for an operator system, and so for
-    the range of every unital CP idempotent (Choi-Effros 1977).
+    A stack whose Gram matrix is further than ``TOL.structure`` from I
+    (entrywise) raises; ``from_matrices`` takes arbitrary matrices. The
+    structure flags are read off the basis at ``TOL.structure``: ``unital``
+    means I is in the span, ``selfadjoint`` means the span is closed under
+    the adjoint. Both hold for an operator system, and so for the range of
+    every unital CP idempotent (Choi-Effros 1977).
     """
 
     mats: np.ndarray
@@ -96,12 +98,42 @@ class OperatorSubspace:
         m = np.asarray(self.mats, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError(f"OperatorSubspace: expected (k, n, n) stack, got {m.shape}")
+        v = m.reshape(m.shape[0], m.shape[1] * m.shape[2])
+        off = float(np.abs(v.conj() @ v.T - np.eye(len(v))).max(initial=0.0))
+        if off > TOL.structure:
+            raise ValueError(f"OperatorSubspace: basis is not orthonormal (max |Gram - I| = {off:.3e})")
         object.__setattr__(self, "mats", m)
 
     @classmethod
     def from_matrices(cls, mats) -> "OperatorSubspace":
-        """Span of arbitrary matrices, orthonormalized (``orthonormalize``)."""
-        return orthonormalize(mats)
+        """Span of arbitrary matrices, by Gram-Schmidt.
+
+        Modified Gram-Schmidt with one reorthogonalization pass; vectors
+        whose residual norm falls below ``TOL.span_rtol * max input norm``
+        are dropped, so the dimension is the numerical rank of the span.
+        """
+        arr = [as_matrix(m) for m in mats]
+        if not arr:
+            raise ValueError("from_matrices: empty input")
+        n = arr[0].shape[0]
+        for m in arr:
+            if m.shape != (n, n):
+                raise ValueError("from_matrices: mixed matrix shapes")
+        scale = max(frobenius(m) for m in arr)
+        if scale == 0.0:
+            raise ValueError("from_matrices: all inputs are zero")
+        kept: list[np.ndarray] = []
+        for m in arr:
+            v = vec(m)
+            for _ in range(2):
+                for b in kept:
+                    v = v - (b.conj() @ v) * b
+            norm = np.linalg.norm(v)
+            if norm >= TOL.span_rtol * scale:
+                kept.append(v / norm)
+        if not kept:
+            raise ValueError("from_matrices: span is numerically zero")
+        return cls(np.stack(kept).reshape(len(kept), n, n))
 
     @property
     def dim(self) -> int:
@@ -154,37 +186,6 @@ class OperatorSubspace:
         if space.n != n:
             raise ValueError(f"operator space json: basis is {space.n}x{space.n}, ambient says {n}")
         return space, mode
-
-
-def orthonormalize(mats) -> OperatorSubspace:
-    """Gram-Schmidt a list of matrices into an OperatorSubspace.
-
-    Modified Gram-Schmidt with one reorthogonalization pass; vectors whose
-    residual norm falls below ``TOL.span_rtol * max input norm`` are dropped, so
-    the output dimension is the numerical rank of the span.
-    """
-    arr = [as_matrix(m) for m in mats]
-    if not arr:
-        raise ValueError("orthonormalize: empty input")
-    n = arr[0].shape[0]
-    for m in arr:
-        if m.shape != (n, n):
-            raise ValueError("orthonormalize: mixed matrix shapes")
-    scale = max(frobenius(m) for m in arr)
-    if scale == 0.0:
-        raise ValueError("orthonormalize: all inputs are zero")
-    kept: list[np.ndarray] = []
-    for m in arr:
-        v = vec(m)
-        for _ in range(2):
-            for b in kept:
-                v = v - (b.conj() @ v) * b
-        norm = np.linalg.norm(v)
-        if norm >= TOL.span_rtol * scale:
-            kept.append(v / norm)
-    if not kept:
-        raise ValueError("orthonormalize: span is numerically zero")
-    return OperatorSubspace(np.stack(kept).reshape(len(kept), n, n))
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

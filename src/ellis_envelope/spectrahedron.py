@@ -12,20 +12,20 @@ on the output gives both ends, the trace norm of
 block [[Y0, J], [J^*, Y1]] from above.
 
 Each affine law is kept as the matrix that defines it: x for phi(x) = x,
-S_psi - I for psi . phi = phi. Membership applies the laws to the full Choi
-matrix as operators. The cone face comes from the structure of E in closed
-form: for a PSD a in E with kernel projection K, every member satisfies
-tr(K phi(a)) = tr(K a) = 0, so its Choi matrix J is annihilated by the PSD
-matrix kron(a^T, K) (Choi 1974, read as facial reduction in the sense of
-Permenter-Parrilo 2018). The laws are linear in the reshuffled Choi matrix
-R[(i,j),(a,b)] = J4[i,a,j,b]: the fix laws act on it from the left and the
-absorb law from the right, so the directions every law leaves at zero are
-exactly {P_in R P_out} for two d x d projectors, and the orthogonal
-projection onto them is one Kronecker-structured map in full Choi
-coordinates, with no system of law rows to factor. A known member J_p
-(the identity channel, or psi's Cesaro idempotent) fixes the affine slice.
-The projection's dual lives in full coordinates and its primal on the face
-J = V Y V^*.
+S_psi - I for psi . phi = phi. Every law is a superoperator identity, read
+on S = ``channels.choi_to_superop``(J): S vec x = vec x and
+(S_psi - I) S = 0. The fix laws act on S from the right and the absorb law
+from the left, so the directions every law leaves at zero are exactly
+{(I - W W^*) S (I - U U^*)} for orthonormal columns U spanning vec E and W
+spanning range((S_psi - I)^*), and the orthogonal projection onto them is
+two products, with no system of law rows to factor. The cone face comes
+from the structure of E in closed form: for a PSD a in E with kernel
+projection K, every member satisfies tr(K phi(a)) = tr(K a) = 0, so its
+Choi matrix J is annihilated by the PSD matrix kron(a^T, K) (Choi 1974,
+read as facial reduction in the sense of Permenter-Parrilo 2018). A known
+member J_p (the identity channel, or psi's Cesaro idempotent) fixes the
+affine slice. The projection's dual lives in full Choi coordinates and its
+primal on the face J = V Y V^*.
 """
 
 from __future__ import annotations
@@ -35,7 +35,14 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .channels import ChannelMap, NonConvergenceError, cesaro_idempotent
+from .channels import (
+    ChannelMap,
+    NonConvergenceError,
+    _spectral_norm,
+    cesaro_idempotent,
+    choi_to_superop,
+    superop_to_choi,
+)
 from .linalg import OperatorSubspace, as_matrix, frobenius, herm, hermitian_eig
 from .tolerances import TOL
 
@@ -83,17 +90,10 @@ def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
 # ------------------------------------------------------------------------
 # constraint laws
 #
-# Each law is (name, matrix) and acts on the Choi matrix through
-# J4[i,a,j,b] = J[(i,a),(j,b)], or on its reshuffle R[(i,j),(a,b)] =
-# J4[i,a,j,b], the transpose of the superoperator. A fix law with matrix x
-# says phi(x) = x: sum_ij x[i,j] J4[i,a,j,b] = x[a,b], i.e. vec(x)^T R =
-# vec(x)^T; "unital" is the fix law of I. The absorb law with matrix
-# m = S_psi - I says psi . phi = phi, i.e. (S_psi - I) S_phi = 0: R m^T = 0.
-
-
-def _shuffle(j: np.ndarray, n: int) -> np.ndarray:
-    """J -> R, R[(i,j),(a,b)] = J4[i,a,j,b], for a matrix or a stack; its own inverse."""
-    return j.reshape(j.shape[:-2] + (n, n, n, n)).swapaxes(-3, -2).reshape(j.shape)
+# Each law is (name, matrix) and acts on the superoperator S of phi. A fix
+# law with matrix x says phi(x) = x, i.e. S vec(x) = vec(x); "unital" is the
+# fix law of I. The absorb law with matrix m = S_psi - I says psi . phi =
+# phi, i.e. m S = 0.
 
 
 def _row_span(a: np.ndarray) -> np.ndarray:
@@ -167,13 +167,13 @@ class FeasibleSet:
     """{Choi J : J PSD, the constraint laws hold}, facially reduced.
 
     Membership is always checked against the laws in full coordinates, each
-    applied to J as the operator its matrix defines. The directions every
-    law leaves at zero are the range of P(J) = unshuffle(P_in shuffle(J)
-    P_out), where P_in = I - Pi over span{conj vec x : x in E} carries the
-    unital and fix laws and P_out = I - Pi over range((S_psi - I)^T) the
-    absorb law (I without one). Each Pi is kept as orthonormal columns, so
-    ``law_project``, which applies I - P, costs O(d^2 k) for spans of
-    dimension k. P is self-adjoint, idempotent and Hermitian-preserving, and
+    applied to the superoperator S of J. The directions every law leaves at
+    zero are the range of P, which acts on J through S as
+    P(S) = (I - W W^*) S (I - U U^*), where U = ``span_in`` spans vec E and
+    carries the unital and fix laws, and W = ``span_out`` spans
+    range((S_psi - I)^*) and carries the absorb law (W is empty without
+    one). Both are orthonormal columns, so ``law_project``, which applies
+    I - P, costs O(d^2 k) for spans of dimension k. P is self-adjoint, idempotent and Hermitian-preserving, and
     the members are the PSD matrices of J_p + range(P) for the known member
     J_p = ``member``. Projection works on the cone face J = V Y V^*, where V spans
     the face that E's structure exposes (``_structural_face``), found in one
@@ -190,8 +190,8 @@ class FeasibleSet:
     n: int
     laws: tuple[tuple[str, np.ndarray], ...]
     face: np.ndarray = field(repr=False, compare=False)  # (d, r) isometry V
-    span_in: np.ndarray = field(repr=False, compare=False)  # (d, k) columns: P_in = I - U U^*
-    span_out: np.ndarray = field(repr=False, compare=False)  # (d, k') columns: P_out = I - W W^*
+    span_in: np.ndarray = field(repr=False, compare=False)  # (d, k) columns U: vec E
+    span_out: np.ndarray = field(repr=False, compare=False)  # (d, k') columns W: range((S_psi - I)^*)
     member: np.ndarray = field(repr=False, compare=False)  # (d, d) Choi matrix J_p of a member
 
     @classmethod
@@ -201,10 +201,8 @@ class FeasibleSet:
         d = n * n
         fixes = [m.reshape(-1) for name, m in laws if name != "absorb"]
         absorbs = [m for name, m in laws if name == "absorb"]
-        span_in = _row_span(np.stack(fixes))
-        # R m^T = 0 says the columns of R^T lie in ker m = range(I - u u^*),
-        # i.e. R = R (I - u u^*)^T, and (u u^*)^T = conj(u) conj(u)^*
-        span_out = _row_span(np.vstack(absorbs)).conj() if absorbs else np.zeros((d, 0), dtype=complex)
+        span_in = _row_span(np.stack(fixes)).conj()
+        span_out = _row_span(np.vstack(absorbs)) if absorbs else np.zeros((d, 0), dtype=complex)
         return cls(n, laws, _structural_face(laws, n), span_in, span_out, as_matrix(member, d, d))
 
     @property
@@ -227,14 +225,14 @@ class FeasibleSet:
 
         Every member differs from every other by a combination of these:
         they span the affine slice the set lies in. They are the kernel of
-        the face law map Y -> (U^* R, R W), R the reshuffle of V Y V^*, over
-        the real coordinates of Y: an SVD of r^2 rows. ``probe_minimality``
-        reads them on proper faces only.
+        the face law map Y -> (S_D U, W^* S_D), S_D the superoperator of
+        D = V Y V^*, over the real coordinates of Y: an SVD of r^2 rows.
+        ``probe_minimality`` reads them on proper faces only.
         """
         n, r = self.n, self.face_dim
-        rows = _shuffle(self.expand(real_to_herm(np.eye(r * r), r)), n)
+        rows = choi_to_superop(self.expand(real_to_herm(np.eye(r * r), r)), n, n)
         defect = np.concatenate(
-            [(self.span_in.conj().T @ rows).reshape(r * r, -1), (rows @ self.span_out).reshape(r * r, -1)],
+            [(rows @ self.span_in).reshape(r * r, -1), (self.span_out.conj().T @ rows).reshape(r * r, -1)],
             axis=1,
         )
         u, s, _ = np.linalg.svd(np.concatenate([defect.real, defect.imag], axis=1))
@@ -257,16 +255,16 @@ class FeasibleSet:
     def law_project(self, j: np.ndarray) -> np.ndarray:
         """(I - P)(J), for a matrix or a stack: the part of J that the laws see.
 
-        Formed as U U^* R + (R - U U^* R) W W^* on R = shuffle(J), whose
-        rounding stays in the range of I - P; J - P(J) would leave rounding
-        of the size of J in range(P).
+        Formed as a = S U U^*, then a + W W^* (S - a), on the superoperator
+        S of J and converted back: its rounding stays in the range of I - P,
+        while J - P(J) would leave rounding of the size of J in range(P).
         """
-        u, w = self.span_in, self.span_out
-        r = _shuffle(j, self.n)
-        a = u @ (u.conj().T @ r)
-        if w.shape[1]:  # only the absorb law acts from the right
-            a = a + ((r - a) @ w) @ w.conj().T
-        return _shuffle(a, self.n)
+        n, u, w = self.n, self.span_in, self.span_out
+        s = choi_to_superop(j, n, n)
+        a = (s @ u) @ u.conj().T
+        if w.shape[1]:  # only the absorb law acts from the left
+            a = a + w @ (w.conj().T @ (s - a))
+        return superop_to_choi(a, n, n)
 
     def project_affine_compressed(self, y: np.ndarray) -> np.ndarray:
         """V^*(J_p + P(V y V^* - J_p))V: the start of the projection's dual at y."""
@@ -275,16 +273,12 @@ class FeasibleSet:
 
     def membership(self, j, tol: float = TOL.solver) -> MembershipReport:
         j = j.choi if isinstance(j, ChannelMap) else as_matrix(j, self.choi_dim, self.choi_dim)
-        n = self.n
         h = herm(j)
-        j4 = h.reshape(n, n, n, n)
+        s = choi_to_superop(h, self.n, self.n)
         res: dict[str, float] = {"hermitian": frobenius(j - j.conj().T)}
         for name, m in self.laws:
-            if name == "absorb":
-                defect = np.einsum("kab,iajb->kij", m.reshape(-1, n, n), j4)
-            else:
-                defect = np.einsum("ij,iajb->ab", m, j4) - m
-            res[name] = float(np.linalg.norm(defect))
+            defect = m @ s if name == "absorb" else s @ m.reshape(-1) - m.reshape(-1)
+            res[name] = frobenius(defect)
         res["psd"] = max(0.0, -float(hermitian_eig(h).values[0]))
         return MembershipReport(res, tol)
 
@@ -484,10 +478,6 @@ def _partial_trace_gram(u: np.ndarray, s: np.ndarray, n: int, m: int) -> np.ndar
     return np.einsum("iak,ibk->ab", u3 * s, u3.conj())
 
 
-def _spectral_norm_h(a: np.ndarray) -> float:
-    return float(np.abs(hermitian_eig(herm(a)).values).max())
-
-
 def _roots(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho^1/2 and rho^-1/2 of a positive definite density matrix."""
     w, v = np.linalg.eigh(rho)
@@ -614,7 +604,8 @@ def cb_norm_bracket(phi: ChannelMap, tol: float = TOL.cb_norm) -> CbNormBracket:
 def cb_norm(phi: ChannelMap, tol: float = TOL.cb_norm) -> float:
     """Upper bound on the completely bounded norm.
 
-    CP maps use ||phi(I)|| (exact). Otherwise returns the upper end of
+    CP maps, decided from the Choi matrix as in ``check_structure``, use
+    ||phi(I)|| (exact). Otherwise returns the upper end of
     ``cb_norm_bracket``, proven by the PSD block of its density pair (up to
     floating-point rounding). Raises NonConvergenceError, with the
     (step, upper - lower) history, when the bracket stays wider than tol.
@@ -623,8 +614,8 @@ def cb_norm(phi: ChannelMap, tol: float = TOL.cb_norm) -> float:
     scale = max(1.0, frobenius(choi))
     if frobenius(choi - choi.conj().T) <= TOL.structure * scale:
         wmin = float(hermitian_eig(herm(choi)).values[0])
-        if phi.cp_hint or wmin >= -TOL.structure * scale:
-            return _spectral_norm_h(phi.apply(np.eye(phi.dim_in)))
+        if wmin >= -TOL.structure * scale:
+            return _spectral_norm(phi.apply(np.eye(phi.dim_in)))
     bracket = cb_norm_bracket(phi, tol=tol)
     if not bracket.converged:
         raise NonConvergenceError(

@@ -138,6 +138,20 @@ def test_superop_choi_reshuffles_are_inverse():
     assert np.allclose(choi_to_superop(superop_to_choi(s, n, m), n, m), s)
 
 
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_converters_keep_the_leading_axes_of_a_stack(n, m):
+    rng = np.random.default_rng(29)
+    chois = random_complex(rng, 2 * 3 * n * m, n * m).reshape(2, 3, n * m, n * m)
+    sups = choi_to_superop(chois, n, m)
+    assert sups.shape == (2, 3, m * m, n * n)
+    assert np.array_equal(superop_to_choi(sups, n, m), chois)
+    for a in range(2):
+        for b in range(3):
+            assert np.array_equal(sups[a, b], choi_to_superop(chois[a, b], n, m))
+            assert np.array_equal(superop_to_choi(sups[a, b], n, m), chois[a, b])
+    assert np.array_equal(choi_to_superop(chois[:, :0], n, m), np.zeros((2, 0, m * m, n * n)))
+
+
 def test_from_kraus_shape_mismatch():
     with pytest.raises(ValueError):
         ChannelMap.from_kraus([np.eye(2), np.eye(3)])
@@ -153,7 +167,6 @@ def test_compose_matches_pointwise_application():
     f = ChannelMap.from_kraus([random_complex(rng, 4, 3), random_complex(rng, 4, 3)])
     g = ChannelMap.from_kraus([random_complex(rng, 3, 2)])
     fg = compose(f, g)
-    assert fg.cp_hint is True
     for _ in range(10):
         x = random_complex(rng, 2, 2)
         assert frobenius(fg.apply(x) - f.apply(g.apply(x))) < 1e-10

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellis_envelope.linalg import (
+    OperatorSubspace,
     frobenius,
     herm,
     hermitian_eig,
     matrix_from_json,
     matrix_to_json,
-    orthonormalize,
     psd_project,
     unvec,
     vec,
@@ -93,7 +93,7 @@ def test_psd_project_idempotent():
 
 
 def test_orthonormalize_dedups_parallel():
-    basis = orthonormalize([I2, 2 * I2])
+    basis = OperatorSubspace.from_matrices([I2, 2 * I2])
     assert basis.dim == 1
     assert np.allclose(basis.mats[0], I2 / np.sqrt(2))
 
@@ -101,7 +101,7 @@ def test_orthonormalize_dedups_parallel():
 def test_orthonormalize_keeps_orthogonal_pair():
     e11 = np.diag([1.0, 0.0])
     e22 = np.diag([0.0, 1.0])
-    basis = orthonormalize([e11, e22])
+    basis = OperatorSubspace.from_matrices([e11, e22])
     assert basis.dim == 2
     assert np.allclose(basis.mats[0], e11)
     assert np.allclose(basis.mats[1], e22)
@@ -115,7 +115,7 @@ def test_orthonormalize_rank_matches_svd():
         # make some deliberate dependencies
         if k >= 3:
             mats[-1] = mats[0] + 0.5 * mats[1]
-        basis = orthonormalize(mats)
+        basis = OperatorSubspace.from_matrices(mats)
         stacked = np.stack([vec(m) for m in mats])
         rank = np.linalg.matrix_rank(stacked, tol=1e-9)
         assert basis.dim == rank
@@ -123,22 +123,31 @@ def test_orthonormalize_rank_matches_svd():
         assert frobenius(gram - np.eye(basis.dim)) <= 1e-10
 
 
+def test_operator_subspace_rejects_a_basis_that_is_not_orthonormal():
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSubspace(np.stack([2 * I2]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        OperatorSubspace(np.stack([I2 / np.sqrt(2), (I2 + SZ) / 2]))
+    assert OperatorSubspace(np.stack([I2 / np.sqrt(2)])).dim == 1
+    assert OperatorSubspace(np.zeros((0, 2, 2))).dim == 0
+
+
 def test_subspace_equal_same_span_different_basis():
-    a = orthonormalize([I2, SZ])
-    b = orthonormalize([I2 + SZ, I2 - SZ])
+    a = OperatorSubspace.from_matrices([I2, SZ])
+    b = OperatorSubspace.from_matrices([I2 + SZ, I2 - SZ])
     eq, dist = subspace_equal(a, b)
     assert eq and dist <= 1e-10
 
 
 def test_subspace_equal_distance_orthogonal_lines():
     # span{I} vs span{sz}: rank-1 projectors onto orthogonal lines, distance sqrt(2)
-    eq, dist = subspace_equal(orthonormalize([I2]), orthonormalize([SZ]))
+    eq, dist = subspace_equal(OperatorSubspace.from_matrices([I2]), OperatorSubspace.from_matrices([SZ]))
     assert not eq
     assert abs(dist - np.sqrt(2)) <= 1e-10
 
 
 def test_subspace_projection_and_distance():
-    basis = orthonormalize([I2, SZ])
+    basis = OperatorSubspace.from_matrices([I2, SZ])
     diag = np.diag([2.0, 5.0])
     assert basis.distance(diag) <= 1e-12
     assert abs(basis.distance(SX) - np.sqrt(2)) <= 1e-12  # ||sx||_F with no diag part
