@@ -2,8 +2,9 @@
 """Write sample JSON inputs for the ellis-envelope CLI.
 
 Creates channels (pinching, sigma-z conjugation, their average, the cyclic
-shift on M_3), operator spaces (diagonals, span{I}, span{E_12}), and Cayley
-tables, matching the examples in the README.
+shift on M_3), operator spaces (diagonals, span{I}, span{E_12}, and
+span{I, x, x^*} for a normal x in M_4), and Cayley tables, matching the
+examples in the README.
 """
 
 import argparse
@@ -40,6 +41,11 @@ def main() -> None:
         (dest / name).write_text(json.dumps(phi.to_json(), indent=2) + "\n")
 
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    # x = Q diag(1, i, -1, -i) Q^*: each eigenvalue is a vertex of their hull,
+    # so the envelope of span{I, x, x^*} is the rank-4 algebra Q diag(C^4) Q^*
+    g = np.random.default_rng(4).standard_normal((2, 4, 4))
+    q = np.linalg.qr(g[0] + 1j * g[1])[0]
+    normal = q @ np.diag([1, 1j, -1, -1j]) @ q.conj().T
     spaces = {
         "space_diag_m2.json": (OperatorSubspace.from_matrices(
             [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
@@ -53,6 +59,7 @@ def main() -> None:
             [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), sz]
         ), "system"),
         "space_corner_e12.json": (OperatorSubspace.from_matrices([e12]), "space"),
+        "space_normal_m4.json": (OperatorSubspace.from_matrices([np.eye(4), normal, normal.conj().T]), "system"),
     }
     for name, (space, mode) in spaces.items():
         (dest / name).write_text(json.dumps(space.to_json(mode), indent=2) + "\n")

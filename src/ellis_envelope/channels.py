@@ -29,6 +29,7 @@ from .linalg import (
     frobenius,
     herm,
     hermitian_eig,
+    json_dim,
     matrix_from_json,
     matrix_to_json,
     unvec,
@@ -174,7 +175,8 @@ class ChannelMap:
     @classmethod
     def from_json(cls, obj: dict) -> "ChannelMap":
         try:
-            n, m, rep = int(obj["dim_in"]), int(obj["dim_out"]), obj["repr"]
+            n, m = (json_dim(obj[k], f"channel json: {k}") for k in ("dim_in", "dim_out"))
+            rep = obj["repr"]
             if rep == "choi":
                 return cls(n, m, matrix_from_json(obj["choi"]))
             if rep == "kraus":

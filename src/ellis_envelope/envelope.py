@@ -131,8 +131,8 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     and ||D||_F <= ||J_theta - J_e||_F <= 2n, since both Choi matrices are
     PSD with trace n. X -> S_e S_X S_e has Frobenius gain ||S_e||_2^2 <= n:
     for unital CP e, Kadison-Schwarz gives ||e(x)||_2 <= sqrt(n) ||x||_2
-    (see ``check_absorption``), and ||S_X||_F = ||X||_F. With sigma the
-    largest singular value of L: D -> S_e S_D S_e on H,
+    (see ``check_absorption``), and ||S_X||_F = ||X||_F. With sigma a bound
+    on the gain of L: D -> S_e S_D S_e on H, ||L(D)||_F <= sigma ||D||_F,
 
         ||g(theta)|| <= ||g(e)|| + 2 n sigma + n eps.
 
@@ -141,20 +141,25 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     and solver tolerances, not a search result, reading no member but e
     and J_p.
 
-    On a proper face, sigma is the top singular value of L on the basis
-    ``fset.null_directions`` of H. On the full face, range(P) = {D : S_D =
-    (I - W W^*) S_D (I - U U^*)}, U and W the set's ``span_in`` and
-    ``span_out``, so L(D) = A S_D B with A = S_e (I - W W^*) and
+    On a proper face, D = sum_i c_i D_i over the orthonormal basis D_i =
+    ``fset.null_directions`` of H, with c real and ||c|| = ||D||_F. With G
+    the stack of the L(D_i), Cauchy-Schwarz gives
+
+        ||L(D)||_F <= sum_i |c_i| ||L(D_i)||_F <= ||D||_F ||G||_F,
+
+    so sigma = ||G||_F, and no SVD is taken. On the full face, range(P) =
+    {D : S_D = (I - W W^*) S_D (I - U U^*)}, U and W the set's ``span_in``
+    and ``span_out``, so L(D) = A S_D B with A = S_e (I - W W^*) and
     B = (I - U U^*) S_e; as U spans vec E, B = 0 exactly when range(e) lies
     in E. Over complex D in range(P), which contains H, the sup of
     ||L(D)||_F / ||D||_F is ||A||_2 ||B||_2, attained at S_D = v_A u_B^*
-    (top right singular vector of A, top left one of B). It equals sigma:
-    P is Hermitian-preserving, so range(P) = H + iH, and for X, Y in H and
-    CP e the maps L(X), L(Y) have Hermitian Choi matrices with a real inner
-    product, so ||L(X + iY)||^2 = ||L(X)||^2 + ||L(Y)||^2 <= sigma^2
-    ||X + iY||^2, and one Hermitian part of the attaining D attains sigma.
-    As P is an orthogonal projector, eps = ||``fset.law_project``(J_e -
-    J_p)||_F there.
+    (top right singular vector of A, top left one of B). It is also the
+    least sigma on H: P is Hermitian-preserving, so range(P) = H + iH, and
+    for X, Y in H and CP e the maps L(X), L(Y) have Hermitian Choi matrices
+    with a real inner product, so ||L(X + iY)||^2 = ||L(X)||^2 +
+    ||L(Y)||^2 <= s^2 ||X + iY||^2 with s the gain on H, and one Hermitian
+    part of the attaining D attains s. As P is an orthogonal projector,
+    eps = ||``fset.law_project``(J_e - J_p)||_F there.
     """
     probe = _full_face_probe if fset.face_dim == fset.choi_dim else _slice_probe
     eps, sigma = probe(e, fset)
@@ -162,17 +167,13 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
 
 
 def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:
-    """eps and sigma of ``probe_minimality`` from the basis ``fset.null_directions``."""
+    """eps and sigma = ||G||_F of ``probe_minimality`` from the basis ``fset.null_directions``."""
     se = e.superop
     n, dirs = fset.n, fset.null_directions
-    k = len(dirs)
-    flat = dirs.reshape(k, fset.choi_dim**2)
+    flat = dirs.reshape(len(dirs), fset.choi_dim**2)
     off = (e.choi - fset.member).reshape(-1)
     eps = frobenius(off - (flat.conj() @ off).real @ flat)
-    if not k:
-        return eps, 0.0
-    g = (se @ choi_to_superop(dirs, n, n) @ se).reshape(k, -1)
-    return eps, float(np.linalg.svd(np.hstack([g.real, g.imag]), compute_uv=False)[0])
+    return eps, frobenius(se @ choi_to_superop(dirs, n, n) @ se)
 
 
 def _full_face_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:

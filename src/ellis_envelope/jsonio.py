@@ -62,11 +62,8 @@ def read_table(path: str) -> CayleyTable:
 
 
 def _check_ambient(path: str, obj: dict, keys: tuple[str, ...]) -> None:
-    """Reject declared dimensions above the cap; ``from_json`` reports bad values."""
-    try:
-        n = max(int(obj[k]) for k in keys)
-    except (KeyError, TypeError, ValueError):
-        return
+    """Reject declared dimensions above the cap; ``from_json`` reports the ones that are not integers."""
+    n = max((obj[k] for k in keys if type(obj.get(k)) is int), default=0)
     if n > MAX_AMBIENT:
         raise ValueError(
             f"{path}: ambient dimension {n} exceeds the {MAX_AMBIENT}x{MAX_AMBIENT} cap"

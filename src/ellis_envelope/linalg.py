@@ -175,7 +175,7 @@ class OperatorSubspace:
     @classmethod
     def from_json(cls, obj: dict) -> tuple["OperatorSubspace", str]:
         try:
-            n = int(obj["ambient"])
+            n = json_dim(obj["ambient"], "operator space json: ambient")
             mats = [matrix_from_json(m) for m in obj["basis"]]
             mode = obj.get("mode", "system")
         except (KeyError, TypeError) as exc:
@@ -199,17 +199,26 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def json_dim(value, name: str) -> int:
+    """A size declared in JSON: an integer of at least 1. A bool, float or
+    string is refused, not cast."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols = (json_dim(obj[k], f"matrix json: {k}") for k in ("rows", "cols"))
+        data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix json: missing field ({exc})") from exc
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"matrix json: bad shape {rows}x{cols}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix json: expected {rows * cols} entries, got {len(data)}")
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError("matrix json: entries must be [re, im] number pairs") from exc
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix json: entries must be finite (no NaN or Infinity)")
     return flat.reshape(rows, cols)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import json_dim
+
 
 class AssociativityError(ValueError):
     """Raised when a table fails (s*t)*u == s*(t*u); carries the first bad triple."""
@@ -74,7 +76,7 @@ class CayleyTable:
     @classmethod
     def from_json(cls, obj: dict) -> "CayleyTable":
         try:
-            order, rows = int(obj["order"]), obj["table"]
+            order, rows = json_dim(obj["order"], "cayley json: order"), obj["table"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"cayley json: missing field ({exc})") from exc
         t = np.asarray(rows, dtype=np.int64)

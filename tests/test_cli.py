@@ -429,6 +429,84 @@ def test_malformed_channel_json_exits_one(capsys, tmp_path):
     assert "entries must be [re, im] number pairs" in err
 
 
+_IDENTITY_DATA = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _space_m2(**fields):
+    basis = {"rows": 2, "cols": 2, "data": _IDENTITY_DATA}
+    basis.update(fields.pop("basis", {}))
+    return {"ambient": 2, "basis": [basis], "mode": "system", **fields}
+
+
+def _pinching_m2(**fields):
+    obj = ChannelMap.pinching(2).to_json()
+    obj["choi"].update(fields.pop("choi", {}))
+    return {**obj, **fields}
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        # declared sizes are JSON integers: never truncated, cast from a bool or parsed from a string
+        pytest.param(
+            ["envelope", "compute"], _space_m2(basis={"rows": 2.5}), "matrix json: rows must be an integer >= 1, got 2.5",
+            id="rows_float",
+        ),
+        pytest.param(
+            ["envelope", "compute"], _space_m2(ambient="2"), "operator space json: ambient must be an integer >= 1, got '2'",
+            id="ambient_string",
+        ),
+        pytest.param(
+            ["envelope", "compute"], _space_m2(ambient=_INF), "operator space json: ambient must be an integer >= 1, got inf",
+            id="ambient_infinity",
+        ),
+        pytest.param(
+            ["channel", "info"],
+            {"dim_in": True, "dim_out": 1, "repr": "choi", "choi": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}},
+            "channel json: dim_in must be an integer >= 1, got True",
+            id="dim_in_bool",
+        ),
+        pytest.param(
+            ["channel", "info"], _pinching_m2(choi={"cols": 4.0}), "matrix json: cols must be an integer >= 1, got 4.0",
+            id="cols_float",
+        ),
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2.0, "table": [[0, 1], [1, 0]]},
+            "cayley json: order must be an integer >= 1, got 2.0",
+            id="order_float",
+        ),
+        # and at least 1
+        pytest.param(
+            ["channel", "info"],
+            {"dim_in": -1, "dim_out": 2, "repr": "kraus", "kraus": [{"rows": 2, "cols": 2, "data": _IDENTITY_DATA}]},
+            "channel json: dim_in must be an integer >= 1, got -1",
+            id="dim_in_negative",
+        ),
+        # NaN and Infinity parse as JSON numbers, but no entry may be non-finite
+        pytest.param(
+            ["channel", "info"], _pinching_m2(choi={"data": [[_NAN, 0.0]] + [[0.0, 0.0]] * 15}),
+            "matrix json: entries must be finite", id="choi_nan",
+        ),
+        pytest.param(
+            ["channel", "info"], _pinching_m2(choi={"data": [[0.0, _INF]] + [[0.0, 0.0]] * 15}),
+            "matrix json: entries must be finite", id="choi_infinity",
+        ),
+        pytest.param(
+            ["envelope", "compute"], _space_m2(basis={"data": [[_NAN, 0.0]] + _IDENTITY_DATA[1:]}),
+            "matrix json: entries must be finite", id="basis_nan",
+        ),
+    ],
+)
+def test_invalid_declared_sizes_and_entries_exit_one(capsys, tmp_path, command, obj, message):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, [*command, str(p)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {p}: ") and message in err, err
+
+
 def test_ambient_cap_exits_one(capsys, tmp_path):
     big = OperatorSubspace.from_matrices([np.eye(65, dtype=complex)])
     p = tmp_path / "big.json"

@@ -11,6 +11,7 @@ tables are compared against directly expanded matrix products and against
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from ellis_envelope.channels import (
     ChannelMap,
     cesaro_idempotent,
     check_structure,
+    choi_to_superop,
     compose,
     random_unital_channel,
 )
@@ -40,6 +42,7 @@ from ellis_envelope.envelope import (
 from ellis_envelope.linalg import OperatorSubspace, frobenius
 from ellis_envelope.spectrahedron import build_system_set, sample
 from ellis_envelope.tolerances import TOL
+from test_spectrahedron import ACCEPTANCE_SETS
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -285,11 +288,22 @@ FULL_FACE_SETS = [
 ]
 
 
+def slice_svd_sigma(e, fset):
+    """The gain of D -> S_e S_D S_e on the slice: the top singular value of
+    [Re G | Im G], G the stack of S_e S_D S_e over ``fset.null_directions``."""
+    dirs = fset.null_directions
+    if not len(dirs):
+        return 0.0
+    g = (e.superop @ choi_to_superop(dirs, fset.n, fset.n) @ e.superop).reshape(len(dirs), -1)
+    return float(np.linalg.svd(np.hstack([g.real, g.imag]), compute_uv=False)[0])
+
+
 @pytest.mark.parametrize("build", [b for _, b in FULL_FACE_SETS], ids=[name for name, _ in FULL_FACE_SETS])
 def test_full_face_closed_form_equals_the_slice_svd(build):
-    # on the full face, sigma = ||S_e P_out^T||_2 ||P_in^T S_e||_2 and eps =
-    # ||law_project(J_e - J_p)||_F are the values the SVD over the general
-    # null_directions basis gives, at every e, not only at a minimal one
+    # on the full face, sigma = ||S_e (I - W W^*)||_2 ||(I - U U^*) S_e||_2
+    # and eps = ||law_project(J_e - J_p)||_F are the values the SVD over the
+    # general null_directions basis gives, at every e, not only at a minimal
+    # one; the slice probe's ||G||_F is at least that sigma
     fset = build()
     n = fset.n
     assert fset.face_dim == fset.choi_dim
@@ -305,12 +319,80 @@ def test_full_face_closed_form_equals_the_slice_svd(build):
     ]
     for e in candidates:
         eps, sigma = envelope._full_face_probe(e, fset)
-        eps_ref, sigma_ref = envelope._slice_probe(e, fset)
+        eps_ref, sigma_fro = envelope._slice_probe(e, fset)
+        sigma_ref = slice_svd_sigma(e, fset)
         assert abs(eps - eps_ref) <= 1e-13
         if e.rank() > 1:
             assert sigma == pytest.approx(sigma_ref, rel=1e-12)
         else:
             assert max(sigma, sigma_ref) <= 1e-13
+        assert sigma <= sigma_fro + 1e-13
+
+
+# the acceptance sets whose face is smaller than the Choi space, where the
+# probe bounds sigma by ||G||_F over the slice basis
+PROPER_FACE_SETS = [
+    (name, build)
+    for name, build, _, _ in ACCEPTANCE_SETS
+    if name in ("rigid", "full M_2", "corner lift") or name.startswith("diag")
+]
+
+
+def proper_face_candidates(fset):
+    """The set's known member J_p, the descent's f from it, and the seed idempotent of a sampled member."""
+    n = fset.n
+    known = ChannelMap(n, n, fset.member)
+    return [known, descend_to_minimal(fset, known).idempotent, seed_idempotent(sample(fset, seed=0), fset)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in PROPER_FACE_SETS], ids=[name for name, _ in PROPER_FACE_SETS])
+def test_slice_frobenius_bounds_the_slice_svd(build):
+    # Cauchy-Schwarz: the top singular value of G is at most ||G||_F, with
+    # equality up to rounding when G has rank one
+    fset = build()
+    assert fset.face_dim < fset.choi_dim
+    for e in proper_face_candidates(fset):
+        assert envelope._slice_probe(e, fset)[1] >= slice_svd_sigma(e, fset) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PROPER_FACE_SETS], ids=[name for name, _ in PROPER_FACE_SETS])
+def test_full_face_closed_form_bounds_the_slice_svd_on_proper_faces(build):
+    # the slice directions lie in Herm and range(P) on every face, so the
+    # closed form ||S_e (I - W W^*)||_2 ||(I - U U^*) S_e||_2, the gain on
+    # all of range(P), bounds the gain on the slice
+    fset = build()
+    assert fset.face_dim < fset.choi_dim
+    for e in proper_face_candidates(fset):
+        assert envelope._full_face_probe(e, fset)[1] >= slice_svd_sigma(e, fset) - 1e-13
+
+
+def off_slice(fset, y):
+    """The part of y orthogonal to the real span of ``fset.null_directions``, by least squares."""
+    basis = fset.null_directions.reshape(len(fset.null_directions), -1).T
+    a = np.vstack([basis.real, basis.imag])
+    b = np.concatenate([y.real.reshape(-1), y.imag.reshape(-1)])
+    r = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
+    return (r[: len(r) // 2] + 1j * r[len(r) // 2 :]).reshape(y.shape)
+
+
+@pytest.mark.parametrize("set_name", ["span_i_m2_set", "d2_set"])
+def test_minimality_bound_pays_n_eps_off_the_slice(request, set_name):
+    # moving the known member J_p to J_p + delta X, X Hermitian and off the
+    # slice, moves the slice and nothing else the bound reads, so the bound
+    # of the certified f rises by exactly n times the rise of eps, f's
+    # distance from the slice, computed here without the probe: by
+    # law_project on the full face, by least squares on a proper one
+    fset = request.getfixturevalue(set_name)
+    n = fset.n
+    off = fset.law_project if fset.face_dim == fset.choi_dim else functools.partial(off_slice, fset)
+    f = descend_to_minimal(fset, ChannelMap(n, n, fset.member))
+    assert f.certificate == "certified"
+    x = off(random_hermitian(np.random.default_rng(2), n * n))
+    moved = dataclasses.replace(fset, member=fset.member + 1e-3 * x / frobenius(x))
+    eps, eps_moved = (frobenius(off(f.idempotent.choi - s.member)) for s in (fset, moved))
+    assert eps_moved - eps >= 0.5e-3
+    rise = probe_minimality(f.idempotent, moved) - probe_minimality(f.idempotent, fset)
+    assert abs(rise - n * (eps_moved - eps)) <= 1e-12
 
 
 class SampleDrawn(Exception):
@@ -491,6 +573,18 @@ def test_envelope_space_mode_one_corner():
     assert res.rigidity_violation <= 1e-6
 
 
+def normal_m4_unitary():
+    # the Q of x = Q diag(1, i, -1, -i) Q^*, as scripts/make_inputs.py draws it
+    g = np.random.default_rng(4).standard_normal((2, 4, 4))
+    return np.linalg.qr(g[0] + 1j * g[1])[0]
+
+
+def normal_m4_mats():
+    q = normal_m4_unitary()
+    x = q @ np.diag([1, 1j, -1, -1j]) @ q.conj().T
+    return [np.eye(4), x, x.conj().T]
+
+
 # the system-mode spaces of scripts/make_inputs.py
 SAMPLE_SYSTEMS = {
     "diag_m2": lambda: diag_units(2),
@@ -498,6 +592,7 @@ SAMPLE_SYSTEMS = {
     "span_i_m2": lambda: [I2],
     "span_i_m3": lambda: [np.eye(3, dtype=complex)],
     "rigid_m2": lambda: [I2, SX, SZ],
+    "normal_m4": normal_m4_mats,
 }
 
 
@@ -506,6 +601,19 @@ def test_envelope_space_is_an_operator_system(name):
     # the range of a unital CP idempotent is an operator system (Choi-Effros 1977)
     env = compute_envelope(OperatorSubspace.from_matrices(SAMPLE_SYSTEMS[name]())).envelope_space
     assert env.unital and env.selfadjoint
+
+
+def test_envelope_of_normal_m4_is_its_diagonal_algebra():
+    # each eigenvalue of x is a vertex of their hull, so the envelope of the
+    # 3-dimensional span{I, x, x^*} is C*(x) = Q diag(C^4) Q^*, on a proper face
+    space = OperatorSubspace.from_matrices(normal_m4_mats())
+    assert build_system_set(space).face_dim < 16
+    res = compute_envelope(space)
+    assert res.certificate == "certified"
+    assert (space.dim, res.rank) == (3, 4)
+    q = normal_m4_unitary()
+    algebra = OperatorSubspace.from_matrices([q @ u @ q.conj().T for u in diag_units(4)])
+    assert subspace_equal(res.envelope_space, algebra, tol=1e-7)[0]
 
 
 def test_corner_envelope_space_is_neither_unital_nor_selfadjoint():
