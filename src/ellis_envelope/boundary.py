@@ -23,8 +23,8 @@ import numpy as np
 from .channels import (
     ChannelMap,
     _require_unital_cp,
+    cesaro_idempotent,
     check_absorption,
-    fixed_space,
 )
 from .envelope import (
     ChoiEffrosTable,
@@ -36,14 +36,18 @@ from .spectrahedron import FeasibleSet, build_system_set
 from .tolerances import TOL
 
 
-def build_T_set(space: OperatorSubspace, phi: ChannelMap) -> FeasibleSet:
+def build_T_set(
+    space: OperatorSubspace, phi: ChannelMap, cesaro: ChannelMap | None = None
+) -> FeasibleSet:
     """Feasible set {theta UCP : phi . theta = theta, theta fixes ``space``}.
 
     Requires every basis element of the space to be fixed by ``phi``; members
     fix the space pointwise, so a violation would make the set empty (theta
     fixing x forces phi(x) = phi(theta(x)) = theta(x) = x). Once it holds,
     the Cesaro idempotent of ``phi`` is a member, and the set keeps it as the
-    known member its affine slice is measured from.
+    known member its affine slice is measured from. ``cesaro`` is that
+    idempotent when the caller has already computed it; it is computed here
+    otherwise, and checked for membership either way.
     """
     _require_unital_cp(phi, "build_T_set")
     if phi.dim_in != space.n:
@@ -55,7 +59,7 @@ def build_T_set(space: OperatorSubspace, phi: ChannelMap) -> FeasibleSet:
                 f"build_T_set: basis element {k} is not fixed by the channel "
                 f"(residual {res:.3e} > {TOL.solver:.1e})"
             )
-    return build_system_set(space, absorb=phi)
+    return build_system_set(space, absorb=phi, member=cesaro)
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,13 @@ def compute_boundary(
     E-projections of M_n up to tol, and rigid over E. ``seed`` is unused
     (the descent is deterministic) and kept for callers that still pass it.
     """
-    tset = build_T_set(space, phi)
-    des = descend_to_minimal(tset, ChannelMap(tset.n, tset.n, tset.member), tol=tol)
+    # one SVD of I - S_phi gives both the T-set's known member and F_phi
+    ces = cesaro_idempotent(phi)
+    tset = build_T_set(space, phi, ces.idempotent)
+    des = descend_to_minimal(tset, ces.idempotent, tol=tol)
     e = des.idempotent
     boundary = e.range_basis()
-    f_phi = fixed_space(phi)
+    f_phi = ces.fixed_space
     residuals = {
         "range_in_fixed": max(f_phi.distance(m) for m in boundary.mats),
         "absorbed": frobenius(phi.superop @ e.superop - e.superop),

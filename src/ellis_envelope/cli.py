@@ -33,7 +33,7 @@ from .channels import (
     check_structure,
 )
 from .envelope import compute_envelope
-from .jsonio import dump_report, read_channel, read_space, read_table
+from .jsonio import read_channel, read_space, read_table, report_chunks
 from .linalg import matrix_to_json
 from .semigroups import (
     CayleyTable,
@@ -368,8 +368,6 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         run = _DISPATCH[(args.command, args.subcommand)]
         certificate, result = run(args, config)
-        command = f"{args.command} {args.subcommand}"
-        text = dump_report(_wrap(command, config, certificate, result), config.json_indent)
     except NonConvergenceError as exc:
         # strict JSON has no Infinity: a step that failed outright reports null
         history = [[step, float(r) if np.isfinite(r) else None] for step, r in exc.history[-5:]]
@@ -379,15 +377,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report = _wrap(f"{args.command} {args.subcommand}", config, certificate, result)
+    chunks = report_chunks(report, config.json_indent)
     if args.out is not None:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"error: {args.out}: cannot write ({exc})", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0 if certificate == "certified" else 2
 
 

@@ -9,6 +9,7 @@ letting a run crawl.
 
 import itertools
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from .channels import ChannelMap
@@ -70,66 +71,66 @@ def _check_ambient(path: str, obj: dict, keys: tuple[str, ...]) -> None:
         )
 
 
-def dump_report(report: dict, indent: int) -> str:
-    """Canonical report text: sorted keys, fixed indent, trailing newline.
+def report_chunks(report: dict, indent: int) -> Iterator[str]:
+    """Canonical report text in pieces, for writing without ever joining them.
 
-    The text equals ``json.dumps(report, sort_keys=True, indent=indent) + "\n"``
-    byte for byte. Tables of numbers (lists whose items are equal-length
-    lists of ints and floats, such as the [re, im] pairs of a matrix) are
-    rendered by the C encoder, ``REPORT_BLOCK`` rows per call, instead of
-    ``json``'s pure-Python indenting encoder; both print floats with
-    ``float.__repr__`` and ``NaN``/``Infinity``, so the bytes agree. Keys
-    must be strings: any other key raises TypeError.
-
-    Byte-identical output for identical report dicts is part of the CLI
-    contract, so no timestamps or environment-dependent values may enter
-    ``report``.
+    The pieces join to ``json.dumps(report, sort_keys=True, indent=indent) + "\n"``
+    byte for byte. Tables of numbers (lists whose items are equal-length lists
+    of ints and floats, such as the [re, im] pairs of a matrix) are rendered
+    by the C encoder, one piece of ``REPORT_BLOCK`` rows per call, instead of
+    ``json``'s indenting encoder, which prints floats and ``NaN``/``Infinity``
+    alike; any other piece is one key, scalar or bracket. Keys must be
+    strings: any other key raises TypeError. Identical reports give identical
+    bytes (a CLI contract), so no timestamps may enter ``report``.
     """
     pad = " " * indent
-    parts: list[str] = []  # joined once at the end: no copy per nesting level
 
-    def emit(obj, level: int) -> None:
+    def emit(obj, level: int) -> Iterator[str]:
         inner = "\n" + pad * (level + 1)
         if isinstance(obj, dict):
             if not obj:
-                parts.append("{}")
+                yield "{}"
                 return
             for key in obj:
                 if not isinstance(key, str):
                     raise TypeError(f"report keys must be str, not {type(key).__name__}")
             sep = "{" + inner
             for key in sorted(obj):
-                parts.append(sep + json.dumps(key) + ": ")
-                emit(obj[key], level + 1)
+                yield sep + json.dumps(key) + ": "
+                yield from emit(obj[key], level + 1)
                 sep = "," + inner
-            parts.append("\n" + pad * level + "}")
+            yield "\n" + pad * level + "}"
         elif isinstance(obj, (list, tuple)):
             if not obj:
-                parts.append("[]")
+                yield "[]"
                 return
             sep = "[" + inner
             for start in range(0, len(obj), REPORT_BLOCK):
                 block = obj[start : start + REPORT_BLOCK]
                 rows = _number_rows(block, inner, inner + pad)
                 if rows is not None:
-                    parts.append(sep + rows)
+                    yield sep + rows
                     sep = "," + inner
                     continue
                 for item in block:
-                    parts.append(sep)
-                    emit(item, level + 1)
+                    yield sep
+                    yield from emit(item, level + 1)
                     sep = "," + inner
-            parts.append("\n" + pad * level + "]")
+            yield "\n" + pad * level + "]"
         else:
-            parts.append(json.dumps(obj))
+            yield json.dumps(obj)
 
-    emit(report, 0)
-    parts.append("\n")
-    return "".join(parts)
+    yield from emit(report, 0)
+    yield "\n"
 
 
-# Rows per C-encoder call in ``dump_report``: bounds the transient flat list
-# and its strings, which a whole matrix at once would add to peak memory.
+def dump_report(report: dict, indent: int) -> str:
+    """The pieces of ``report_chunks`` joined into one string."""
+    return "".join(report_chunks(report, indent))
+
+
+# Rows per C-encoder call, so per piece of ``report_chunks``: bounds the flat
+# list, its strings and the piece, which a whole matrix would add to peak memory.
 REPORT_BLOCK = 4096
 
 _ROW_TYPES = {list, tuple}

@@ -79,10 +79,15 @@ class CayleyTable:
             order, rows = json_dim(obj["order"], "cayley json: order"), obj["table"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"cayley json: missing field ({exc})") from exc
-        t = np.asarray(rows, dtype=np.int64)
-        if t.shape != (order, order):
-            raise ValueError(f"cayley json: table shape {t.shape} does not match order {order}")
-        out = cls(t)
+        if not (isinstance(rows, list) and len(rows) == order
+                and all(isinstance(row, list) and len(row) == order for row in rows)):
+            raise ValueError(f"cayley json: table must be {order} rows of {order} entries")
+        for row in rows:
+            for v in row:
+                # as in json_dim: a bool, float or string is refused, not cast
+                if type(v) is not int or not 0 <= v < order:
+                    raise ValueError(f"cayley json: entries must be integers in 0..{order - 1}, got {v!r}")
+        out = cls(np.array(rows, dtype=np.int64))
         out.validate()
         return out
 

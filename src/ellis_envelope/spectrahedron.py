@@ -284,15 +284,16 @@ class FeasibleSet:
 
 
 def build_system_set(
-    space: OperatorSubspace, absorb: ChannelMap | None = None
+    space: OperatorSubspace, absorb: ChannelMap | None = None, member: ChannelMap | None = None
 ) -> FeasibleSet:
     """UCP maps fixing ``space`` pointwise; optionally also absorbed by ``absorb``.
 
     With ``absorb`` = psi, adds the affine law psi . phi = phi (the feasible
     set used for noncommutative Poisson boundaries). The set's known member
-    is the identity channel, or with ``absorb`` the Cesaro idempotent of psi;
-    its membership certifies that the set is nonempty. The unital law is
-    implied by the fix laws (I is in ``space``) but kept as its own check.
+    is ``member`` when the caller has one, else the identity channel, or with
+    ``absorb`` the Cesaro idempotent of psi; its membership is checked here
+    and certifies that the set is nonempty. The unital law is implied by the
+    fix laws (I is in ``space``) but kept as its own check.
     """
     if not (space.unital and space.selfadjoint):
         raise ValueError(
@@ -302,12 +303,12 @@ def build_system_set(
     n = space.n
     laws = [("unital", np.eye(n, dtype=complex))]
     laws += [(f"fix:{k}", x) for k, x in enumerate(space.mats)]
-    member = ChannelMap.identity(n)
     if absorb is not None:
         if absorb.dim_in != n or absorb.dim_out != n:
             raise ValueError("build_system_set: absorbing channel must act on the same ambient M_n")
         laws.append(("absorb", absorb.superop - np.eye(n * n)))
-        member = cesaro_idempotent(absorb).idempotent
+    if member is None:
+        member = ChannelMap.identity(n) if absorb is None else cesaro_idempotent(absorb).idempotent
     fset = FeasibleSet.from_laws(n, laws, member.choi)
     rep = fset.membership(member)
     if not rep.ok:

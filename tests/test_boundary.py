@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import random_unitary, subspace_equal
 
+from ellis_envelope import channels
 from ellis_envelope.channels import (
     ChannelMap,
     cesaro_idempotent,
@@ -203,6 +204,26 @@ def test_rigidity_violation_is_the_t_set_bound(name):
     res = compute_boundary(space, phi)
     assert res.certificate == "certified"
     assert res.rigidity_violation == probe_minimality(res.idempotent, build_T_set(space, phi))
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_PAIRS))
+def test_boundary_factors_i_minus_s_phi_once(name, monkeypatch):
+    # one SVD of I - S_phi serves the T-set's known member and the reported
+    # F_phi; the other is the descent step's Cesaro idempotent
+    space, phi = SAMPLE_PAIRS[name]()
+    calls = []
+    ergodic_kernels = channels._ergodic_kernels
+
+    def counted(s, who):
+        calls.append(who)
+        return ergodic_kernels(s, who)
+
+    monkeypatch.setattr(channels, "_ergodic_kernels", counted)
+    res = compute_boundary(space, phi)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    # the same SVD as ``fixed_space``, so the reported basis keeps its bytes
+    assert np.array_equal(res.fixed_space.mats, fixed_space(phi).mats)
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_PAIRS))

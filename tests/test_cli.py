@@ -13,7 +13,7 @@ import pytest
 from ellis_envelope import channels, cli, envelope, linalg, spectrahedron
 from ellis_envelope.channels import ChannelMap, NonConvergenceError
 from ellis_envelope.cli import RunConfig, main
-from ellis_envelope.jsonio import dump_report
+from ellis_envelope.jsonio import report_chunks
 from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
 from ellis_envelope.tolerances import TOL
@@ -58,16 +58,17 @@ def inputs(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def reports_match_reference_encoder(monkeypatch):
-    """Every report a test here produces must equal the reference encoder's text."""
+    """Every report a test here streams must join to the reference encoder's text."""
     checked = []
 
-    def dump_and_compare(report, indent):
-        text = dump_report(report, indent)
+    def chunks_and_compare(report, indent):
+        chunks = list(report_chunks(report, indent))
+        text = "".join(chunks)
         assert text == json.dumps(report, sort_keys=True, indent=indent) + "\n"
         checked.append(len(text))
-        return text
+        return iter(chunks)
 
-    monkeypatch.setattr(cli, "dump_report", dump_and_compare)
+    monkeypatch.setattr(cli, "report_chunks", chunks_and_compare)
     return checked
 
 
@@ -475,6 +476,31 @@ def _pinching_m2(**fields):
             ["semigroup", "analyze"], {"order": 2.0, "table": [[0, 1], [1, 0]]},
             "cayley json: order must be an integer >= 1, got 2.0",
             id="order_float",
+        ),
+        # table entries are JSON integers too, and index an element
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2, "table": [[0, 1.7], [1, 0]]},
+            "cayley json: entries must be integers in 0..1, got 1.7", id="table_entry_float",
+        ),
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2, "table": [[0, 1.0], [1, 0]]},
+            "cayley json: entries must be integers in 0..1, got 1.0", id="table_entry_integral_float",
+        ),
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2, "table": [[0, True], [True, 0]]},
+            "cayley json: entries must be integers in 0..1, got True", id="table_entry_bool",
+        ),
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2, "table": [[0, "1"], [1, 0]]},
+            "cayley json: entries must be integers in 0..1, got '1'", id="table_entry_string",
+        ),
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2, "table": [[0, 2**70], [1, 0]]},
+            "cayley json: entries must be integers in 0..1, got 1180591620717411303424", id="table_entry_huge",
+        ),
+        pytest.param(
+            ["semigroup", "analyze"], {"order": 2, "table": [[0, 1], [1]]},
+            "cayley json: table must be 2 rows of 2 entries", id="table_ragged",
         ),
         # and at least 1
         pytest.param(

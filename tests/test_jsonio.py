@@ -1,17 +1,22 @@
 """The report writer equals the reference encoder byte for byte.
 
-``dump_report(obj, k)`` must produce ``json.dumps(obj, sort_keys=True,
-indent=k) + "\\n"`` for every report, whichever of its two paths (the C
-encoder over blocks of number rows, or the recursive layout) renders a part.
+The pieces of ``report_chunks(obj, k)``, joined, and ``dump_report(obj, k)``
+must produce ``json.dumps(obj, sort_keys=True, indent=k) + "\\n"`` for every
+report, whichever of its two paths (the C encoder over blocks of number rows,
+or the recursive layout) renders a part. No piece may hold more than one
+block of a table, so a streamed report never holds its whole text.
 """
 
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellis_envelope.jsonio import REPORT_BLOCK, dump_report
+from ellis_envelope import jsonio
+from ellis_envelope.jsonio import REPORT_BLOCK, dump_report, report_chunks
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, float("nan"), float("inf"), float("-inf")]
 
@@ -30,7 +35,8 @@ def rows_of(width: int):
 
 
 # equal-length number rows (the fast path), ragged rows and mixed lists
-tables = st.integers(min_value=1, max_value=4).flatmap(rows_of)
+WIDEST = 4
+tables = st.integers(min_value=1, max_value=WIDEST).flatmap(rows_of)
 ragged = st.lists(st.lists(numbers, max_size=3), max_size=6)
 
 values = st.recursive(
@@ -48,10 +54,21 @@ def reference(obj, indent: int) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
 
 
-@given(st.dictionaries(strings, values, max_size=5), st.integers(min_value=0, max_value=4))
+@given(
+    st.dictionaries(strings, values, max_size=5),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1, 2, 3, REPORT_BLOCK]),
+)
 @settings(max_examples=150, deadline=None)
-def test_writer_equals_reference_encoder(report, indent):
-    assert dump_report(report, indent) == reference(report, indent)
+def test_writer_equals_reference_encoder(report, indent, block):
+    # small blocks split the generated tables, so pieces cross block boundaries
+    with mock.patch.object(jsonio, "REPORT_BLOCK", block):
+        chunks = list(report_chunks(report, indent))
+        assert "".join(chunks) == reference(report, indent)
+        assert dump_report(report, indent) == reference(report, indent)
+    # a row of w numbers spans w + 2 lines, its separator included; a key,
+    # scalar or bracket spans at most one
+    assert max(c.count("\n") for c in chunks) <= block * (WIDEST + 2)
 
 
 @pytest.mark.parametrize("indent", [0, 2])
@@ -62,7 +79,35 @@ def test_pair_table_across_block_boundaries(indent):
     data[0] = [float("nan"), -0.0]
     data[REPORT_BLOCK] = [float("inf"), 5e-324]
     report = {"m": {"rows": 90, "cols": 100, "data": data}}
-    assert dump_report(report, indent) == reference(report, indent)
+    chunks = list(report_chunks(report, indent))
+    assert "".join(chunks) == dump_report(report, indent) == reference(report, indent)
+    # no block's text is longer than that of REPORT_BLOCK copies of the longest row
+    longest = max(data, key=lambda row: len(json.dumps(row)))
+    block = {"m": {"data": [longest] * REPORT_BLOCK}}
+    assert max(map(len, chunks)) <= len(reference(block, indent))
+
+
+def test_streaming_to_a_file_holds_no_copy_of_the_text(tmp_path):
+    rows = 200_000
+    report = {"m": {"rows": rows, "cols": 1, "data": [[k * 0.1, -k / 3.0] for k in range(rows)]}}
+    path = tmp_path / "report.json"
+
+    def peak(write) -> int:
+        tracemalloc.start()
+        try:
+            with open(path, "w") as fh:
+                write(fh)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda fh: fh.writelines(report_chunks(report, 2)))
+    text = path.read_text()
+    assert streamed < len(text) / 2
+    # the joined string and its encoded copy coexist while it is written
+    joined = peak(lambda fh: fh.write(dump_report(report, 2)))
+    assert joined >= 2 * len(text)
+    assert path.read_text() == text
 
 
 def test_blocks_that_are_not_tables_fall_back():
