@@ -13,7 +13,8 @@ Conventions, frozen across the package:
   orders; every other module states its laws on S and converts through them.
 
 Compositions multiply superoperators; the Hilbert-Schmidt adjoint is the
-conjugate transpose of the superoperator.
+conjugate transpose of the superoperator. The Cesaro path computes on the
+real B^* S B, B the Hermitian basis of ``linalg.hermitian_basis_plan``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .linalg import (
     as_matrix,
     frobenius,
     herm,
+    hermitian_basis_plan,
     hermitian_eig,
     json_dim,
     matrix_from_json,
@@ -266,9 +268,36 @@ def _require_unital_cp(phi: ChannelMap, who: str) -> None:
         raise ValueError(f"{who}: map is not unital (residual {unital_res:.3e})")
     if not _is_hermitian(phi.choi, TOL.solver):
         raise ValueError(f"{who}: Choi matrix is not Hermitian")
-    wmin = float(np.linalg.eigvalsh(herm(phi.choi))[0])
-    if wmin < -TOL.ucp * max(1.0, frobenius(phi.choi)):
-        raise ValueError(f"{who}: map is not CP (min Choi eigenvalue {wmin:.3e})")
+    j, c = herm(phi.choi), TOL.ucp * max(1.0, frobenius(phi.choi))
+    try:  # CP iff herm(J) + c I is PSD; only the error message needs the eigenvalue
+        np.linalg.cholesky(j + c * np.eye(len(j)))
+    except np.linalg.LinAlgError:
+        wmin = float(np.linalg.eigvalsh(j)[0])
+        if wmin < -c:
+            raise ValueError(f"{who}: map is not CP (min Choi eigenvalue {wmin:.3e})") from None
+
+
+def _to_hermitian_coords(s: np.ndarray, n: int) -> np.ndarray:
+    """Re(B^* S B) for a superoperator S on M_n, B of ``hermitian_basis_plan``.
+    A Hermitian-preserving S (Hermitian Choi matrix) has B^* S B real."""
+    (c0, c1), (w0, w1), _, _ = hermitian_basis_plan(n)
+    sb = s.take(c0, axis=1) * w0 + s.take(c1, axis=1) * w1
+    out = sb.take(c0, axis=0) * w0.conj()[:, None] + sb.take(c1, axis=0) * w1.conj()[:, None]
+    return out.real.copy()
+
+
+def _hermitian_vecs(p: np.ndarray, n: int) -> np.ndarray:
+    """B P for a real P with n^2 rows; each column is vec of a Hermitian matrix."""
+    _, _, (r0, r1), (w0, w1) = hermitian_basis_plan(n)
+    return p.take(r0, axis=0) * w0[:, None] + p.take(r1, axis=0) * w1[:, None]
+
+
+def _from_hermitian_coords(p: np.ndarray, n: int) -> np.ndarray:
+    """B P B^* for a real P, the inverse of ``_to_hermitian_coords``;
+    Hermitian-preserving exactly, since rows v and v^T of B are conjugate."""
+    _, _, (r0, r1), (w0, w1) = hermitian_basis_plan(n)
+    x = _hermitian_vecs(p, n)
+    return x.take(r0, axis=1) * w0.conj() + x.take(r1, axis=1) * w1.conj()
 
 
 def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +305,8 @@ def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
 
     Singular values of I - s below ``TOL.fixed_space * max(1, ||s||)`` count as zero.
     The first block is vec F_phi; the second is ran(I - s)^perp, along whose
-    complement the ergodic projection maps onto F_phi.
+    complement the ergodic projection maps onto F_phi. The cut is unitarily
+    invariant: the same in every orthonormal basis, the Hermitian one included.
     """
     d = s.shape[0]
     u, sv, vh = np.linalg.svd(np.eye(d) - s)
@@ -285,20 +315,6 @@ def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
     if r == 0:
         raise ValueError(f"{who}: no fixed points found (eigenvalue 1 is not in the spectrum)")
     return vh[d - r :].conj().T, u[:, d - r :]
-
-
-def fixed_space(phi: ChannelMap) -> OperatorSubspace:
-    """Orthonormal basis of F_phi = {x : phi(x) = x} for a unital CP map.
-
-    Computed as the null space of I - S, S the superoperator; singular
-    values below ``TOL.fixed_space * max(1, ||S||)`` are treated as zero.
-    The basis is orthonormal but not canonical (the SVD fixes it only up to
-    a unitary change within the null space): compare fixed spaces by their
-    projectors.
-    """
-    _require_unital_cp(phi, "fixed_space")
-    k, _ = _ergodic_kernels(phi.superop, "fixed_space")
-    return OperatorSubspace(k.T.reshape(-1, phi.dim_in, phi.dim_in))
 
 
 @dataclass(frozen=True)
@@ -314,12 +330,6 @@ class ErgodicResult:
     method: str
     residuals: dict[str, float]
     agreement: float | None = None
-
-
-def _spectral_ergodic_projection(k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Projection onto ker(I - s) along ran(I - s), given the two kernels of
-    ``_ergodic_kernels``: columns k span ker(I - s), columns l span ker((I - s)^*)."""
-    return k @ np.linalg.solve(l.conj().T @ k, l.conj().T)
 
 
 def _iterative_ergodic_projection(s: np.ndarray) -> tuple[np.ndarray, list[tuple[int, float]]]:
@@ -365,40 +375,38 @@ def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
 
     mode: "spectral" (exact up to linear algebra, default), "iterative"
     (doubling Cesaro averages), or "both" (run both, cross-check to ``TOL.ucp``,
-    report the spectral result with the agreement distance). The fixed space
-    is detected at ``TOL.fixed_space``, as in ``fixed_space``.
+    report the spectral result with the agreement distance). The SVD, both
+    projections and the residuals run on the real S_R = B^* S B of
+    ``_to_hermitian_coords``. B is unitary, so the cut at ``TOL.fixed_space``
+    and every Frobenius norm are those of S; the fixed basis is Hermitian.
     """
     if mode not in ("spectral", "iterative", "both"):
         raise ValueError(f"cesaro_idempotent: unknown mode {mode!r}")
     _require_unital_cp(phi, "cesaro_idempotent")
-    s = phi.superop
+    n = phi.dim_in
+    s = _to_hermitian_coords(phi.superop, n)
     # one SVD of I - s serves the spectral projection and the fixed basis
     k, l = _ergodic_kernels(s, "cesaro_idempotent")
     agreement = None
-    if mode == "spectral":
-        p = _spectral_ergodic_projection(k, l)
-    elif mode == "iterative":
+    if mode == "iterative":
         p, _ = _iterative_ergodic_projection(s)
-    else:
-        p = _spectral_ergodic_projection(k, l)
-        p_iter, _ = _iterative_ergodic_projection(s)
-        agreement = frobenius(p - p_iter)
+    else:  # onto ker(I - s) along ran(I - s)
+        p = k @ np.linalg.solve(l.T @ k, l.T)
+    if mode == "both":
+        agreement = frobenius(p - _iterative_ergodic_projection(s)[0])
         if agreement > TOL.ucp:
             raise NonConvergenceError(
                 f"cesaro_idempotent: spectral and iterative modes disagree ({agreement:.3e})",
                 [(0, agreement)],
             )
-    n = phi.dim_in
-    # Cesaro limits of CP maps are CP; hermitize away rounding drift.
-    e = ChannelMap(n, n, herm(superop_to_choi(p, n, n)))
     residuals = {
-        "idempotent": frobenius(e.superop @ e.superop - e.superop),
-        "absorb_left": frobenius(s @ e.superop - e.superop),
-        "absorb_right": frobenius(e.superop @ s - e.superop),
+        "idempotent": frobenius(p @ p - p),
+        "absorb_left": frobenius(s @ p - p),
+        "absorb_right": frobenius(p @ s - p),
     }
     return ErgodicResult(
-        idempotent=e,
-        fixed_space=OperatorSubspace(k.T.reshape(-1, n, n)),
+        idempotent=ChannelMap(n, n, superop_to_choi(_from_hermitian_coords(p, n), n, n)),
+        fixed_space=OperatorSubspace(_hermitian_vecs(k, n).T.reshape(-1, n, n)),
         method=mode,
         residuals=residuals,
         agreement=agreement,

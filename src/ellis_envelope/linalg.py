@@ -14,7 +14,7 @@ Tolerances: every threshold shared across the package is a field of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -23,6 +23,28 @@ from .tolerances import TOL
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+@cache
+def hermitian_basis_plan(n: int) -> tuple[np.ndarray, ...]:
+    """The unitary B with columns vec E_kk, vec (E_kl + E_lk)/sqrt(2), then
+    vec i(E_kl - E_lk)/sqrt(2), k < l row-major (``spectrahedron.real_to_herm``),
+    as read-only gathers (col, wc, row, wr) of shape (2, n^2): column p of B
+    is wc[0, p] e_{col[0, p]} + wc[1, p] e_{col[1, p]}, and row v the same
+    with row, wr. Rows v and v^T of B are conjugate."""
+    d, m, c = n * n, n * (n + 1) // 2, np.sqrt(0.5)
+    k, l = np.triu_indices(n, 1)
+    dg, up, lo = np.arange(n) * (n + 1), k * n + l, l * n + k
+    col = np.stack([np.r_[dg, up, up], np.r_[dg, lo, lo]])
+    wc = np.full((2, d), c, dtype=complex)
+    wc[:, :n], wc[0, m:], wc[1, m:] = [[1.0], [0.0]], 1j * c, -1j * c
+    row, wr = np.zeros((2, d), dtype=np.intp), np.zeros((2, d), dtype=complex)
+    imag = (np.arange(d) >= m).astype(np.intp)
+    for a in (1, 0):  # transpose the columns; a = 0 goes last, so the diagonal keeps weight 1
+        row[imag, col[a]], wr[imag, col[a]] = np.arange(d), wc[a]
+    for x in (col, wc, row, wr):
+        x.setflags(write=False)
+    return col, wc, row, wr
 
 
 def herm(a: np.ndarray) -> np.ndarray:

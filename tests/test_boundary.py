@@ -16,7 +16,6 @@ from ellis_envelope import channels
 from ellis_envelope.channels import (
     ChannelMap,
     cesaro_idempotent,
-    fixed_space,
     random_unital_channel,
 )
 from ellis_envelope.boundary import build_T_set, compute_boundary
@@ -222,8 +221,8 @@ def test_boundary_factors_i_minus_s_phi_once(name, monkeypatch):
     res = compute_boundary(space, phi)
     monkeypatch.undo()
     assert len(calls) == 2
-    # the same SVD as ``fixed_space``, so the reported basis keeps its bytes
-    assert np.array_equal(res.fixed_space.mats, fixed_space(phi).mats)
+    # the same SVD as ``cesaro_idempotent``, so the reported basis keeps its bytes
+    assert np.array_equal(res.fixed_space.mats, cesaro_idempotent(phi).fixed_space.mats)
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_PAIRS))
@@ -315,7 +314,7 @@ def test_sampled_member_fixed_spaces_stay_inside_f_phi(span_i, conj_sz):
     for seed in range(4):
         theta = sample(tset, seed=seed)
         # theta = phi.theta forces range(theta), hence F_theta, into F_phi
-        f_theta = fixed_space(theta)
+        f_theta = cesaro_idempotent(theta).fixed_space
         for m in f_theta.mats:
             assert f_phi.distance(m) <= 1e-6
 

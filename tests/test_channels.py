@@ -21,12 +21,13 @@ from ellis_envelope.channels import (
     check_structure,
     choi_to_superop,
     compose,
-    fixed_space,
     random_unital_channel,
     superop_to_choi,
     unitalize_kraus,
 )
-from ellis_envelope.linalg import OperatorSubspace, frobenius, hermitian_eig, vec
+from ellis_envelope.linalg import OperatorSubspace, frobenius, herm, hermitian_eig, vec
+from ellis_envelope.spectrahedron import real_to_herm
+from ellis_envelope.tolerances import TOL
 
 from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, subspace_equal
 
@@ -259,40 +260,40 @@ def test_structure_choi_rank_counts_singular_values():
 
 
 def test_fixed_space_identity_is_everything():
-    fs = fixed_space(ChannelMap.identity(2))
+    fs = cesaro_idempotent(ChannelMap.identity(2)).fixed_space
     assert fs.dim == 4
 
 
 def test_fixed_space_of_conjugation_is_commutant():
     u = np.diag([1.0, -1.0]).astype(complex)
-    fs = fixed_space(ChannelMap.conjugation(u))
+    fs = cesaro_idempotent(ChannelMap.conjugation(u)).fixed_space
     diag2 = OperatorSubspace(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex))
     ok, dist = subspace_equal(fs, diag2)
     assert ok, dist
     rng = np.random.default_rng(29)
     v = random_unitary(rng, 3)
     u3 = v @ np.diag(np.exp(1j * np.array([0.3, 1.1, 2.6]))) @ v.conj().T
-    ok, dist = subspace_equal(fixed_space(ChannelMap.conjugation(u3)), commutant_basis(u3))
+    ok, dist = subspace_equal(cesaro_idempotent(ChannelMap.conjugation(u3)).fixed_space, commutant_basis(u3))
     assert ok, dist
 
 
 def test_fixed_space_pinching_and_trace_state():
-    fs = fixed_space(ChannelMap.pinching(3))
+    fs = cesaro_idempotent(ChannelMap.pinching(3)).fixed_space
     diag3 = OperatorSubspace(np.stack([np.diag(np.eye(3)[i]) for i in range(3)]).astype(complex))
     ok, _ = subspace_equal(fs, diag3)
     assert ok
-    fs1 = fixed_space(ChannelMap.trace_state(2))
+    fs1 = cesaro_idempotent(ChannelMap.trace_state(2)).fixed_space
     ok, _ = subspace_equal(fs1, OperatorSubspace(np.stack([I2 / np.sqrt(2)])))
     assert ok
 
 
 def test_fixed_space_rejects_nonunital_and_noncp():
     with pytest.raises(ValueError):
-        fixed_space(ChannelMap.conjugation(np.diag([1.0, 0.5])))
+        cesaro_idempotent(ChannelMap.conjugation(np.diag([1.0, 0.5])))
     with pytest.raises(ValueError):
-        fixed_space(ChannelMap.transpose_map(2))  # unital but not CP
+        cesaro_idempotent(ChannelMap.transpose_map(2))  # unital but not CP
     with pytest.raises(ValueError):
-        fixed_space(ChannelMap.from_kraus([random_complex(np.random.default_rng(1), 3, 2)]))
+        cesaro_idempotent(ChannelMap.from_kraus([random_complex(np.random.default_rng(1), 3, 2)]))
 
 
 # --------------------------------------------------------- Cesaro averaging
@@ -423,11 +424,121 @@ def test_cesaro_fixed_space_equals_fixed_space_of_the_map():
         random_unital_channel(rng, 3),
     ]
     for phi in maps:
-        expected = fixed_space(phi)
+        expected = complex_fixed_space(phi)
         for mode in ("spectral", "iterative", "both"):
             res = cesaro_idempotent(phi, mode=mode)
             ok, dist = subspace_equal(res.fixed_space, expected, tol=1e-12)
             assert ok, (mode, dist)
+
+
+def complex_kernels(s):
+    """ker(I - S) and ker((I - S)^*) from a dense complex SVD, cut at
+    TOL.fixed_space * max(1, ||S||_2): the reference for the real-coordinate path."""
+    d = s.shape[0]
+    u, sv, vh = np.linalg.svd(np.eye(d) - s)
+    r = int(np.sum(sv < TOL.fixed_space * max(1.0, np.linalg.svd(s, compute_uv=False)[0])))
+    return vh[d - r :].conj().T, u[:, d - r :]
+
+
+def complex_fixed_space(phi):
+    k, _ = complex_kernels(phi.superop)
+    return OperatorSubspace(k.T.reshape(-1, phi.dim_in, phi.dim_in))
+
+
+def complex_cesaro_choi(phi, mode):
+    """The ergodic idempotent's Choi matrix by the complex-superoperator
+    algorithm: spectral projection from the complex kernels, or the doubling
+    iteration on the complex S ("both" runs it and reports the spectral
+    one), then the Hermitian part."""
+    s, n = phi.superop, phi.dim_in
+    k, l = complex_kernels(s)
+    p = k @ np.linalg.solve(l.conj().T @ k, l.conj().T)
+    if mode != "spectral":
+        p_iter, _ = _iterative_ergodic_projection(s)
+        if mode == "iterative":
+            p = p_iter
+    return herm(superop_to_choi(p, n, n)), k.shape[1]
+
+
+def dense_hermitian_basis(n):
+    """Columns vec of the Hermitian basis, built from ``real_to_herm``."""
+    return real_to_herm(np.eye(n * n), n).reshape(n * n, n * n).T
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from(["kraus", "noncp"]))
+def test_hermitian_coordinates_are_the_dense_basis_change(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "kraus":
+        phi = ChannelMap.from_kraus([random_complex(rng, n, n) for _ in range(rng.integers(1, 4))])
+    else:  # Hermitian Choi matrix, not CP
+        phi = ChannelMap(n, n, random_hermitian(rng, n * n))
+    s = phi.superop / frobenius(phi.superop)
+    b = dense_hermitian_basis(n)
+    dense = b.conj().T @ s @ b
+    s_r = channels._to_hermitian_coords(s, n)
+    assert s_r.dtype == np.float64
+    assert frobenius(s_r - dense.real) <= 1e-13
+    assert frobenius(dense.imag) <= 1e-13
+    assert frobenius(channels._from_hermitian_coords(s_r, n) - s) <= 1e-14
+
+
+def nearfix(delta):
+    u = np.diag([1.0, np.exp(1j * delta), np.exp(2j * np.pi / 3)])
+    return ChannelMap(3, 3, 0.5 * (ChannelMap.identity(3).choi + ChannelMap.conjugation(u).choi))
+
+
+def cesaro_reference_cases():
+    rng = np.random.default_rng(43)
+    cases = {
+        "diag_repeated": ChannelMap.conjugation(np.diag(np.exp(1j * np.array([0.0, 0.0, 1.0, 1.0])))),
+        "diag_irrational": ChannelMap.conjugation(np.diag(np.exp(2j * np.pi * np.sqrt([2.0, 3.0, 5.0])))),
+        "pinching_m3": ChannelMap.pinching(3),
+        "trace_state_m3": ChannelMap.trace_state(3),
+        "nearfix_1e-10": nearfix(1e-10),
+    }
+    cases.update((f"sample_{name}", make()) for name, make in SAMPLE_CHANNELS.items())
+    cases.update((f"random_n{n}_k{k}", random_unital_channel(rng, n, k)) for n in (2, 3, 4) for k in (1, 2, 3))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["spectral", "iterative", "both"])
+def test_cesaro_in_hermitian_coordinates_matches_the_complex_algorithm(mode):
+    for name, phi in cesaro_reference_cases().items():
+        try:
+            choi, dim = complex_cesaro_choi(phi, mode)
+        except NonConvergenceError:  # nearfix: the doubling stalls on |1 - lambda| ~ 5e-11
+            with pytest.raises(NonConvergenceError):
+                cesaro_idempotent(phi, mode=mode)
+            continue
+        res = cesaro_idempotent(phi, mode=mode)
+        assert res.fixed_space.dim == dim, name
+        assert frobenius(res.idempotent.choi - choi) <= 1e-12, (name, frobenius(res.idempotent.choi - choi))
+        for m in res.fixed_space.mats:
+            assert np.abs(m - m.conj().T).max() <= 1e-14, name
+
+
+def spectrum_choi(n, lam):
+    """Hermitian Choi matrix of a unital map on M_n whose least eigenvalue is lam:
+    I/n (the trace state) plus t (E_00 - E_11) (x) E_00, which keeps phi(I) = I."""
+    t = 1.0 / n - lam
+    choi = np.eye(n * n, dtype=complex) / n
+    choi[0, 0] += t
+    choi[n, n] -= t
+    return choi
+
+
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_cp_check_threshold_on_constructed_spectra(factor, ok):
+    # the Cholesky decision keeps the eigenvalue threshold -c, c = TOL.ucp max(1, ||J||_F)
+    c = TOL.ucp * max(1.0, frobenius(spectrum_choi(2, 0.0)))
+    phi = ChannelMap(2, 2, spectrum_choi(2, -factor * c))
+    assert abs(np.linalg.eigvalsh(phi.choi)[0] + factor * c) <= 1e-15
+    if ok:
+        channels._require_unital_cp(phi, "who")
+        return
+    with pytest.raises(ValueError, match=r"^who: map is not CP \(min Choi eigenvalue -2\.\d{3}e-07\)$"):
+        channels._require_unital_cp(phi, "who")
 
 
 def absorption_three_products(e: ChannelMap, phi: ChannelMap) -> float:

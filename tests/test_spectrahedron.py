@@ -24,7 +24,6 @@ from ellis_envelope.channels import (
     NonConvergenceError,
     cesaro_idempotent,
     compose,
-    fixed_space,
     random_unital_channel,
 )
 from ellis_envelope import spectrahedron
@@ -750,12 +749,12 @@ def test_absorb_set_contains_cesaro_idempotent(absorb_set):
 
 
 def test_absorb_member_fixed_space_inside_absorber(absorb_set):
-    f_psi = fixed_space(ChannelMap.conjugation(SZ))
+    f_psi = cesaro_idempotent(ChannelMap.conjugation(SZ)).fixed_space
     for seed in (3, 4):
         theta = sample(absorb_set, seed)
-        for m in fixed_space(theta).mats:
+        for m in cesaro_idempotent(theta).fixed_space.mats:
             assert f_psi.distance(m) < 1e-6
-    pinch_fixed = fixed_space(ChannelMap.pinching(2))
+    pinch_fixed = cesaro_idempotent(ChannelMap.pinching(2)).fixed_space
     assert pinch_fixed.dim == 2
     assert max(f_psi.distance(m) for m in pinch_fixed.mats) < 1e-9
 
