@@ -2,9 +2,9 @@
 """Write sample JSON inputs for the ellis-envelope CLI.
 
 Creates channels (pinching, sigma-z conjugation, their average, the cyclic
-shift on M_3), operator spaces (diagonals, span{I}, span{E_12}, and
-span{I, x, x^*} for a normal x in M_4), and Cayley tables, matching the
-examples in the README.
+shift on M_3), operator spaces (diagonals, span{I}, span{E_12},
+span{I, x, x^*} for a normal x in M_4, and span{I, x} for a Hermitian x in
+M_8), and Cayley tables, matching the examples in the README.
 """
 
 import argparse
@@ -46,6 +46,10 @@ def main() -> None:
     g = np.random.default_rng(4).standard_normal((2, 4, 4))
     q = np.linalg.qr(g[0] + 1j * g[1])[0]
     normal = q @ np.diag([1, 1j, -1, -1j]) @ q.conj().T
+    # a Gaussian Hermitian x in M_8: span{I, x} has the rank-2 envelope
+    # C^2, certified on a face of dimension 50
+    g = np.random.default_rng(1).standard_normal((2, 8, 8))
+    hermitian = (g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T) / 2
     spaces = {
         "space_diag_m2.json": (OperatorSubspace.from_matrices(
             [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
@@ -60,6 +64,7 @@ def main() -> None:
         ), "system"),
         "space_corner_e12.json": (OperatorSubspace.from_matrices([e12]), "space"),
         "space_normal_m4.json": (OperatorSubspace.from_matrices([np.eye(4), normal, normal.conj().T]), "system"),
+        "space_spanix_m8.json": (OperatorSubspace.from_matrices([np.eye(8), hermitian]), "system"),
     }
     for name, (space, mode) in spaces.items():
         (dest / name).write_text(json.dumps(space.to_json(mode), indent=2) + "\n")

@@ -121,18 +121,6 @@ class ChannelMap:
         return cls.from_kraus([np.outer(eye[i], eye[i]) for i in range(n)])
 
     @classmethod
-    def schur(cls, m: np.ndarray) -> "ChannelMap":
-        """Entrywise multiplier x -> m .* x (CP iff m is PSD)."""
-        m = as_matrix(m)
-        n = m.shape[0]
-        d = n * n
-        choi = np.zeros((d, d), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                choi[i * n + i, j * n + j] = m[i, j]
-        return cls(n, n, choi)
-
-    @classmethod
     def transpose_map(cls, n: int) -> "ChannelMap":
         """x -> x^T; the canonical positive, not completely positive map."""
         choi = np.zeros((n * n, n * n), dtype=complex)

@@ -34,15 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelMap,
-    NonConvergenceError,
-    _require_unital_cp,
-    cesaro_idempotent,
-    choi_to_superop,
-)
-from .linalg import OperatorSubspace, frobenius, matrix_to_json
-from .spectrahedron import FeasibleSet, build_system_set
+from .channels import ChannelMap, NonConvergenceError, _require_unital_cp, cesaro_idempotent
+from .linalg import OperatorSubspace, frobenius, herm, matrix_to_json
+from .spectrahedron import FeasibleSet, _face_pairs, build_system_set
 from .tolerances import TOL
 
 # ------------------------------------------------------------------------
@@ -111,11 +105,6 @@ def corner_extract(big: ChannelMap) -> ChannelMap:
 # exact minimality test and rank descent
 
 
-def _violation(e: ChannelMap, theta: ChannelMap) -> float:
-    se = e.superop
-    return frobenius(se @ theta.superop @ se - se)
-
-
 def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     """Upper bound on sup ||e . theta . e - e||_F over the members theta of ``fset``.
 
@@ -141,13 +130,35 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     and solver tolerances, not a search result, reading no member but e
     and J_p.
 
-    On a proper face, D = sum_i c_i D_i over the orthonormal basis D_i =
-    ``fset.null_directions`` of H, with c real and ||c|| = ||D||_F. With G
-    the stack of the L(D_i), Cauchy-Schwarz gives
+    On a proper face, D = sum_i c_i D_i over a real-orthonormal basis D_i
+    of H with ||c|| = ||D||_F, so ||L(D)||_F <= ||D||_F ||G||_F by
+    Cauchy-Schwarz, G the stack of the L(D_i), and sigma = ||G||_F.
+    ``_slice_probe`` computes it without the basis, in face coordinates
+    D = V Y V^*:
 
-        ||L(D)||_F <= sum_i |c_i| ||L(D_i)||_F <= ||D||_F ||G||_F,
+    - Complex kernel. The law map Y -> (S_D U, W^* S_D) is complex linear,
+      and its kernel H_C is closed under Y -> Y^* (P is
+      Hermitian-preserving), so H_C = H + iH. tr(Y_i Y_j) is real on H, so
+      the D_i are a complex-orthonormal basis of H_C, and ||G||_F is the
+      Hilbert-Schmidt norm of L on H_C: ||Pi^T Z||_F, with row (k, l) of
+      Z holding L(V E_kl V^*) and Pi the orthogonal projector onto H_C.
+    - Kronecker form. For v_k = vec M_k, v_k v_l^* = V E_kl V^* has
+      S[(a,b),(i,j)] = M_k[i,a] conj(M_l[j,b]), the map X -> K_k X K_l^*
+      with K_k = M_k^T (``FeasibleSet.face_factors``). The law
+      coefficients and Z are pairings <A, K_k B K_l^*> of n x n matrices
+      (``_face_pairs``). With Q = ``fset.face_law_span``,
+      Pi = I - conj(Q) Q^T and ||Pi^T Z||_F = ||Z - Q Q^* Z||_F.
+    - The tau term. With S_e = O diag(s) R^*, ||S_e X S_e||_F =
+      ||B X C||_F for B = diag(s) R^* and C = O diag(s). Keeping the rho
+      singular values above float eps times s_0 leaves S_e = S' + T with
+      ||T||_2 = tau, which moves ||S_e X S_e||_F by at most
+      (2 s_0 tau + tau^2) ||X||_F. So Z needs rho^2 columns, and
+      sigma = ||Z - Q Q^* Z||_F + 2 s_0 tau + tau^2.
 
-    so sigma = ||G||_F, and no SVD is taken. On the full face, range(P) =
+    eps is an orthogonal split: V herm(Pi y) V^*, y = vec V^*(J_e - J_p)V,
+    is the projection of J_e - J_p onto H, and the rest is off the slice.
+
+    On the full face, range(P) =
     {D : S_D = (I - W W^*) S_D (I - U U^*)}, U and W the set's ``span_in``
     and ``span_out``, so L(D) = A S_D B with A = S_e (I - W W^*) and
     B = (I - U U^*) S_e; as U spans vec E, B = 0 exactly when range(e) lies
@@ -163,17 +174,24 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
     """
     probe = _full_face_probe if fset.face_dim == fset.choi_dim else _slice_probe
     eps, sigma = probe(e, fset)
-    return _violation(e, e) + fset.n * eps + 2 * fset.n * sigma
+    se = e.superop
+    return frobenius(se @ se @ se - se) + fset.n * eps + 2 * fset.n * sigma
 
 
 def _slice_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:
-    """eps and sigma = ||G||_F of ``probe_minimality`` from the basis ``fset.null_directions``."""
-    se = e.superop
-    n, dirs = fset.n, fset.null_directions
-    flat = dirs.reshape(len(dirs), fset.choi_dim**2)
-    off = (e.choi - fset.member).reshape(-1)
-    eps = frobenius(off - (flat.conj() @ off).real @ flat)
-    return eps, frobenius(se @ choi_to_superop(dirs, n, n) @ se)
+    """eps and sigma of ``probe_minimality`` in face coordinates, from Q = ``fset.face_law_span``."""
+    n, r, v, q = fset.n, fset.face_dim, fset.face, fset.face_law_span
+    u, s, vh = np.linalg.svd(e.superop)
+    rho = int(np.sum(s > np.finfo(float).eps * s[0]))
+    tau = s[rho] if rho < len(s) else 0.0
+    left = (s[:rho, None] * vh[:rho]).conj().reshape(rho, n, n)  # conj rows of B_e
+    right = (u[:, :rho] * s[:rho]).T.reshape(rho, n, n)  # columns of C_e
+    z = _face_pairs(left, fset.face_factors, right)
+    sigma = frobenius(z - q @ (q.conj().T @ z)) + float(2 * s[0] * tau + tau**2)
+    off = e.choi - fset.member
+    y = (v.conj().T @ off @ v).reshape(-1)
+    on_slice = herm((y - q.conj() @ (q.T @ y)).reshape(r, r))
+    return frobenius(off - v @ on_slice @ v.conj().T), sigma
 
 
 def _full_face_probe(e: ChannelMap, fset: FeasibleSet) -> tuple[float, float]:

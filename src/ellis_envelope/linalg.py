@@ -27,10 +27,11 @@ def frobenius(a: np.ndarray) -> float:
 
 @cache
 def hermitian_basis_plan(n: int) -> tuple[np.ndarray, ...]:
-    """The unitary B with columns vec E_kk, vec (E_kl + E_lk)/sqrt(2), then
-    vec i(E_kl - E_lk)/sqrt(2), k < l row-major (``spectrahedron.real_to_herm``),
-    as read-only gathers (col, wc, row, wr) of shape (2, n^2): column p of B
-    is wc[0, p] e_{col[0, p]} + wc[1, p] e_{col[1, p]}, and row v the same
+    """The unitary B with columns vec E_kk for k = 0..n-1, then
+    vec (E_kl + E_lk)/sqrt(2) for k < l in row-major order, then
+    vec i(E_kl - E_lk)/sqrt(2) in the same order, as read-only gathers
+    (col, wc, row, wr) of shape (2, n^2): column p of B is
+    wc[0, p] e_{col[0, p]} + wc[1, p] e_{col[1, p]}, and row v the same
     with row, wr. Rows v and v^T of B are conjugate."""
     d, m, c = n * n, n * (n + 1) // 2, np.sqrt(0.5)
     k, l = np.triu_indices(n, 1)

@@ -31,7 +31,7 @@ primal on the face J = V Y V^*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -64,30 +64,6 @@ CB_REGULARIZATION = 1e-9
 
 
 # ------------------------------------------------------------------------
-# real coordinates for Hermitian matrices
-
-
-@cache
-def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of a d x d matrix (read-only)."""
-    iu = np.triu_indices(d, 1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
-
-
-def real_to_herm(r: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrix (or stack) from isometric real coordinates: the diagonal, then
-    sqrt(2) Re and sqrt(2) Im of the strict upper triangle, row-major."""
-    k = d * (d - 1) // 2
-    j = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
-    j[(..., *_triu(d))] = (r[..., d : d + k] + 1j * r[..., d + k :]) / np.sqrt(2.0)
-    j = j + np.swapaxes(j, -1, -2).conj()
-    j[..., np.arange(d), np.arange(d)] = r[..., :d]
-    return j
-
-
-# ------------------------------------------------------------------------
 # constraint laws
 #
 # Each law is (name, matrix) and acts on the superoperator S of phi. A fix
@@ -103,6 +79,16 @@ def _row_span(a: np.ndarray) -> np.ndarray:
     """
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     return vh[: int(np.sum(s > TOL.affine_rcond * s[0]))].conj().T
+
+
+def _face_pairs(left: np.ndarray, k: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row (k, l), column (a, b): <left_a, K_k right_b K_l^*>, for stacks of n x n
+    matrices, as <L_a K_l, K_k R_b>: two batched products and one matrix product."""
+    r, n = len(k), k.shape[-1]
+    kr = (k[:, None] @ right[None]).reshape(-1, n * n)  # row (k, b): K_k R_b
+    lk = (left[None] @ k[:, None]).reshape(-1, n * n)  # row (l, a): L_a K_l
+    pairs = (kr @ lk.conj().T).reshape(r, len(right), r, len(left))
+    return pairs.transpose(0, 2, 3, 1).reshape(r * r, -1)
 
 
 def _structural_face(laws, n: int) -> np.ndarray:
@@ -219,25 +205,26 @@ class FeasibleSet:
     def expand(self, y: np.ndarray) -> np.ndarray:
         return self.face @ y @ self.face.conj().T
 
-    @cached_property
-    def null_directions(self) -> np.ndarray:
-        """Orthonormal Hermitian basis, shape (k, d, d), of the face directions D with P(D) = D.
+    @property
+    def face_factors(self) -> np.ndarray:
+        """K_k = M_k^T, shape (r, n, n), for the columns v_k = vec M_k of V: the face
+        direction V E_kl V^* is the map X -> K_k X K_l^* (``probe_minimality``)."""
+        return self.face.T.reshape(-1, self.n, self.n).transpose(0, 2, 1)
 
-        Every member differs from every other by a combination of these:
-        they span the affine slice the set lies in. They are the kernel of
-        the face law map Y -> (S_D U, W^* S_D), S_D the superoperator of
-        D = V Y V^*, over the real coordinates of Y: an SVD of r^2 rows.
-        ``probe_minimality`` reads them on proper faces only.
+    @cached_property
+    def face_law_span(self) -> np.ndarray:
+        """Orthonormal columns Q (r^2, q): P(V Y V^*) = V Y V^* exactly when Q^T vec Y = 0.
+
+        Q spans the range of the law map's coefficient matrix, whose row (k, l)
+        holds S_D U and W^* S_D at Y = E_kl (``_face_pairs``), from one thin
+        SVD cut at ``TOL.affine_rcond``; q is the law map's complex rank.
         """
-        n, r = self.n, self.face_dim
-        rows = choi_to_superop(self.expand(real_to_herm(np.eye(r * r), r)), n, n)
-        defect = np.concatenate(
-            [(rows @ self.span_in).reshape(r * r, -1), (self.span_out.conj().T @ rows).reshape(r * r, -1)],
-            axis=1,
-        )
-        u, s, _ = np.linalg.svd(np.concatenate([defect.real, defect.imag], axis=1))
-        rank = int(np.sum(s > TOL.affine_rcond * s[0]))
-        return self.expand(real_to_herm(u[:, rank:].T, r))
+        n, k = self.n, self.face_factors
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        fix = _face_pairs(units, k, self.span_in.T.reshape(-1, n, n))  # S_D U
+        absorb = _face_pairs(self.span_out.T.reshape(-1, n, n), k, units)  # W^* S_D, empty without the law
+        u, s, _ = np.linalg.svd(np.concatenate([fix, absorb], axis=1), full_matrices=False)
+        return u[:, : int(np.sum(s > TOL.affine_rcond * s[0]))]
 
     @cached_property
     def center(self) -> ChannelMap:

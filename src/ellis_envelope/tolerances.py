@@ -45,8 +45,8 @@ class Tolerances:
     # Stopping residual of the iterative Cesaro squaring.
     cesaro: float = 1e-10
     # Relative singular-value cutoff of the constraint laws: the spans the
-    # law projector removes on each side, and the kernel of the law map on a
-    # face (the probe's null directions).
+    # law projector removes on each side, and the range of the law map on a
+    # proper face, whose complement is the probe's slice.
     affine_rcond: float = 1e-12
     # Default width at which a cb-norm bracket counts as converged.
     cb_norm: float = 1e-3

@@ -30,6 +30,14 @@ def noncp_draw(n):
     return ChannelMap(n, n, 0.5 * (g + g.conj().T) / n)
 
 
+def schur_map(m):
+    """Entrywise multiplier x -> m .* x (CP iff m is PSD)."""
+    n = len(m)
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    choi[np.ix_(np.arange(n) * (n + 1), np.arange(n) * (n + 1))] = m
+    return ChannelMap(n, n, choi)
+
+
 def random_unitary(rng, n):
     q, r = np.linalg.qr(random_complex(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -26,10 +26,10 @@ from ellis_envelope.channels import (
     unitalize_kraus,
 )
 from ellis_envelope.linalg import OperatorSubspace, frobenius, herm, hermitian_eig, vec
-from ellis_envelope.spectrahedron import real_to_herm
 from ellis_envelope.tolerances import TOL
 
-from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, subspace_equal
+from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, schur_map, subspace_equal
+from dense_slice import real_to_herm
 
 
 def choi_from_function(f, n, m):
@@ -95,7 +95,7 @@ def test_choi_matches_defining_sum():
     cases = [
         (ChannelMap.conjugation(u), lambda x: u @ x @ u.conj().T, 3, 3),
         (ChannelMap.pinching(3), lambda x: np.diag(np.diag(x)), 3, 3),
-        (ChannelMap.schur(m), lambda x: m * x, 3, 3),
+        (schur_map(m), lambda x: m * x, 3, 3),
         (ChannelMap.trace_state(2), lambda x: np.trace(x) / 2 * np.eye(2), 2, 2),
         (ChannelMap.transpose_map(3), lambda x: x.T, 3, 3),
         (

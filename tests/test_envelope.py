@@ -23,7 +23,6 @@ from ellis_envelope.channels import (
     ChannelMap,
     cesaro_idempotent,
     check_structure,
-    choi_to_superop,
     compose,
     random_unital_channel,
 )
@@ -43,6 +42,7 @@ from ellis_envelope.linalg import OperatorSubspace, frobenius
 from ellis_envelope.spectrahedron import build_system_set, sample
 from ellis_envelope.tolerances import TOL
 from test_spectrahedron import ACCEPTANCE_SETS
+from dense_slice import off_slice, slice_probe, slice_svd_sigma
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -288,22 +288,12 @@ FULL_FACE_SETS = [
 ]
 
 
-def slice_svd_sigma(e, fset):
-    """The gain of D -> S_e S_D S_e on the slice: the top singular value of
-    [Re G | Im G], G the stack of S_e S_D S_e over ``fset.null_directions``."""
-    dirs = fset.null_directions
-    if not len(dirs):
-        return 0.0
-    g = (e.superop @ choi_to_superop(dirs, fset.n, fset.n) @ e.superop).reshape(len(dirs), -1)
-    return float(np.linalg.svd(np.hstack([g.real, g.imag]), compute_uv=False)[0])
-
-
 @pytest.mark.parametrize("build", [b for _, b in FULL_FACE_SETS], ids=[name for name, _ in FULL_FACE_SETS])
 def test_full_face_closed_form_equals_the_slice_svd(build):
     # on the full face, sigma = ||S_e (I - W W^*)||_2 ||(I - U U^*) S_e||_2
     # and eps = ||law_project(J_e - J_p)||_F are the values the SVD over the
-    # general null_directions basis gives, at every e, not only at a minimal
-    # one; the slice probe's ||G||_F is at least that sigma
+    # dense basis of the slice (``dense_slice``) gives, at every e, not only
+    # at a minimal one; the slice probe's ||G||_F is at least that sigma
     fset = build()
     n = fset.n
     assert fset.face_dim == fset.choi_dim
@@ -330,7 +320,7 @@ def test_full_face_closed_form_equals_the_slice_svd(build):
 
 
 # the acceptance sets whose face is smaller than the Choi space, where the
-# probe bounds sigma by ||G||_F over the slice basis
+# probe bounds sigma by ||G||_F, computed in face coordinates
 PROPER_FACE_SETS = [
     (name, build)
     for name, build, _, _ in ACCEPTANCE_SETS
@@ -355,6 +345,69 @@ def test_slice_frobenius_bounds_the_slice_svd(build):
         assert envelope._slice_probe(e, fset)[1] >= slice_svd_sigma(e, fset) * (1 - 1e-12)
 
 
+def agrees_with_reference(value, ref):
+    """Relative agreement to 1e-10 where the reference is at least 1e-8; both at
+    most 1e-12 where the reference is; otherwise within 1e-10 of each other."""
+    if ref >= 1e-8:
+        return abs(value - ref) <= 1e-10 * ref
+    if ref <= 1e-12:
+        return value <= 1e-12
+    return abs(value - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("build", [b for _, b in PROPER_FACE_SETS], ids=[name for name, _ in PROPER_FACE_SETS])
+def test_slice_probe_matches_the_dense_reference(build):
+    # eps and sigma = ||G||_F in face coordinates are the numbers the dense
+    # basis of the slice gives, at J_p, at the certified f and at the seed
+    # idempotent of a sampled member
+    fset = build()
+    for e in proper_face_candidates(fset):
+        eps, sigma = envelope._slice_probe(e, fset)
+        eps_ref, sigma_ref = slice_probe(e, fset)
+        assert agrees_with_reference(eps, eps_ref), (eps, eps_ref)
+        assert agrees_with_reference(sigma, sigma_ref), (sigma, sigma_ref)
+
+
+def normal_space(n, seed):
+    """span{I, x, x^*} for x = Q diag(z) Q^*, z complex Gaussian and Q the QR factor of a
+    complex Gaussian; its envelope's rank is the number of vertices of the hull of z."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    x = q @ np.diag(z) @ q.conj().T
+    return OperatorSubspace.from_matrices([np.eye(n), x, x.conj().T])
+
+
+def span_i_x_space(n):
+    """span{I, x} for a Hermitian Gaussian x in M_n; the envelope has rank 2."""
+    g = np.random.default_rng(1).standard_normal((2, n, n))
+    x = g[0] + 1j * g[1]
+    return OperatorSubspace.from_matrices([np.eye(n), (x + x.conj().T) / 2])
+
+
+@pytest.mark.parametrize("n, seed, sigma", [(4, 1, 3.464102), (5, 2, 8.124038), (6, 11, 10.14889)])
+def test_slice_probe_at_the_identity(n, seed, sigma):
+    # at e = identity, L(D) = S_D and sigma = ||G||_F is the square root of
+    # the slice's real dimension: an O(1) value, pinned and checked against
+    # the dense basis
+    fset = build_system_set(normal_space(n, seed))
+    e = ChannelMap.identity(n)
+    eps, got = envelope._slice_probe(e, fset)
+    eps_ref, sigma_ref = slice_probe(e, fset)
+    assert got == pytest.approx(sigma, rel=1e-6)
+    assert got == pytest.approx(sigma_ref, rel=1e-10)
+    assert eps <= 1e-12 and eps_ref <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "space, rank", [(normal_space(10, 1), 5), (span_i_x_space(8), 2)], ids=["normal_m10", "span_i_x_m8"]
+)
+def test_proper_face_envelopes_at_n8_and_n10_certify(space, rank):
+    # faces of dimension 55 and 50: the slice bound needs no per-direction d x d matrix
+    res = compute_envelope(space)
+    assert (res.rank, res.certificate) == (rank, "certified")
+
+
 @pytest.mark.parametrize("build", [b for _, b in PROPER_FACE_SETS], ids=[name for name, _ in PROPER_FACE_SETS])
 def test_full_face_closed_form_bounds_the_slice_svd_on_proper_faces(build):
     # the slice directions lie in Herm and range(P) on every face, so the
@@ -364,15 +417,6 @@ def test_full_face_closed_form_bounds_the_slice_svd_on_proper_faces(build):
     assert fset.face_dim < fset.choi_dim
     for e in proper_face_candidates(fset):
         assert envelope._full_face_probe(e, fset)[1] >= slice_svd_sigma(e, fset) - 1e-13
-
-
-def off_slice(fset, y):
-    """The part of y orthogonal to the real span of ``fset.null_directions``, by least squares."""
-    basis = fset.null_directions.reshape(len(fset.null_directions), -1).T
-    a = np.vstack([basis.real, basis.imag])
-    b = np.concatenate([y.real.reshape(-1), y.imag.reshape(-1)])
-    r = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
-    return (r[: len(r) // 2] + 1j * r[len(r) // 2 :]).reshape(y.shape)
 
 
 @pytest.mark.parametrize("set_name", ["span_i_m2_set", "d2_set"])

@@ -34,17 +34,16 @@ from ellis_envelope.spectrahedron import (
     OperatorSubspace,
     _pair_bounds,
     _structural_face,
-    _triu,
     build_system_set,
     cb_norm,
     cb_norm_bracket,
     dykstra_project,
     maximize_linear,
-    real_to_herm,
     sample,
 )
 
-from conftest import I2, SX, SZ, noncp_draw, random_complex, random_hermitian, subspace_equal
+from conftest import I2, SX, SZ, noncp_draw, random_complex, random_hermitian, schur_map, subspace_equal
+from dense_slice import face_null_space, herm_to_real, null_directions, real_to_herm
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -219,31 +218,37 @@ def laws_of(n, xs, s_psi):
     return laws
 
 
-def herm_to_real(j):
-    """Real coordinates of a Hermitian matrix, the inverse of ``real_to_herm``."""
-    upper = j[_triu(j.shape[0])]
-    return np.concatenate([np.real(np.diag(j)), np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag])
-
-
 def reference_null_space(a):
-    """Orthonormal rows spanning the kernel of a real matrix (relative cut 1e-10)."""
-    _, s, vt = np.linalg.svd(a)
+    """Orthonormal rows spanning the kernel of a tall real matrix (relative cut 1e-10)."""
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     return vt[int(np.sum(s > 1e-10 * s[0])) :]
 
 
-def face_null_space(fset):
-    """The set's null directions in the real coordinates of Y, J = V Y V^*."""
-    dirs = fset.null_directions
-    return np.array([herm_to_real(y) for y in fset.compress(dirs)]).reshape(len(dirs), fset.face_dim**2)
+def reference_row_space(a):
+    """Orthonormal rows spanning the row space of a real matrix (relative cut 1e-10), by a thin SVD."""
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    return vt[: int(np.sum(s > 1e-10 * s[0]))]
+
+
+def face_law_rows(fset):
+    """Orthonormal real rows over the real coordinates of Y (J = V Y V^*) spanning the
+    functionals Q^T vec Y, Q = ``fset.face_law_span``: the slice is their common kernel."""
+    q = fset.face_law_span
+    return reference_row_space(_rows_to_real(q.T, np.zeros(q.shape[1]), fset.face_dim)[0])
 
 
 def law_rank(fset):
-    """Rank of the law map on the face: the real dimension of Y less its null space."""
-    return fset.face_dim**2 - len(fset.null_directions)
+    """Complex rank of the law map on the face: r^2 less the real dimension of the slice."""
+    return fset.face_law_span.shape[1]
 
 
 def same_row_space(a, b, tol):
-    return a.shape == b.shape and np.max(np.abs(a.T @ a - b.T @ b), initial=0.0) <= tol
+    """Equal spans of two stacks of orthonormal rows, within tol.
+
+    For equal dimensions ||a - (a b^T) b||_2 = ||a^T a - b^T b||_2, which
+    bounds every entry of a^T a - b^T b; no Gram matrix of the columns is formed.
+    """
+    return a.shape == b.shape and (not len(a) or np.linalg.norm(a - (a @ b.T) @ b, 2) <= tol)
 
 
 # ------------------------------------------------------- real coordinates
@@ -322,7 +327,7 @@ def test_d2_set_contains_the_named_maps(d2_set):
     for phi in (
         ChannelMap.identity(2),
         ChannelMap.pinching(2),
-        ChannelMap.schur(np.array([[1.0, 0.3 - 0.4j], [0.3 + 0.4j, 1.0]])),
+        schur_map(np.array([[1.0, 0.3 - 0.4j], [0.3 + 0.4j, 1.0]])),
     ):
         rep = d2_set.membership(phi)
         assert rep.ok, rep.residuals
@@ -366,7 +371,10 @@ def test_face_system_matches_compressed_reference_rows():
             fset = dataclasses.replace(base, face=v)
             a_ref, _ = reference_face_system(n, xs, s_psi, v)
             assert same_row_space(face_null_space(fset), reference_null_space(a_ref), 1e-12)
-        assert len(dataclasses.replace(base, face=np.eye(d)).null_directions) == (d - 3) * n
+            assert same_row_space(face_law_rows(fset), reference_row_space(a_ref), 1e-12)
+        full = dataclasses.replace(base, face=np.eye(d))
+        assert len(null_directions(full)) == (d - 3) * n
+        assert d * d - law_rank(full) == (d - 3) * n
 
 
 def test_membership_residuals_match_reference_rows(d2_set):
@@ -424,7 +432,7 @@ ACCEPTANCE_SETS = [
     ("conj sz", lambda: build_T_set(OperatorSubspace.from_matrices([I2]), ChannelMap.conjugation(SZ)), 4, 10),
 ]
 # each builder runs once per session: the tests below share one set and its
-# cached null directions
+# cached law span
 ACCEPTANCE_SETS = [(name, functools.cache(build), face, rows) for name, build, face, rows in ACCEPTANCE_SETS]
 
 
@@ -436,8 +444,8 @@ def test_face_and_law_rows_of_acceptance_sets(name, build, face, rows):
 
 @pytest.mark.parametrize("name, build, face, rows", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
 def test_law_projector_matches_reference_rows(name, build, face, rows):
-    # the projector's null space on the face is that of the reference rows,
-    # built entry by entry; I - P (and with it P) is a self-adjoint,
+    # the face law map's row space is that of the reference rows, built
+    # entry by entry; I - P (and with it P) is a self-adjoint,
     # idempotent, Hermitian-preserving map, and the set's known member
     # passes membership
     fset = build()
@@ -446,7 +454,7 @@ def test_law_projector_matches_reference_rows(name, build, face, rows):
     xs = [m for key, m in fset.laws if key.startswith("fix")]
     s_psi = laws["absorb"] + np.eye(d) if "absorb" in laws else None
     a_ref, _ = reference_face_system(n, xs, s_psi, fset.face)
-    assert same_row_space(face_null_space(fset), reference_null_space(a_ref), 1e-12)
+    assert same_row_space(face_law_rows(fset), reference_row_space(a_ref), 1e-12)
     rng = np.random.default_rng(len(name))
     a, b = random_complex(rng, d, d), random_complex(rng, d, d)
     pa, pb = fset.law_project(a), fset.law_project(b)
@@ -521,10 +529,10 @@ def test_structural_face_that_misses_the_identity_raises(monkeypatch):
 
 def test_null_directions_span_the_affine_slice(d2_set, ucp2_set, singleton_set):
     # D_2: members are schur_choi(c), a slice of real dimension 2
-    assert d2_set.null_directions.shape == (2, 4, 4)
-    assert singleton_set.null_directions.shape[0] == 0
+    assert null_directions(d2_set).shape == (2, 4, 4)
+    assert null_directions(singleton_set).shape[0] == 0
     for fset in (d2_set, ucp2_set):
-        dirs = fset.null_directions
+        dirs = null_directions(fset)
         gram = np.einsum("kij,lij->kl", dirs.conj(), dirs)
         assert np.max(np.abs(gram - np.eye(len(dirs)))) <= 1e-12
         for dj in dirs:
