@@ -18,6 +18,7 @@ inputs stay at desk scale; ambient dimensions are capped at 64.
 
 import argparse
 import json
+import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -387,8 +388,26 @@ def main(argv=None) -> int:
             print(f"error: {args.out}: cannot write ({exc})", file=sys.stderr)
             return 1
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe (`| head`), a full disk
+            _discard_stdout()
+            print(f"error: stdout: cannot write ({exc})", file=sys.stderr)
+            return 1
     return 0 if certificate == "certified" else 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so that the interpreter's last
+    flush of what is still buffered does not fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def entrypoint() -> None:

@@ -1,16 +1,25 @@
-"""File-level JSON input handling shared by the CLI and the scripts.
+"""File-level JSON input handling shared by the CLI and the scripts, and
+the report writer.
 
 Loaders wrap the per-class ``from_json`` constructors so that every failure
 message names the offending file.  Ambient dimensions are capped at 64x64;
 beyond that the dense solvers stop being desk-scale and the cap fails fast,
 on the declared dimensions and before any matrix is decoded, instead of
 letting a run crawl.
+
+``report_chunks`` writes a report as ``json.dumps`` would, in pieces. The
+tables of finite floats that make up most of a large report (the [re, im]
+pairs of Choi matrices) go through ``floatrepr``, which writes
+``float.__repr__``'s digits for a whole block of numbers at once.
 """
 
 import itertools
 import json
 from collections.abc import Iterator
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .channels import ChannelMap
 from .semigroups import CayleyTable
@@ -77,11 +86,12 @@ def report_chunks(report: dict, indent: int) -> Iterator[str]:
     The pieces join to ``json.dumps(report, sort_keys=True, indent=indent) + "\n"``
     byte for byte. Tables of numbers (lists whose items are equal-length lists
     of ints and floats, such as the [re, im] pairs of a matrix) are rendered
-    by the C encoder, one piece of ``REPORT_BLOCK`` rows per call, instead of
-    ``json``'s indenting encoder, which prints floats and ``NaN``/``Infinity``
-    alike; any other piece is one key, scalar or bracket. Keys must be
-    strings: any other key raises TypeError. Identical reports give identical
-    bytes (a CLI contract), so no timestamps may enter ``report``.
+    one piece of ``REPORT_BLOCK`` rows at a time by ``_number_rows``: a block
+    of finite floats by the vectorized ``floatrepr.reprs``, a block holding an
+    int, NaN or an infinity by the C encoder. Any other piece is one key,
+    scalar or bracket. Keys must be strings: any other key raises TypeError.
+    Identical reports give identical bytes (a CLI contract), so no
+    timestamps may enter ``report``.
     """
     pad = " " * indent
 
@@ -129,8 +139,8 @@ def dump_report(report: dict, indent: int) -> str:
     return "".join(report_chunks(report, indent))
 
 
-# Rows per C-encoder call, so per piece of ``report_chunks``: bounds the flat
-# list, its strings and the piece, which a whole matrix would add to peak memory.
+# Rows per piece of ``report_chunks``: bounds the block's array, its
+# temporaries and the piece, which a whole matrix would add to peak memory.
 REPORT_BLOCK = 4096
 
 _ROW_TYPES = {list, tuple}
@@ -140,16 +150,40 @@ _NUMBER_TYPES = {int, float}
 def _number_rows(rows, outer: str, inner: str) -> str | None:
     """Rows of equal length holding only ints and floats, laid out as ``json``
     indents them (``outer``/``inner``: newline plus the row/entry indent);
-    None when ``rows`` is not such a table."""
+    None when ``rows`` is not such a table.
+
+    A table of finite floats is one float64 array, whose text
+    ``floatrepr.reprs`` writes in one pass, each number followed by "," or,
+    at the end of a row, ";". A table with an int, NaN or an infinity goes
+    through the C encoder, as ``json.dumps`` prints those differently. Both
+    marks then become the separators with their indents.
+    """
     if not set(map(type, rows)) <= _ROW_TYPES:
         return None
     width = len(rows[0])
     if width == 0 or set(map(len, rows)) != {width}:
         return None
-    flat = list(itertools.chain.from_iterable(rows))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
+    # read the entries column by column, which allocates nothing per row
+    # (tracemalloc, which the tests use, makes each allocation costly)
+    columns = [itemgetter(k) for k in range(width)]
+    types = set().union(*(map(type, map(column, rows)) for column in columns))
+    if not types <= _NUMBER_TYPES:
         return None
-    # the C encoder separates entries by ", ", which no number's text contains
-    items = json.dumps(flat)[1:-1].split(", ")
-    cells = map(("," + inner).join, zip(*(items[k::width] for k in range(width))))
-    return "[" + inner + (outer + "]," + outer + "[" + inner).join(cells) + outer + "]"
+    x = None
+    if types == {float}:
+        x = np.stack([np.fromiter(map(column, rows), np.float64, len(rows)) for column in columns], axis=1)
+    if x is not None and np.isfinite(x).all():
+        # imported here: its tables cost a process that writes no float table
+        # 6 ms and a MB of RSS
+        from .floatrepr import reprs
+
+        ends = np.full((len(rows), width), ord(","), dtype=np.uint8)
+        ends[:, -1] = ord(";")
+        ends[-1, -1] = 0  # nothing after the last number
+        text = reprs(x.ravel(), ends.ravel()).decode("ascii")
+    else:
+        # the C encoder separates entries by ", ", which no number's text contains
+        items = json.dumps(list(itertools.chain.from_iterable(rows)))[1:-1].split(", ")
+        text = ";".join(map(",".join, zip(*(items[k::width] for k in range(width)))))
+    text = text.replace(",", "," + inner).replace(";", outer + "]," + outer + "[" + inner)
+    return "[" + inner + text + outer + "]"

@@ -402,6 +402,38 @@ def test_tolerance_below_solver_exits_one(capsys, inputs):
     assert "strictly above" in err
 
 
+class _FailingStdout:
+    """A stdout whose writes fail, as a closed pipe or a full disk makes them."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def writelines(self, chunks):
+        next(iter(chunks))
+        raise self.exc
+
+    def flush(self):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc", [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")], ids=["pipe", "full"]
+)
+def test_failed_write_to_stdout_exits_one(capsys, inputs, monkeypatch, exc):
+    monkeypatch.setattr("sys.stdout", _FailingStdout(exc))
+    code = main(["channel", "cesaro", inputs["halfsz"], "--mode", "both"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: stdout: cannot write ({exc})\n"
+
+
+def test_failed_write_to_out_file_exits_one(capsys, inputs, tmp_path):
+    code, out, err = run(capsys, ["channel", "info", inputs["pinch"], "--out", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path}: cannot write (")
+
+
 def test_infinite_tolerance_exits_one(capsys, inputs):
     # an infinite tolerance would certify any bound, and it has no strict
     # JSON encoding for the report's config
