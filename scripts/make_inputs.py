@@ -38,7 +38,7 @@ def main() -> None:
         "channel_trace_state_m2.json": ChannelMap.trace_state(2),
     }
     for name, phi in channels.items():
-        (dest / name).write_text(json.dumps(phi.to_json(), indent=2) + "\n")
+        (dest / name).write_text(json.dumps(phi.to_json(), default=np.ndarray.tolist, indent=2) + "\n")
 
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
     # x = Q diag(1, i, -1, -i) Q^*: each eigenvalue is a vertex of their hull,
@@ -67,7 +67,7 @@ def main() -> None:
         "space_spanix_m8.json": (OperatorSubspace.from_matrices([np.eye(8), hermitian]), "system"),
     }
     for name, (space, mode) in spaces.items():
-        (dest / name).write_text(json.dumps(space.to_json(mode), indent=2) + "\n")
+        (dest / name).write_text(json.dumps(space.to_json(mode), default=np.ndarray.tolist, indent=2) + "\n")
 
     tables = {
         "table_cyclic_3.json": cyclic_group(3),

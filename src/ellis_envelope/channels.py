@@ -291,14 +291,18 @@ def _from_hermitian_coords(p: np.ndarray, n: int) -> np.ndarray:
 def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal columns spanning ker(I - s) and ker((I - s)^*), from one SVD.
 
-    Singular values of I - s below ``TOL.fixed_space * max(1, ||s||)`` count as zero.
+    Singular values of I - s below ``TOL.fixed_space * max(1, ||I - s||)``
+    count as zero. The scale is that SVD's own largest singular value, which
+    also sets its backward error, so no second factorization is needed. The
+    scale is within a factor of 2 of max(1, ||s||), since
+    ||s|| - 1 <= ||I - s|| <= 1 + ||s||.
     The first block is vec F_phi; the second is ran(I - s)^perp, along whose
     complement the ergodic projection maps onto F_phi. The cut is unitarily
     invariant: the same in every orthonormal basis, the Hermitian one included.
     """
     d = s.shape[0]
     u, sv, vh = np.linalg.svd(np.eye(d) - s)
-    thresh = TOL.fixed_space * max(1.0, _spectral_norm(s))
+    thresh = TOL.fixed_space * max(1.0, sv[0])
     r = int(np.sum(sv < thresh))
     if r == 0:
         raise ValueError(f"{who}: no fixed points found (eigenvalue 1 is not in the spectrum)")

@@ -313,8 +313,8 @@ class ChoiEffrosTable:
 
     def to_json(self) -> dict:
         return {
-            "coefficients_re": np.round(self.coefficients.real, 14).tolist(),
-            "coefficients_im": np.round(self.coefficients.imag, 14).tolist(),
+            "coefficients_re": np.round(self.coefficients.real, 14),
+            "coefficients_im": np.round(self.coefficients.imag, 14),
             "associativity_residual": float(self.associativity_residual),
             "unit_residual": float(self.unit_residual),
             "closure_residual": float(self.closure_residual),

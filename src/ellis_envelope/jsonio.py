@@ -8,15 +8,14 @@ on the declared dimensions and before any matrix is decoded, instead of
 letting a run crawl.
 
 ``report_chunks`` writes a report as ``json.dumps`` would, in pieces. The
-tables of finite floats that make up most of a large report (the [re, im]
-pairs of Choi matrices) go through ``floatrepr``, which writes
-``float.__repr__``'s digits for a whole block of numbers at once.
+float tables that make up most of a large report (the [re, im] pairs of
+Choi matrices) arrive as float64 arrays and stay arrays until written:
+``floatrepr`` writes ``float.__repr__``'s digits for a whole block of them
+at once, with no Python float made on the way.
 """
 
-import itertools
 import json
 from collections.abc import Iterator
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +82,15 @@ def _check_ambient(path: str, obj: dict, keys: tuple[str, ...]) -> None:
 def report_chunks(report: dict, indent: int) -> Iterator[str]:
     """Canonical report text in pieces, for writing without ever joining them.
 
-    The pieces join to ``json.dumps(report, sort_keys=True, indent=indent) + "\n"``
-    byte for byte. Tables of numbers (lists whose items are equal-length lists
-    of ints and floats, such as the [re, im] pairs of a matrix) are rendered
-    one piece of ``REPORT_BLOCK`` rows at a time by ``_number_rows``: a block
-    of finite floats by the vectorized ``floatrepr.reprs``, a block holding an
-    int, NaN or an infinity by the C encoder. Any other piece is one key,
-    scalar or bracket. Keys must be strings: any other key raises TypeError.
-    Identical reports give identical bytes (a CLI contract), so no
-    timestamps may enter ``report``.
+    The pieces join to ``json.dumps(report, default=np.ndarray.tolist,
+    sort_keys=True, indent=indent) + "\n"`` byte for byte. A report's float
+    tables (the [re, im] pairs of a matrix, Choi-Effros coefficients) are
+    float64 arrays; a 2-D one is rendered one piece of ``REPORT_BLOCK`` rows
+    at a time by ``_float_rows``, and one of more dimensions nests as lists
+    do. An array of any other dtype raises TypeError. Any other piece is one
+    key, scalar or bracket. Keys must be strings: any other key raises
+    TypeError. Identical reports give identical bytes (a CLI contract), so
+    no timestamps may enter ``report``.
     """
     pad = " " * indent
 
@@ -110,19 +109,20 @@ def report_chunks(report: dict, indent: int) -> Iterator[str]:
                 yield from emit(obj[key], level + 1)
                 sep = "," + inner
             yield "\n" + pad * level + "}"
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
+        elif isinstance(obj, (list, tuple, np.ndarray)):
+            array = isinstance(obj, np.ndarray)
+            if array and obj.dtype != np.float64:
+                raise TypeError(f"report arrays must be float64, not {obj.dtype}")
+            if len(obj) == 0:
                 yield "[]"
                 return
             sep = "[" + inner
-            for start in range(0, len(obj), REPORT_BLOCK):
-                block = obj[start : start + REPORT_BLOCK]
-                rows = _number_rows(block, inner, inner + pad)
-                if rows is not None:
-                    yield sep + rows
+            if array and obj.ndim == 2 and obj.shape[1]:
+                for start in range(0, len(obj), REPORT_BLOCK):
+                    yield sep + _float_rows(obj[start : start + REPORT_BLOCK], inner, inner + pad)
                     sep = "," + inner
-                    continue
-                for item in block:
+            else:
+                for item in obj:
                     yield sep
                     yield from emit(item, level + 1)
                     sep = "," + inner
@@ -139,51 +139,38 @@ def dump_report(report: dict, indent: int) -> str:
     return "".join(report_chunks(report, indent))
 
 
-# Rows per piece of ``report_chunks``: bounds the block's array, its
-# temporaries and the piece, which a whole matrix would add to peak memory.
+# Rows per piece of ``report_chunks``: bounds the piece and the temporaries
+# of its text, which a whole matrix would add to peak memory.
 REPORT_BLOCK = 4096
 
-_ROW_TYPES = {list, tuple}
-_NUMBER_TYPES = {int, float}
+# Doubles below which a block skips ``floatrepr.reprs``: the kernel costs
+# about 0.25 ms per call whatever its size, the C encoder about 0.75 us per
+# double, and the two break even near 350 doubles (one BLAS thread, medians
+# of five timings of N(0, 1) pairs).
+_KERNEL_MIN = 384
 
 
-def _number_rows(rows, outer: str, inner: str) -> str | None:
-    """Rows of equal length holding only ints and floats, laid out as ``json``
-    indents them (``outer``/``inner``: newline plus the row/entry indent);
-    None when ``rows`` is not such a table.
+def _float_rows(x: np.ndarray, outer: str, inner: str) -> str:
+    """The rows of a float64 block, laid out as ``json`` indents them
+    (``outer``/``inner``: newline plus the row/entry indent).
 
-    A table of finite floats is one float64 array, whose text
-    ``floatrepr.reprs`` writes in one pass, each number followed by "," or,
-    at the end of a row, ";". A table with an int, NaN or an infinity goes
-    through the C encoder, as ``json.dumps`` prints those differently. Both
-    marks then become the separators with their indents.
+    A block of at least ``_KERNEL_MIN`` finite doubles goes through
+    ``floatrepr.reprs``, which writes each number followed by "," or, at the
+    end of a row, ";". A smaller block, or one with NaN or an infinity
+    (which ``json.dumps`` prints differently), goes through the C encoder.
+    Both marks then become the separators with their indents.
     """
-    if not set(map(type, rows)) <= _ROW_TYPES:
-        return None
-    width = len(rows[0])
-    if width == 0 or set(map(len, rows)) != {width}:
-        return None
-    # read the entries column by column, which allocates nothing per row
-    # (tracemalloc, which the tests use, makes each allocation costly)
-    columns = [itemgetter(k) for k in range(width)]
-    types = set().union(*(map(type, map(column, rows)) for column in columns))
-    if not types <= _NUMBER_TYPES:
-        return None
-    x = None
-    if types == {float}:
-        x = np.stack([np.fromiter(map(column, rows), np.float64, len(rows)) for column in columns], axis=1)
-    if x is not None and np.isfinite(x).all():
+    if x.size < _KERNEL_MIN or not np.isfinite(x).all():
+        # the C encoder separates entries by ", " and rows by "], [", which no number's text contains
+        text = json.dumps(x.tolist())[2:-2].replace("], [", ";").replace(", ", ",")
+    else:
         # imported here: its tables cost a process that writes no float table
         # 6 ms and a MB of RSS
         from .floatrepr import reprs
 
-        ends = np.full((len(rows), width), ord(","), dtype=np.uint8)
+        ends = np.full(x.shape, ord(","), dtype=np.uint8)
         ends[:, -1] = ord(";")
         ends[-1, -1] = 0  # nothing after the last number
         text = reprs(x.ravel(), ends.ravel()).decode("ascii")
-    else:
-        # the C encoder separates entries by ", ", which no number's text contains
-        items = json.dumps(list(itertools.chain.from_iterable(rows)))[1:-1].split(", ")
-        text = ";".join(map(",".join, zip(*(items[k::width] for k in range(width)))))
     text = text.replace(",", "," + inner).replace(";", outer + "]," + outer + "[" + inner)
     return "[" + inner + text + outer + "]"

@@ -212,14 +212,18 @@ class OperatorSubspace:
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
-    """Encode a matrix as {"rows", "cols", "data"} with row-major [re, im] pairs."""
-    a = as_matrix(a)
-    flat = vec(a)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": np.stack([flat.real, flat.imag], axis=1).tolist(),
-    }
+    """Encode a matrix as {"rows", "cols", "data"} with row-major [re, im] pairs.
+
+    ``data`` is the (rows * cols, 2) float64 view of the contiguous complex
+    matrix, read-only since it shares the matrix's memory: no number is copied
+    until ``jsonio.report_chunks`` writes it. ``json.dumps`` needs
+    ``default=np.ndarray.tolist`` for it, and ``matrix_from_json`` reads it
+    as it reads the lists that ``json.loads`` gives.
+    """
+    a = np.ascontiguousarray(as_matrix(a))
+    data = a.reshape(-1).view(np.float64).reshape(-1, 2)
+    data.flags.writeable = False
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
 def json_dim(value, name: str) -> int:

@@ -265,7 +265,7 @@ def test_09_cb_norms_match_known_values():
 def test_10_reports_are_byte_identical(tmp_path, capsys):
     space = diag_space(2)
     p = tmp_path / "d2.json"
-    p.write_text(json.dumps(space.to_json("system")))
+    p.write_text(json.dumps(space.to_json("system"), default=np.ndarray.tolist))
     outs = []
     for name in ("a.json", "b.json"):
         target = tmp_path / name

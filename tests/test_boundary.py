@@ -322,8 +322,8 @@ def test_sampled_member_fixed_spaces_stay_inside_f_phi(span_i, conj_sz):
 def test_boundary_is_deterministic(span_i, conj_sz, sz_boundary):
     again = compute_boundary(span_i, conj_sz)
     assert again.descent_trace == sz_boundary.descent_trace
-    assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
-        sz_boundary.to_json(), sort_keys=True
+    assert json.dumps(again.to_json(), default=np.ndarray.tolist, sort_keys=True) == json.dumps(
+        sz_boundary.to_json(), default=np.ndarray.tolist, sort_keys=True
     )
 
 
@@ -345,7 +345,7 @@ def test_boundary_to_json_shape(sz_boundary):
     ):
         assert key in obj
     assert "seed" not in obj  # the descent is deterministic; no seed is recorded
-    json.dumps(obj)
+    json.dumps(obj, default=np.ndarray.tolist)
 
 
 def test_boundary_respects_random_unitary_commutant():

@@ -31,7 +31,7 @@ def inputs(tmp_path_factory):
 
     def put(name, obj):
         p = d / name
-        p.write_text(json.dumps(obj))
+        p.write_text(json.dumps(obj, default=np.ndarray.tolist))
         return str(p)
 
     conj_sz = ChannelMap.conjugation(SZ)
@@ -64,7 +64,7 @@ def reports_match_reference_encoder(monkeypatch):
     def chunks_and_compare(report, indent):
         chunks = list(report_chunks(report, indent))
         text = "".join(chunks)
-        assert text == json.dumps(report, sort_keys=True, indent=indent) + "\n"
+        assert text == json.dumps(report, default=np.ndarray.tolist, sort_keys=True, indent=indent) + "\n"
         checked.append(len(text))
         return iter(chunks)
 
@@ -162,7 +162,7 @@ def test_channel_info(capsys, inputs):
 def test_channel_info_reports_choi_rank(capsys, tmp_path):
     # the identity on M_3 has one Kraus operator, but its superoperator has rank 9
     p = tmp_path / "id3.json"
-    p.write_text(json.dumps(ChannelMap.identity(3).to_json()))
+    p.write_text(json.dumps(ChannelMap.identity(3).to_json(), default=np.ndarray.tolist))
     code, out, _ = run(capsys, ["channel", "info", str(p)])
     assert code == 0
     assert report_of(out)["result"]["choi_rank"] == 1
@@ -170,7 +170,7 @@ def test_channel_info_reports_choi_rank(capsys, tmp_path):
 
 def noncp3_json(tmp_path):
     p = tmp_path / "noncp3.json"
-    p.write_text(json.dumps(noncp_draw(3).to_json()))
+    p.write_text(json.dumps(noncp_draw(3).to_json(), default=np.ndarray.tolist))
     return str(p)
 
 
@@ -390,7 +390,7 @@ def test_nonunital_channel_exits_one(capsys, inputs):
 def test_space_not_fixed_exits_one(capsys, inputs, tmp_path):
     sx_space = OperatorSubspace.from_matrices([I2, np.array([[0, 1], [1, 0]], dtype=complex)])
     p = tmp_path / "spanix.json"
-    p.write_text(json.dumps(sx_space.to_json("system")))
+    p.write_text(json.dumps(sx_space.to_json("system"), default=np.ndarray.tolist))
     code, _, err = run(capsys, ["boundary", "compute", inputs["halfsz"], "--fix", str(p)])
     assert code == 1
     assert "not fixed" in err
@@ -445,7 +445,7 @@ def test_infinite_tolerance_exits_one(capsys, inputs):
 
 def test_malformed_channel_json_exits_one(capsys, tmp_path):
     good = ChannelMap.pinching(2).to_json()
-    bad_entry = json.loads(json.dumps(good))
+    bad_entry = json.loads(json.dumps(good, default=np.ndarray.tolist))
     bad_entry["choi"]["data"][0] = [None, 0]
     cases = {
         "no_choi": {k: v for k, v in good.items() if k != "choi"},
@@ -454,7 +454,7 @@ def test_malformed_channel_json_exits_one(capsys, tmp_path):
     }
     for name, obj in cases.items():
         p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(obj))
+        p.write_text(json.dumps(obj, default=np.ndarray.tolist))
         code, out, err = run(capsys, ["channel", "info", str(p)])
         assert code == 1, name
         assert out == ""
@@ -558,7 +558,7 @@ def _pinching_m2(**fields):
 )
 def test_invalid_declared_sizes_and_entries_exit_one(capsys, tmp_path, command, obj, message):
     p = tmp_path / "input.json"
-    p.write_text(json.dumps(obj))
+    p.write_text(json.dumps(obj, default=np.ndarray.tolist))
     code, out, err = run(capsys, [*command, str(p)])
     assert code == 1
     assert out == ""
@@ -568,7 +568,7 @@ def test_invalid_declared_sizes_and_entries_exit_one(capsys, tmp_path, command, 
 def test_ambient_cap_exits_one(capsys, tmp_path):
     big = OperatorSubspace.from_matrices([np.eye(65, dtype=complex)])
     p = tmp_path / "big.json"
-    p.write_text(json.dumps(big.to_json("system")))
+    p.write_text(json.dumps(big.to_json("system"), default=np.ndarray.tolist))
     code, _, err = run(capsys, ["envelope", "compute", str(p)])
     assert code == 1
     assert "exceeds" in err and "64" in err

@@ -720,7 +720,8 @@ def test_envelope_is_deterministic(d2_space):
     a = compute_envelope(d2_space, seed=3)
     b = compute_envelope(d2_space, seed=3)
     assert a.descent_trace == b.descent_trace
-    assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+    a_text, b_text = (json.dumps(r.to_json(), default=np.ndarray.tolist, sort_keys=True) for r in (a, b))
+    assert a_text == b_text
 
 
 def test_envelope_to_json_shape(d2_result):
@@ -740,7 +741,7 @@ def test_envelope_to_json_shape(d2_result):
         assert key in obj
     assert "seed" not in obj  # the descent is deterministic
     assert "corner_map" not in obj  # system mode
-    json.dumps(obj)  # json-serializable throughout
+    json.dumps(obj, default=np.ndarray.tolist)  # json-serializable throughout
 
 
 # ------------------------------------------------------------------------
@@ -789,7 +790,7 @@ def test_choi_effros_json_roundtrippable():
     )
     obj = table.to_json()
     assert obj["associativity_residual"] <= 1e-12
-    json.dumps(obj)
+    json.dumps(obj, default=np.ndarray.tolist)
     assert isinstance(table, ChoiEffrosTable)
 
 
