@@ -2,9 +2,12 @@
 """Write sample JSON inputs for the ellis-envelope CLI.
 
 Creates channels (pinching, sigma-z conjugation, their average, the cyclic
-shift on M_3), operator spaces (diagonals, span{I}, span{E_12},
-span{I, x, x^*} for a normal x in M_4, and span{I, x} for a Hermitian x in
-M_8), and Cayley tables, matching the examples in the README.
+shift on M_3, and nearfix: the average of the identity and conjugation by
+diag(1, e^{i delta}, e^{2 pi i / 3}) on M_3 at delta = 1e-10, whose
+eigenvalue 1 - O(delta) lies inside the fixed-space cut), operator spaces
+(diagonals, span{I}, span{E_12}, span{I, x, x^*} for a normal x in M_4, and
+span{I, x} for a Hermitian x in M_8), and Cayley tables, matching the
+examples in the README.
 """
 
 import argparse
@@ -29,6 +32,8 @@ def main() -> None:
         0.5 * (ChannelMap.identity(2).superop + conj_sz.superop), 2, 2
     )
     shift3 = ChannelMap.conjugation(np.roll(np.eye(3), 1, axis=0).astype(complex))
+    u = np.diag([1.0, np.exp(1e-10j), np.exp(2j * np.pi / 3)])
+    nearfix = ChannelMap(3, 3, 0.5 * (ChannelMap.identity(3).choi + ChannelMap.conjugation(u).choi))
 
     channels = {
         "channel_pinching_m2.json": ChannelMap.pinching(2),
@@ -36,6 +41,7 @@ def main() -> None:
         "channel_half_sz.json": half_sz,
         "channel_shift_m3.json": shift3,
         "channel_trace_state_m2.json": ChannelMap.trace_state(2),
+        "channel_nearfix_m3.json": nearfix,
     }
     for name, phi in channels.items():
         (dest / name).write_text(json.dumps(phi.to_json(), default=np.ndarray.tolist, indent=2) + "\n")

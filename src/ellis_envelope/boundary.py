@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import (
     ChannelMap,
-    _require_unital_cp,
+    ErgodicResult,
     cesaro_idempotent,
     check_absorption,
 )
@@ -37,7 +37,7 @@ from .tolerances import TOL
 
 
 def build_T_set(
-    space: OperatorSubspace, phi: ChannelMap, cesaro: ChannelMap | None = None
+    space: OperatorSubspace, phi: ChannelMap, cesaro: ErgodicResult | None = None
 ) -> FeasibleSet:
     """Feasible set {theta UCP : phi . theta = theta, theta fixes ``space``}.
 
@@ -45,11 +45,11 @@ def build_T_set(
     fix the space pointwise, so a violation would make the set empty (theta
     fixing x forces phi(x) = phi(theta(x)) = theta(x) = x). Once it holds,
     the Cesaro idempotent of ``phi`` is a member, and the set keeps it as the
-    known member its affine slice is measured from. ``cesaro`` is that
-    idempotent when the caller has already computed it; it is computed here
-    otherwise, and checked for membership either way.
+    known member its affine slice is measured from. ``cesaro`` is
+    ``cesaro_idempotent(phi)``, which checks that phi is unital CP, computed
+    here when the caller has none; it also gives the absorb law's span W.
     """
-    _require_unital_cp(phi, "build_T_set")
+    cesaro = cesaro_idempotent(phi) if cesaro is None else cesaro
     if phi.dim_in != space.n:
         raise ValueError("build_T_set: channel and space have different ambient dimensions")
     for k, x in enumerate(space.mats):
@@ -59,7 +59,7 @@ def build_T_set(
                 f"build_T_set: basis element {k} is not fixed by the channel "
                 f"(residual {res:.3e} > {TOL.solver:.1e})"
             )
-    return build_system_set(space, absorb=phi, member=cesaro)
+    return build_system_set(space, absorb=phi, cesaro=cesaro)
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ def compute_boundary(
     E-projections of M_n up to tol, and rigid over E. ``seed`` is unused
     (the descent is deterministic) and kept for callers that still pass it.
     """
-    # one SVD of I - S_phi gives both the T-set's known member and F_phi
+    # one SVD of I - S_phi gives the T-set's known member, its span W and F_phi
     ces = cesaro_idempotent(phi)
-    tset = build_T_set(space, phi, ces.idempotent)
+    tset = build_T_set(space, phi, ces)
     des = descend_to_minimal(tset, ces.idempotent, tol=tol)
     e = des.idempotent
     boundary = e.range_basis()

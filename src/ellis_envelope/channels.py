@@ -19,7 +19,7 @@ real B^* S B, B the Hermitian basis of ``linalg.hermitian_basis_plan``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -288,8 +288,8 @@ def _from_hermitian_coords(p: np.ndarray, n: int) -> np.ndarray:
     return x.take(r0, axis=1) * w0.conj() + x.take(r1, axis=1) * w1.conj()
 
 
-def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns spanning ker(I - s) and ker((I - s)^*), from one SVD.
+def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Orthonormal columns spanning ker(I - s), ker((I - s)^*) and ran((I - s)^*), and the cut.
 
     Singular values of I - s below ``TOL.fixed_space * max(1, ||I - s||)``
     count as zero. The scale is that SVD's own largest singular value, which
@@ -297,8 +297,8 @@ def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
     scale is within a factor of 2 of max(1, ||s||), since
     ||s|| - 1 <= ||I - s|| <= 1 + ||s||.
     The first block is vec F_phi; the second is ran(I - s)^perp, along whose
-    complement the ergodic projection maps onto F_phi. The cut is unitarily
-    invariant: the same in every orthonormal basis, the Hermitian one included.
+    complement the ergodic projection maps onto F_phi; the third is its complement.
+    The cut is unitarily invariant: the same in every orthonormal basis.
     """
     d = s.shape[0]
     u, sv, vh = np.linalg.svd(np.eye(d) - s)
@@ -306,7 +306,9 @@ def _ergodic_kernels(s: np.ndarray, who: str) -> tuple[np.ndarray, np.ndarray]:
     r = int(np.sum(sv < thresh))
     if r == 0:
         raise ValueError(f"{who}: no fixed points found (eigenvalue 1 is not in the spectrum)")
-    return vh[d - r :].conj().T, u[:, d - r :]
+    kept = f"{sv[d - r - 1]:.3e}" if r < d else "none"
+    cut = f"spectral cut {thresh:.3e} of I - S_R between {sv[d - r]:.3e} (zero) and {kept} (kept)"
+    return vh[d - r :].conj().T, u[:, d - r :], vh[: d - r].conj().T, cut
 
 
 @dataclass(frozen=True)
@@ -319,12 +321,13 @@ class ErgodicResult:
 
     idempotent: ChannelMap
     fixed_space: OperatorSubspace
+    complement: np.ndarray = field(repr=False, compare=False)  # F_phi^perp, real, in Hermitian coordinates
     method: str
     residuals: dict[str, float]
     agreement: float | None = None
 
 
-def _iterative_ergodic_projection(s: np.ndarray) -> tuple[np.ndarray, list[tuple[int, float]]]:
+def _iterative_ergodic_projection(s: np.ndarray, cut: str = "") -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Cesaro average, then repeated squaring.
 
     The plain average tau_N converges only at rate O(1/N) when s has
@@ -357,7 +360,7 @@ def _iterative_ergodic_projection(s: np.ndarray) -> tuple[np.ndarray, list[tuple
         b = b2
         total *= 2
     raise NonConvergenceError(
-        f"cesaro_idempotent: no convergence to {TOL.cesaro:.1e} within a power budget of {CESARO_MAX_N}",
+        f"cesaro_idempotent: no convergence to {TOL.cesaro:.1e} within a power budget of {CESARO_MAX_N}{cut}",
         history,
     )
 
@@ -371,21 +374,22 @@ def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
     projections and the residuals run on the real S_R = B^* S B of
     ``_to_hermitian_coords``. B is unitary, so the cut at ``TOL.fixed_space``
     and every Frobenius norm are those of S; the fixed basis is Hermitian.
+    A doubling that runs out of powers names that cut and the values beside it.
     """
     if mode not in ("spectral", "iterative", "both"):
         raise ValueError(f"cesaro_idempotent: unknown mode {mode!r}")
     _require_unital_cp(phi, "cesaro_idempotent")
     n = phi.dim_in
     s = _to_hermitian_coords(phi.superop, n)
-    # one SVD of I - s serves the spectral projection and the fixed basis
-    k, l = _ergodic_kernels(s, "cesaro_idempotent")
+    # one SVD of I - s serves the spectral projection, the fixed basis and its complement
+    k, l, complement, cut = _ergodic_kernels(s, "cesaro_idempotent")
     agreement = None
     if mode == "iterative":
-        p, _ = _iterative_ergodic_projection(s)
+        p, _ = _iterative_ergodic_projection(s, f"; {cut}")
     else:  # onto ker(I - s) along ran(I - s)
         p = k @ np.linalg.solve(l.T @ k, l.T)
     if mode == "both":
-        agreement = frobenius(p - _iterative_ergodic_projection(s)[0])
+        agreement = frobenius(p - _iterative_ergodic_projection(s, f"; {cut}")[0])
         if agreement > TOL.ucp:
             raise NonConvergenceError(
                 f"cesaro_idempotent: spectral and iterative modes disagree ({agreement:.3e})",
@@ -399,6 +403,7 @@ def cesaro_idempotent(phi: ChannelMap, mode: str = "spectral") -> ErgodicResult:
     return ErgodicResult(
         idempotent=ChannelMap(n, n, superop_to_choi(_from_hermitian_coords(p, n), n, n)),
         fixed_space=OperatorSubspace(_hermitian_vecs(k, n).T.reshape(-1, n, n)),
+        complement=complement,
         method=mode,
         residuals=residuals,
         agreement=agreement,

@@ -126,9 +126,11 @@ def probe_minimality(e: ChannelMap, fset: FeasibleSet) -> float:
         ||g(theta)|| <= ||g(e)|| + 2 n sigma + n eps.
 
     The eps term keeps this a proof when e is a member only to
-    ``TOL.certify``. Returns that bound: a proof up to the facial-reduction
-    and solver tolerances, not a search result, reading no member but e
-    and J_p.
+    ``TOL.certify``. J_p is on the slice: S = I for the identity, and a
+    T-set's J_p = Ces(phi) and W = (vec F_phi)^perp come from one cut of one
+    SVD, so W^* S_{J_p} = 0 to rounding. Returns that bound: a proof up to
+    the facial-reduction and solver tolerances, not a search result,
+    reading no member but e and J_p.
 
     On a proper face, D = sum_i c_i D_i over a real-orthonormal basis D_i
     of H with ||c|| = ||D||_F, so ||L(D)||_F <= ||D||_F ||G||_F by

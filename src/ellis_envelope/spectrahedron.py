@@ -17,8 +17,8 @@ on S = ``channels.choi_to_superop``(J): S vec x = vec x and
 (S_psi - I) S = 0. The fix laws act on S from the right and the absorb law
 from the left, so the directions every law leaves at zero are exactly
 {(I - W W^*) S (I - U U^*)} for orthonormal columns U spanning vec E and W
-spanning range((S_psi - I)^*), and the orthogonal projection onto them is
-two products, with no system of law rows to factor. The cone face comes
+spanning (vec F_psi)^perp, from the SVD that ``cesaro_idempotent`` takes,
+and the orthogonal projection onto them is two products. The cone face comes
 from the structure of E in closed form: for a PSD a in E with kernel
 projection K, every member satisfies tr(K phi(a)) = tr(K a) = 0, so its
 Choi matrix J is annihilated by the PSD matrix kron(a^T, K) (Choi 1974,
@@ -37,7 +37,9 @@ import numpy as np
 
 from .channels import (
     ChannelMap,
+    ErgodicResult,
     NonConvergenceError,
+    _hermitian_vecs,
     _spectral_norm,
     cesaro_idempotent,
     choi_to_superop,
@@ -157,9 +159,10 @@ class FeasibleSet:
     zero are the range of P, which acts on J through S as
     P(S) = (I - W W^*) S (I - U U^*), where U = ``span_in`` spans vec E and
     carries the unital and fix laws, and W = ``span_out`` spans
-    range((S_psi - I)^*) and carries the absorb law (W is empty without
-    one). Both are orthonormal columns, so ``law_project``, which applies
-    I - P, costs O(d^2 k) for spans of dimension k. P is self-adjoint, idempotent and Hermitian-preserving, and
+    (vec F_psi)^perp, cut where ``cesaro_idempotent`` cuts F_psi, and carries
+    the absorb law (W is empty without one). Both are orthonormal columns, so
+    ``law_project``, which applies I - P, costs O(d^2 k) for spans of dimension k.
+    P is self-adjoint, idempotent and Hermitian-preserving, and
     the members are the PSD matrices of J_p + range(P) for the known member
     J_p = ``member``. Projection works on the cone face J = V Y V^*, where V spans
     the face that E's structure exposes (``_structural_face``), found in one
@@ -177,19 +180,16 @@ class FeasibleSet:
     laws: tuple[tuple[str, np.ndarray], ...]
     face: np.ndarray = field(repr=False, compare=False)  # (d, r) isometry V
     span_in: np.ndarray = field(repr=False, compare=False)  # (d, k) columns U: vec E
-    span_out: np.ndarray = field(repr=False, compare=False)  # (d, k') columns W: range((S_psi - I)^*)
+    span_out: np.ndarray = field(repr=False, compare=False)  # (d, k') columns W: (vec F_psi)^perp
     member: np.ndarray = field(repr=False, compare=False)  # (d, d) Choi matrix J_p of a member
 
     @classmethod
-    def from_laws(cls, n: int, laws, member: np.ndarray) -> "FeasibleSet":
-        """The set of the laws, given the Choi matrix of one of its members (not checked here)."""
+    def from_laws(cls, n: int, laws, member: np.ndarray, span_out: np.ndarray) -> "FeasibleSet":
+        """The set of the laws, given a member's Choi matrix (not checked here) and W."""
         laws = tuple(laws)
-        d = n * n
         fixes = [m.reshape(-1) for name, m in laws if name != "absorb"]
-        absorbs = [m for name, m in laws if name == "absorb"]
         span_in = _row_span(np.stack(fixes)).conj()
-        span_out = _row_span(np.vstack(absorbs)) if absorbs else np.zeros((d, 0), dtype=complex)
-        return cls(n, laws, _structural_face(laws, n), span_in, span_out, as_matrix(member, d, d))
+        return cls(n, laws, _structural_face(laws, n), span_in, span_out, as_matrix(member, n * n, n * n))
 
     @property
     def choi_dim(self) -> int:
@@ -271,16 +271,16 @@ class FeasibleSet:
 
 
 def build_system_set(
-    space: OperatorSubspace, absorb: ChannelMap | None = None, member: ChannelMap | None = None
+    space: OperatorSubspace, absorb: ChannelMap | None = None, cesaro: ErgodicResult | None = None
 ) -> FeasibleSet:
     """UCP maps fixing ``space`` pointwise; optionally also absorbed by ``absorb``.
 
     With ``absorb`` = psi, adds the affine law psi . phi = phi (the feasible
-    set used for noncommutative Poisson boundaries). The set's known member
-    is ``member`` when the caller has one, else the identity channel, or with
-    ``absorb`` the Cesaro idempotent of psi; its membership is checked here
-    and certifies that the set is nonempty. The unital law is implied by the
-    fix laws (I is in ``space``) but kept as its own check.
+    set used for noncommutative Poisson boundaries), whose known member
+    Ces(psi) and W come from psi's ``ErgodicResult`` ``cesaro`` (computed
+    here if None); else the known member is the identity. Its membership is
+    checked here and certifies that the set is nonempty. The unital law is
+    implied by the fix laws (I is in ``space``) but kept as its own check.
     """
     if not (space.unital and space.selfadjoint):
         raise ValueError(
@@ -290,13 +290,14 @@ def build_system_set(
     n = space.n
     laws = [("unital", np.eye(n, dtype=complex))]
     laws += [(f"fix:{k}", x) for k, x in enumerate(space.mats)]
+    member, span_out = ChannelMap.identity(n), np.zeros((n * n, 0), dtype=complex)
     if absorb is not None:
         if absorb.dim_in != n or absorb.dim_out != n:
             raise ValueError("build_system_set: absorbing channel must act on the same ambient M_n")
         laws.append(("absorb", absorb.superop - np.eye(n * n)))
-    if member is None:
-        member = ChannelMap.identity(n) if absorb is None else cesaro_idempotent(absorb).idempotent
-    fset = FeasibleSet.from_laws(n, laws, member.choi)
+        cesaro = cesaro_idempotent(absorb) if cesaro is None else cesaro
+        member, span_out = cesaro.idempotent, _hermitian_vecs(cesaro.complement, n)
+    fset = FeasibleSet.from_laws(n, laws, member.choi, span_out)
     rep = fset.membership(member)
     if not rep.ok:
         raise RuntimeError(f"build_system_set: the known member fails membership ({rep.residuals})")

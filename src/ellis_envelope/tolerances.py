@@ -37,16 +37,16 @@ class Tolerances:
     # Hermitian eigensolver's input guard.
     structure: float = 1e-9
     # Singular values of S - I below it, relative to ||S||, span the fixed
-    # space of the map with superoperator S.
+    # space of the map with superoperator S; those above it span its
+    # complement, the absorb law's span on a T-set.
     fixed_space: float = 1e-9
     # A matrix adds to a span when what is left after removing the span so far
     # exceeds this fraction of the largest input (relative).
     span_rtol: float = 1e-10
     # Stopping residual of the iterative Cesaro squaring.
     cesaro: float = 1e-10
-    # Relative singular-value cutoff of the constraint laws: the spans the
-    # law projector removes on each side, and the range of the law map on a
-    # proper face, whose complement is the probe's slice.
+    # Relative singular-value cutoff of the fix laws' span, and of the range
+    # of the law map on a proper face, whose complement is the probe's slice.
     affine_rcond: float = 1e-12
     # Default width at which a cb-norm bracket counts as converged.
     cb_norm: float = 1e-3

@@ -30,6 +30,13 @@ def noncp_draw(n):
     return ChannelMap(n, n, 0.5 * (g + g.conj().T) / n)
 
 
+def nearfix(delta):
+    """(id + Ad u)/2 on M_3, u = diag(1, e^{i delta}, e^{2 pi i / 3}): F_phi is the
+    diagonal for every delta > 0, but I - S_phi has a singular value delta / 2."""
+    u = np.diag([1.0, np.exp(1j * delta), np.exp(2j * np.pi / 3)])
+    return ChannelMap(3, 3, 0.5 * (ChannelMap.identity(3).choi + ChannelMap.conjugation(u).choi))
+
+
 def schur_map(m):
     """Entrywise multiplier x -> m .* x (CP iff m is PSD)."""
     n = len(m)

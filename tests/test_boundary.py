@@ -10,9 +10,11 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_unitary, subspace_equal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from conftest import nearfix, random_unitary, subspace_equal
 
-from ellis_envelope import channels
+from ellis_envelope import boundary, channels, envelope, spectrahedron
 from ellis_envelope.channels import (
     ChannelMap,
     cesaro_idempotent,
@@ -207,22 +209,67 @@ def test_rigidity_violation_is_the_t_set_bound(name):
 
 @pytest.mark.parametrize("name", list(SAMPLE_PAIRS))
 def test_boundary_factors_i_minus_s_phi_once(name, monkeypatch):
-    # one SVD of I - S_phi serves the T-set's known member and the reported
-    # F_phi; the other is the descent step's Cesaro idempotent
+    # one SVD of I - S_phi serves the T-set's known member, its absorb span W
+    # and the reported F_phi; the other Cesaro call is the descent step's.
+    # No other SVD of S_phi - I, in either coordinate system, and one
+    # unital-CP check of phi
     space, phi = SAMPLE_PAIRS[name]()
-    calls = []
-    ergodic_kernels = channels._ergodic_kernels
+    n, d = phi.dim_in, phi.superop.shape[0]
+    s_r = channels._to_hermitian_coords(phi.superop, n)
+    laws = (np.eye(d) - phi.superop, np.eye(d) - s_r)
+    kernels, outside, checks, inside = [], [], [], []
+    ergodic_kernels, svd, require = channels._ergodic_kernels, np.linalg.svd, channels._require_unital_cp
 
     def counted(s, who):
-        calls.append(who)
-        return ergodic_kernels(s, who)
+        kernels.append(s)
+        inside.append(who)
+        try:
+            return ergodic_kernels(s, who)
+        finally:
+            inside.pop()
+
+    def counting_svd(a, *args, **kwargs):
+        if not inside and any(
+            np.shape(a) == m.shape and min(frobenius(a - m), frobenius(a + m)) <= 1e-12 for m in laws
+        ):
+            outside.append(1)
+        return svd(a, *args, **kwargs)
+
+    def counting_require(psi, who):
+        if psi is phi:
+            checks.append(who)
+        return require(psi, who)
 
     monkeypatch.setattr(channels, "_ergodic_kernels", counted)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # also where a module holds the check under its own name
+    for module in (channels, boundary, envelope, spectrahedron):
+        if hasattr(module, "_require_unital_cp"):
+            monkeypatch.setattr(module, "_require_unital_cp", counting_require)
     res = compute_boundary(space, phi)
     monkeypatch.undo()
-    assert len(calls) == 2
+    assert len(kernels) == 2
+    assert np.array_equal(kernels[0], s_r)
+    assert outside == []
+    assert checks == ["cesaro_idempotent"]
     # the same SVD as ``cesaro_idempotent``, so the reported basis keeps its bytes
     assert np.array_equal(res.fixed_space.mats, cesaro_idempotent(phi).fixed_space.mats)
+
+
+@given(st.floats(min_value=-15.0, max_value=-2.0))
+@example(-11.5)
+@example(-10.0)
+@example(-9.0)
+@settings(max_examples=25, deadline=None)
+def test_nearfix_boundary_is_a_certified_state_map(log_delta):
+    # I - S_phi has a singular value delta / 2, so F_phi is the diagonal
+    # (dim 3) above the fixed-space cut and dim 5 below it; either way the
+    # T-set's span W is the complement of that F_phi, Ces(phi) lies on the
+    # slice, and the minimal idempotent over span{I} is a state map
+    res = compute_boundary(span_eye(3), nearfix(10.0**log_delta))
+    assert (res.rank, res.certificate) == (1, "certified")
+    assert res.fixed_space.dim in (3, 5)
+    assert res.rigidity_violation <= 1e-13
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_PAIRS))

@@ -30,7 +30,7 @@ from ellis_envelope.channels import (
 from ellis_envelope.linalg import OperatorSubspace, frobenius, herm, hermitian_eig, vec
 from ellis_envelope.tolerances import TOL
 
-from conftest import I2, SZ, random_complex, random_hermitian, random_unitary, schur_map, subspace_equal
+from conftest import I2, SZ, nearfix, random_complex, random_hermitian, random_unitary, schur_map, subspace_equal
 from dense_slice import real_to_herm
 
 
@@ -484,11 +484,6 @@ def test_hermitian_coordinates_are_the_dense_basis_change(seed, n, kind):
     assert frobenius(s_r - dense.real) <= 1e-13
     assert frobenius(dense.imag) <= 1e-13
     assert frobenius(channels._from_hermitian_coords(s_r, n) - s) <= 1e-14
-
-
-def nearfix(delta):
-    u = np.diag([1.0, np.exp(1j * delta), np.exp(2j * np.pi / 3)])
-    return ChannelMap(3, 3, 0.5 * (ChannelMap.identity(3).choi + ChannelMap.conjugation(u).choi))
 
 
 def cesaro_reference_cases():

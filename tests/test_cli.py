@@ -18,7 +18,7 @@ from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
 from ellis_envelope.tolerances import TOL
 
-from conftest import noncp_draw
+from conftest import nearfix, noncp_draw
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,6 +48,8 @@ def inputs(tmp_path_factory):
         "d2": put("d2.json", diag.to_json("system")),
         "span_i": put("span_i.json", OperatorSubspace.from_matrices([I2]).to_json("system")),
         "rigid": put("rigid.json", OperatorSubspace.from_matrices([I2, SX, SZ]).to_json("system")),
+        "nearfix": put("nearfix.json", nearfix(1e-10).to_json()),
+        "span_i_m3": put("span_i_m3.json", OperatorSubspace.from_matrices([np.eye(3)]).to_json("system")),
         "corner": put("corner.json", OperatorSubspace.from_matrices([np.triu(SX)]).to_json("space")),
         "table": put("table.json", cyclic_group(3).to_json()),
         "badtable": put("badtable.json", {"order": 2, "table": [[1, 1], [0, 0]]}),
@@ -217,6 +219,17 @@ def test_boundary_compute(capsys, inputs):
     assert rep["result"]["fixed_space_dim"] == 2
 
 
+def test_boundary_inside_the_fixed_space_cut_certifies(capsys, inputs):
+    # I - S_phi has a singular value 5e-11, below the fixed-space cut, so
+    # F_phi has dimension 5; the T-set's span W is its complement from the
+    # same SVD, and the state map over span{I} certifies
+    code, out, _ = run(capsys, ["boundary", "compute", inputs["nearfix"], "--fix", inputs["span_i_m3"]])
+    assert code == 0
+    rep = report_of(out)
+    assert rep["certificate"] == "certified"
+    assert (rep["result"]["rank"], rep["result"]["fixed_space_dim"]) == (1, 5)
+
+
 @pytest.mark.parametrize(
     "argv, ranks, step",
     [
@@ -309,6 +322,20 @@ def test_cesaro_nonconvergence_exits_two(capsys, inputs, monkeypatch):
     assert code == 2
     assert out == ""
     nonconvergence_diagnostics(err)
+
+
+@pytest.mark.parametrize("mode", ["iterative", "both"])
+def test_slow_eigenvalue_nonconvergence_names_the_spectral_cut(capsys, inputs, mode):
+    # the eigenvalue 1 - 5e-11 of nearfix(1e-10) is fixed for the spectral
+    # cut, but the doubling would need about 1e10 powers to average it out.
+    # The singular values of I - S_phi next to the cut are sin(delta / 2) and
+    # sin(pi / 3 - delta / 2)
+    code, out, err = run(capsys, ["channel", "cesaro", inputs["nearfix"], "--mode", mode])
+    assert code == 2
+    assert out == ""
+    detail = nonconvergence_diagnostics(err)["detail"]
+    assert "no convergence" in detail
+    assert f"spectral cut {TOL.fixed_space:.3e} of I - S_R between 5.000e-11 (zero) and 8.660e-01 (kept)" in detail
 
 
 def test_seed_failure_exits_two_with_strict_json(capsys, inputs, monkeypatch):

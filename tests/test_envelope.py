@@ -288,6 +288,14 @@ FULL_FACE_SETS = [
 ]
 
 
+def measure_prepare(n):
+    """x -> x_00 (I - E_{n-1,n-1}) + x_11 E_{n-1,n-1}: unital CP, not trace preserving.
+    On x = E_00 - E_11 its traceless part has gain sqrt(2 (n - 1) / n)."""
+    kraus = np.zeros((n, n, n), dtype=complex)
+    kraus[np.arange(n), np.arange(n), [0] * (n - 1) + [1]] = 1.0
+    return ChannelMap.from_kraus(list(kraus))
+
+
 @pytest.mark.parametrize("build", [b for _, b in FULL_FACE_SETS], ids=[name for name, _ in FULL_FACE_SETS])
 def test_full_face_closed_form_equals_the_slice_svd(build):
     # on the full face, sigma = ||S_e (I - W W^*)||_2 ||(I - U U^*) S_e||_2
@@ -306,7 +314,11 @@ def test_full_face_closed_form_equals_the_slice_svd(build):
         cesaro_idempotent(theta).idempotent,
         seed_idempotent(theta, fset),
         random_unital_channel(np.random.default_rng(n), n),  # complex, with sigma != 1
+        measure_prepare(n),
     ]
+    if n > 2:  # span{I} and its T-sets: ||(I - U U^*) S_e||_2 > 1 for a unital map that loses trace
+        b = (np.eye(n * n) - fset.span_in @ fset.span_in.conj().T) @ candidates[-1].superop
+        assert np.linalg.norm(b, 2) == pytest.approx(np.sqrt(2 * (n - 1) / n), rel=1e-12)
     for e in candidates:
         eps, sigma = envelope._full_face_probe(e, fset)
         eps_ref, sigma_fro = envelope._slice_probe(e, fset)
@@ -526,6 +538,29 @@ def test_descent_on_incomplete_face_is_unverified(monkeypatch):
     assert res.violation > 1e-6
     assert [rk for _, rk, _ in res.trace] == [4, 4]
     assert res.trace[1][2] <= 1e-12
+
+
+def test_certificate_is_decided_at_the_tolerance(monkeypatch):
+    # the same full-face rigid set: its bound b is certified at tol = 2b
+    # and not at tol = b / 2
+    monkeypatch.setattr(spectrahedron, "_structural_face", lambda laws, n: np.eye(n * n, dtype=complex))
+    fset = build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ]))
+    b = descend_to_minimal(fset, ChannelMap.identity(2)).violation
+    for tol, certificate in ((b / 2, "unverified"), (2 * b, "certified")):
+        res = descend_to_minimal(fset, ChannelMap.identity(2), tol=tol)
+        assert (res.violation, res.certificate) == (b, certificate)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_descent_refuses_a_member_that_is_not_idempotent(n):
+    # (id + pinching) / 2 is a unital CP member of the diag M_n set, but it
+    # moves the off-diagonal entries by 1/2 and so is not idempotent
+    fset = build_system_set(OperatorSubspace.from_matrices(diag_units(n)))
+    half = ChannelMap(n, n, 0.5 * (ChannelMap.identity(n).choi + ChannelMap.pinching(n).choi))
+    assert fset.membership(half).ok
+    _require_unital_cp(half, "test")
+    with pytest.raises(ValueError, match="not an idempotent member"):
+        descend_to_minimal(fset, half)
 
 
 @pytest.mark.parametrize("set_name", ["d2_set", "span_i_m2_set", "corner_lift_set", "diag_unitary_t3_set"])

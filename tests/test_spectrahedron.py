@@ -23,10 +23,11 @@ from ellis_envelope.channels import (
     ChannelMap,
     NonConvergenceError,
     cesaro_idempotent,
+    choi_to_superop,
     compose,
     random_unital_channel,
 )
-from ellis_envelope import spectrahedron
+from ellis_envelope import channels, spectrahedron
 from ellis_envelope.envelope import compute_envelope, paulsen_lift
 from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
@@ -42,7 +43,7 @@ from ellis_envelope.spectrahedron import (
     sample,
 )
 
-from conftest import I2, SX, SZ, noncp_draw, random_complex, random_hermitian, schur_map, subspace_equal
+from conftest import I2, SX, SZ, nearfix, noncp_draw, random_complex, random_hermitian, schur_map, subspace_equal
 from dense_slice import face_null_space, herm_to_real, null_directions, real_to_herm
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -357,15 +358,18 @@ def test_face_dimensions(d2_set, ucp2_set, singleton_set):
 def test_face_system_matches_compressed_reference_rows():
     # random complex laws (an adjoint-closed pair and a conjugation), so a
     # transposed or swapped index changes the null space; on every face V,
-    # the kernel of the face law map is the null space of the reference rows
+    # the kernel of the face law map is the null space of the reference rows.
+    # W, the absorb law's span, is the complement of F_psi from psi's Cesaro SVD
     rng = np.random.default_rng(4)
     for n in (2, 3):
         d = n * n
         a = random_complex(rng, n, n)
         xs = [a, a.conj().T]
         u, _ = np.linalg.qr(random_complex(rng, n, n))
-        s_psi = ChannelMap.conjugation(u).superop
-        base = FeasibleSet.from_laws(n, laws_of(n, xs, s_psi), np.zeros((d, d)))
+        psi = ChannelMap.conjugation(u)
+        s_psi = psi.superop
+        w = channels._hermitian_vecs(cesaro_idempotent(psi).complement, n)
+        base = FeasibleSet.from_laws(n, laws_of(n, xs, s_psi), np.zeros((d, d)), w)
         for r in (d, d - 1, 2):
             v, _ = np.linalg.qr(random_complex(rng, d, r))
             fset = dataclasses.replace(base, face=v)
@@ -440,6 +444,31 @@ ACCEPTANCE_SETS = [(name, functools.cache(build), face, rows) for name, build, f
 def test_face_and_law_rows_of_acceptance_sets(name, build, face, rows):
     fset = build()
     assert (fset.face_dim, law_rank(fset)) == (face, rows)
+
+
+def span_i_m3():
+    return OperatorSubspace.from_matrices([np.eye(3)])
+
+
+# the T-sets among them, and T-sets of nearfix(delta) on both sides of the
+# fixed-space cut and inside the window where two cuts once disagreed
+T_SETS = [(name, build) for name, build, _, _ in ACCEPTANCE_SETS if name.startswith("T_")]
+T_SETS += [(name, build) for name, build, _, _ in ACCEPTANCE_SETS if name in ("shift M_3", "conj sz")]
+T_SETS += [
+    (f"nearfix {delta:.0e}", lambda delta=delta: build_T_set(span_i_m3(), nearfix(delta)))
+    for delta in (1e-15, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-6, 1e-2)
+]
+
+
+@pytest.mark.parametrize("name, build", T_SETS, ids=[s[0] for s in T_SETS])
+def test_known_member_of_a_t_set_is_on_its_slice(name, build):
+    # W is the complement of the F_phi whose projection J_p is, from one
+    # SVD, so W^* S_{J_p} = 0 to rounding and the eps term of
+    # ``probe_minimality`` measures e alone
+    fset = build()
+    w = fset.span_out
+    assert w.shape[1] > 0
+    assert frobenius(w.conj().T @ choi_to_superop(fset.member, fset.n, fset.n)) <= 1e-13
 
 
 @pytest.mark.parametrize("name, build, face, rows", ACCEPTANCE_SETS, ids=[s[0] for s in ACCEPTANCE_SETS])
