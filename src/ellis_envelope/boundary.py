@@ -99,7 +99,7 @@ class BoundaryResult:
             "rigidity_violation": float(self.rigidity_violation),
             "absorption_violation": float(self.absorption_violation),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "idempotent": self.idempotent.to_json(),
+            "idempotent": self.idempotent.to_json(self.boundary_space),
             "boundary_basis": [matrix_to_json(m) for m in self.boundary_space.mats],
             "fixed_basis": [matrix_to_json(m) for m in self.fixed_space.mats],
             "descent_trace": [[it, rk, float(res)] for it, rk, res in self.descent_trace],

@@ -154,12 +154,20 @@ class ChannelMap:
         mats = [unvec(u[:, k], self.dim_out, self.dim_out) for k in range(r)]
         return OperatorSubspace(np.stack(mats))
 
-    def to_json(self) -> dict:
+    def to_json(self, range_basis: OperatorSubspace | None = None) -> dict:
+        """The Choi matrix, or, given an orthonormal basis M_i of the range,
+        the factored form S = sum_i vec(M_i) vec(G_i)^* with G_i = phi^*(M_i):
+        phi(x) = sum_i tr(G_i^* x) M_i, r (dim_in^2 + dim_out^2) numbers for a rank-r map."""
+        out = {"dim_in": self.dim_in, "dim_out": self.dim_out}
+        if range_basis is None:
+            return {**out, "repr": "choi", "choi": matrix_to_json(self.choi)}
+        q = range_basis.vecs()
+        dual = (q @ self.superop.conj()).reshape(-1, self.dim_in, self.dim_in)
         return {
-            "dim_in": self.dim_in,
-            "dim_out": self.dim_out,
-            "repr": "choi",
-            "choi": matrix_to_json(self.choi),
+            **out,
+            "repr": "factored",
+            "range": [matrix_to_json(m) for m in range_basis.mats],
+            "dual": [matrix_to_json(g) for g in dual],
         }
 
     @classmethod
@@ -171,9 +179,32 @@ class ChannelMap:
                 return cls(n, m, matrix_from_json(obj["choi"]))
             if rep == "kraus":
                 return cls.from_kraus([matrix_from_json(k) for k in obj["kraus"]], n, m)
+            if rep == "factored":
+                return cls.from_superop(_factored_from_json(obj["range"], obj["dual"], n, m), n, m)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"channel json: missing or malformed field ({exc})") from exc
         raise ValueError(f"channel json: unknown repr {rep!r}")
+
+
+def _factored_from_json(ranges, duals, n: int, m: int) -> np.ndarray:
+    """S = sum_i vec(M_i) vec(G_i)^*, M_i in M_m from ``ranges`` and G_i in M_n
+    from ``duals``; the count is checked before any matrix is decoded."""
+    if not (type(ranges) is list and type(duals) is list and 0 < len(ranges) == len(duals)):
+        raise ValueError("channel json: range and dual must be lists of equal, non-zero length")
+    cap = min(n, m) ** 2
+    if len(ranges) > cap:
+        raise ValueError(f"channel json: {len(ranges)} range matrices exceed min(dim_in, dim_out)^2 = {cap}")
+
+    def stack(key: str, mats: list, dim: int) -> np.ndarray:
+        out = np.empty((len(mats), dim * dim), dtype=complex)
+        for i, mat in enumerate(mats):
+            try:
+                out[i] = vec(as_matrix(matrix_from_json(mat), dim, dim))
+            except ValueError as exc:
+                raise ValueError(f"channel json: {key}[{i}]: {exc}") from exc
+        return out
+
+    return stack("range", ranges, m).T @ stack("dual", duals, n).conj()
 
 
 def compose(f: ChannelMap, g: ChannelMap) -> ChannelMap:

@@ -213,7 +213,7 @@ def _run_channel_cesaro(args, config: RunConfig) -> tuple[str, dict]:
     result = {
         "method": res.method,
         "fixed_space_dim": res.fixed_space.dim,
-        "idempotent": res.idempotent.to_json(),
+        "idempotent": res.idempotent.to_json(res.fixed_space),
         "fixed_basis": [matrix_to_json(m) for m in res.fixed_space.mats],
         "residuals": residuals,
         "agreement": res.agreement,

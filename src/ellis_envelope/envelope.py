@@ -390,12 +390,14 @@ class EnvelopeResult:
     ``envelope_space`` is its range. In space mode the idempotent acts on
     the lifted M_{2n}, ``corner_map`` is its upper-right compression, and
     ``envelope_space`` is the corner map's range (the envelope of E itself);
-    the multiplication table always lives on the idempotent's range.
+    the multiplication table always lives on the idempotent's range,
+    ``idempotent_range``, over which the report factors the idempotent.
     """
 
     space: OperatorSubspace
     mode: str
     idempotent: ChannelMap
+    idempotent_range: OperatorSubspace
     envelope_space: OperatorSubspace
     corner_map: ChannelMap | None
     inclusion_residual: float
@@ -416,14 +418,14 @@ class EnvelopeResult:
             "certificate": self.certificate,
             "rigidity_violation": float(self.rigidity_violation),
             "inclusion_residual": float(self.inclusion_residual),
-            "idempotent": self.idempotent.to_json(),
+            "idempotent": self.idempotent.to_json(self.idempotent_range),
             "envelope_basis": [matrix_to_json(m) for m in self.envelope_space.mats],
             "descent_trace": [[it, rk, float(res)] for it, rk, res in self.descent_trace],
             "choi_effros": self.choi_effros.to_json(),
             "tol": self.tol,
         }
         if self.corner_map is not None:
-            out["corner_map"] = self.corner_map.to_json()
+            out["corner_map"] = self.corner_map.to_json(self.envelope_space)
         return out
 
 
@@ -456,6 +458,7 @@ def compute_envelope(
             space=space,
             mode="space",
             idempotent=inner.idempotent,
+            idempotent_range=inner.idempotent_range,
             envelope_space=env,
             corner_map=corner,
             inclusion_residual=inclusion,
@@ -475,6 +478,7 @@ def compute_envelope(
         space=space,
         mode="system",
         idempotent=e,
+        idempotent_range=f_basis,
         envelope_space=f_basis,
         corner_map=None,
         inclusion_residual=inclusion,

@@ -7,11 +7,13 @@ beyond that the dense solvers stop being desk-scale and the cap fails fast,
 on the declared dimensions and before any matrix is decoded, instead of
 letting a run crawl.
 
-``report_chunks`` writes a report as ``json.dumps`` would, in pieces. The
-float tables that make up most of a large report (the [re, im] pairs of
-Choi matrices) arrive as float64 arrays and stay arrays until written:
-``floatrepr`` writes ``float.__repr__``'s digits for a whole block of them
-at once, with no Python float made on the way.
+``report_chunks`` writes a report as ``json.dumps`` would, in pieces. Its
+float tables (the [re, im] pairs of matrices, Choi-Effros coefficients)
+arrive as float64 arrays and stay arrays until written, a block of rows at
+a time, by the C encoder. Results write each idempotent at the size of the
+answer: a rank-r map on M_n as its range basis and dual maps
+(``ChannelMap.to_json``), 2 r n^2 complex numbers rather than n^4 Choi
+entries.
 """
 
 import json
@@ -143,34 +145,15 @@ def dump_report(report: dict, indent: int) -> str:
 # of its text, which a whole matrix would add to peak memory.
 REPORT_BLOCK = 4096
 
-# Doubles below which a block skips ``floatrepr.reprs``: the kernel costs
-# about 0.25 ms per call whatever its size, the C encoder about 0.75 us per
-# double, and the two break even near 350 doubles (one BLAS thread, medians
-# of five timings of N(0, 1) pairs).
-_KERNEL_MIN = 384
-
 
 def _float_rows(x: np.ndarray, outer: str, inner: str) -> str:
     """The rows of a float64 block, laid out as ``json`` indents them
     (``outer``/``inner``: newline plus the row/entry indent).
 
-    A block of at least ``_KERNEL_MIN`` finite doubles goes through
-    ``floatrepr.reprs``, which writes each number followed by "," or, at the
-    end of a row, ";". A smaller block, or one with NaN or an infinity
-    (which ``json.dumps`` prints differently), goes through the C encoder.
-    Both marks then become the separators with their indents.
+    The C encoder writes the block on one line; it separates entries by
+    ", " and rows by "], [", which no number's text contains, so the two
+    separators are swapped for their indented forms.
     """
-    if x.size < _KERNEL_MIN or not np.isfinite(x).all():
-        # the C encoder separates entries by ", " and rows by "], [", which no number's text contains
-        text = json.dumps(x.tolist())[2:-2].replace("], [", ";").replace(", ", ",")
-    else:
-        # imported here: its tables cost a process that writes no float table
-        # 6 ms and a MB of RSS
-        from .floatrepr import reprs
-
-        ends = np.full(x.shape, ord(","), dtype=np.uint8)
-        ends[:, -1] = ord(";")
-        ends[-1, -1] = 0  # nothing after the last number
-        text = reprs(x.ravel(), ends.ravel()).decode("ascii")
-    text = text.replace(",", "," + inner).replace(";", outer + "]," + outer + "[" + inner)
+    text = json.dumps(x.tolist())[2:-2]
+    text = text.replace("], [", outer + "]," + outer + "[" + inner).replace(", ", "," + inner)
     return "[" + inner + text + outer + "]"

@@ -695,6 +695,18 @@ def test_json_roundtrip_through_array_and_text():
     assert np.abs(a.mats - space.mats).max() <= 1e-14
 
 
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_factored_cesaro_idempotent_reads_back(n, n_kraus, seed):
+    # one Kraus operator is a unitary conjugation, whose fixed space (the commutant) has dimension n
+    res = cesaro_idempotent(random_unital_channel(np.random.default_rng(seed), n, n_kraus))
+    e = res.idempotent
+    obj = json.loads(json.dumps(e.to_json(res.fixed_space), default=np.ndarray.tolist))
+    assert obj["repr"] == "factored" and len(obj["range"]) == len(obj["dual"]) == res.fixed_space.dim
+    back = ChannelMap.from_json(obj)
+    assert frobenius(back.choi - e.choi) <= 1e-13 * frobenius(e.choi)
+
+
 def test_channel_json_kraus_repr():
     from ellis_envelope.linalg import matrix_to_json
 

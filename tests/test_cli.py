@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from ellis_envelope import channels, cli, envelope, linalg, spectrahedron
-from ellis_envelope.channels import ChannelMap, NonConvergenceError
+from ellis_envelope.channels import ChannelMap, NonConvergenceError, cesaro_idempotent
 from ellis_envelope.cli import RunConfig, main
-from ellis_envelope.jsonio import report_chunks
+from ellis_envelope.envelope import corner_extract
+from ellis_envelope.jsonio import read_channel, report_chunks
+from ellis_envelope.linalg import frobenius, matrix_from_json, matrix_to_json
 from ellis_envelope.semigroups import cyclic_group
 from ellis_envelope.spectrahedron import OperatorSubspace
 from ellis_envelope.tolerances import TOL
@@ -228,6 +230,124 @@ def test_boundary_inside_the_fixed_space_cut_certifies(capsys, inputs):
     rep = report_of(out)
     assert rep["certificate"] == "certified"
     assert (rep["result"]["rank"], rep["result"]["fixed_space_dim"]) == (1, 5)
+
+
+# ------------------------------------------------------------------------
+# factored idempotents: the range basis M_i and the dual maps G_i
+
+
+def close(a: ChannelMap, b: ChannelMap) -> bool:
+    return frobenius(a.choi - b.choi) <= 1e-13 * frobenius(b.choi)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "iterative", "both"])
+def test_cesaro_report_reads_back_as_the_idempotent(capsys, inputs, mode):
+    for name in ("pinch", "halfsz"):
+        code, out, _ = run(capsys, ["channel", "cesaro", inputs[name], "--mode", mode])
+        assert code == 0
+        r = report_of(out)["result"]
+        assert r["idempotent"]["repr"] == "factored"
+        assert r["idempotent"]["range"] == r["fixed_basis"]
+        e = cesaro_idempotent(read_channel(inputs[name]), mode).idempotent
+        assert close(ChannelMap.from_json(r["idempotent"]), e)
+
+
+@pytest.mark.parametrize(
+    "argv, basis",
+    [
+        (["envelope", "compute", "d2"], "envelope_basis"),
+        (["boundary", "compute", "halfsz", "--fix", "span_i"], "boundary_basis"),
+    ],
+    ids=["envelope-d2", "boundary-halfsz"],
+)
+def test_idempotent_range_is_the_reported_basis(capsys, inputs, argv, basis):
+    code, out, _ = run(capsys, [inputs.get(a, a) for a in argv])
+    assert code == 0
+    r = report_of(out)["result"]
+    assert r["idempotent"]["repr"] == "factored"
+    assert r["idempotent"]["range"] == r[basis]
+
+
+def test_space_mode_report_holds_the_choi_effros_basis(capsys, inputs):
+    # the table is taken over the lifted idempotent's range, which only
+    # idempotent.range carries: envelope_basis is the corner map's range
+    code, out, _ = run(capsys, ["envelope", "compute", inputs["corner"]])
+    assert code == 0
+    r = report_of(out)["result"]
+    e = ChannelMap.from_json(r["idempotent"])
+    basis = np.stack([matrix_from_json(m) for m in r["idempotent"]["range"]])
+    prods = np.stack([[e.apply(a @ b) for b in basis] for a in basis])  # e(M_i M_j)
+    rebuilt = np.einsum("kab,ijab->ijk", basis.conj(), prods)
+    table = r["choi_effros"]
+    reported = np.array(table["coefficients_re"]) + 1j * np.array(table["coefficients_im"])
+    assert rebuilt.shape == reported.shape == (4, 4, 4)
+    assert np.abs(rebuilt - reported).max() <= 1e-12
+    corner = ChannelMap.from_json(r["corner_map"])
+    assert r["corner_map"]["range"] == r["envelope_basis"]
+    assert close(corner, corner_extract(e))
+
+
+def _factored(**fields):
+    # the map M_2 -> M_3 of rank one x -> tr(x) I/2: M = I/sqrt(3), G = sqrt(3) I/2
+    mat = lambda a: json.loads(json.dumps(matrix_to_json(a), default=np.ndarray.tolist))
+    obj = {"dim_in": 2, "dim_out": 3, "repr": "factored", "range": [mat(np.eye(3) / np.sqrt(3))]}
+    return {**obj, "dual": [mat(np.eye(2) * np.sqrt(3) / 2)], **fields}
+
+
+def test_factored_channel_input_is_read(capsys, tmp_path):
+    p = tmp_path / "factored.json"
+    p.write_text(json.dumps(_factored()))
+    code, out, _ = run(capsys, ["channel", "info", str(p)])
+    assert code == 0
+    r = report_of(out)["result"]
+    assert (r["dim_in"], r["dim_out"], r["choi_rank"]) == (2, 3, 6)
+    assert r["cp"] and r["unital"] and not r["trace_preserving"]
+
+
+_NOT_PAIRED = "channel json: range and dual must be lists of equal, non-zero length"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        pytest.param(_factored(range=5), _NOT_PAIRED, id="range_not_a_list"),
+        pytest.param(_factored(range=[], dual=[]), _NOT_PAIRED, id="empty"),
+        pytest.param(_factored(dual=_factored()["dual"] * 2), _NOT_PAIRED, id="unequal_lengths"),
+        # the count is refused before any entry is decoded: these entries are not matrices
+        pytest.param(
+            _factored(range=[{}] * 5, dual=[{}] * 5),
+            "channel json: 5 range matrices exceed min(dim_in, dim_out)^2 = 4",
+            id="count_above_cap",
+        ),
+        pytest.param(
+            _factored(range=_factored()["dual"]),
+            "channel json: range[0]: expected shape (3, 3), got (2, 2)",
+            id="range_shape",
+        ),
+        pytest.param(
+            _factored(dual=_factored()["range"]),
+            "channel json: dual[0]: expected shape (2, 2), got (3, 3)",
+            id="dual_shape",
+        ),
+        pytest.param(
+            _factored(dual=[{"rows": 2, "cols": 2, "data": [[None, 0.0]] * 4}]),
+            "channel json: dual[0]: matrix json: entries must be [re, im] number pairs",
+            id="dual_entry",
+        ),
+        pytest.param(
+            {k: v for k, v in _factored().items() if k != "dual"},
+            "channel json: missing or malformed field",
+            id="no_dual",
+        ),
+    ],
+)
+def test_malformed_factored_channel_exits_one(capsys, tmp_path, obj, message):
+    p = tmp_path / "factored.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["channel", "info", str(p)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {p}: {message}"), err
 
 
 @pytest.mark.parametrize(

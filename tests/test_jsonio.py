@@ -2,10 +2,11 @@
 
 The pieces of ``report_chunks(obj, k)``, joined, and ``dump_report(obj, k)``
 must produce ``json.dumps(obj, default=np.ndarray.tolist, sort_keys=True,
-indent=k) + "\\n"`` for every report, whichever route (the vectorized kernel
-or the C encoder over blocks of a float64 table, or the recursive layout)
-renders a part. No piece may hold more than one block of a table, so a
-streamed report never holds its whole text.
+indent=k) + "\\n"`` for every report, whichever route (the C encoder over
+blocks of a float64 table, or the recursive layout) renders a part, and on
+the doubles where float printing is most likely to slip. No piece may hold
+more than one block of a table, so a streamed report never holds its whole
+text.
 """
 
 import json
@@ -36,7 +37,7 @@ def rows_of(width: int):
 
 # equal-length number rows, ragged rows and mixed lists, all on the
 # per-item route; float64 arrays of shape (k,), (k, w) and (k, w, w), whose
-# 2-D tables take the block route, and finite ones the kernel's
+# 2-D tables take the block route
 WIDEST = 4
 tables = st.integers(min_value=1, max_value=WIDEST).flatmap(rows_of)
 ragged = st.lists(st.lists(numbers, max_size=3), max_size=6)
@@ -70,19 +71,38 @@ def reference(obj, indent: int) -> str:
     st.dictionaries(strings, values, max_size=5),
     st.integers(min_value=0, max_value=4),
     st.sampled_from([1, 2, 3, REPORT_BLOCK]),
-    st.sampled_from([1, jsonio._KERNEL_MIN]),
 )
 @settings(max_examples=150, deadline=None)
-def test_writer_equals_reference_encoder(report, indent, block, kernel_min):
-    # small blocks split the generated tables, so pieces cross block
-    # boundaries; a crossover of 1 sends every finite block to the kernel
-    with mock.patch.object(jsonio, "REPORT_BLOCK", block), mock.patch.object(jsonio, "_KERNEL_MIN", kernel_min):
+def test_writer_equals_reference_encoder(report, indent, block):
+    # small blocks split the generated tables, so pieces cross block boundaries
+    with mock.patch.object(jsonio, "REPORT_BLOCK", block):
         chunks = list(report_chunks(report, indent))
         assert "".join(chunks) == reference(report, indent)
         assert dump_report(report, indent) == reference(report, indent)
     # a row of w numbers spans w + 2 lines, its separator included; a key,
     # scalar or bracket spans at most one
     assert max(c.count("\n") for c in chunks) <= block * (WIDEST + 2)
+
+
+def edge_values() -> np.ndarray:
+    """Doubles at which a shortest-digit writer is most likely to slip."""
+    p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switch = np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5])
+    powers = np.concatenate([p2, p10, switch])
+    near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+    ints = np.arange(2**53 - 4096, 2**53 + 4096, dtype=np.float64)
+    return np.concatenate([near, ints, [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+def test_report_chunks_write_edge_values_as_json_does(indent):
+    rng = np.random.default_rng(indent)
+    bits = np.random.default_rng(20180618).integers(0, 2**64, 21_000, dtype=np.uint64).view(np.float64)
+    cells = rng.permutation(np.concatenate([edge_values(), -edge_values(), bits[np.isfinite(bits)][:20_000]]))
+    rows = 3 * REPORT_BLOCK + 17
+    report = {"t": {"data": cells[: 2 * rows].reshape(rows, 2), "wide": cells[-1200:].reshape(400, 3)}}
+    assert "".join(report_chunks(report, indent)) == reference(report, indent)
 
 
 @pytest.mark.parametrize("indent", [0, 2])
