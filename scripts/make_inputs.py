@@ -2,12 +2,13 @@
 """Write sample JSON inputs for the ellis-envelope CLI.
 
 Creates channels (pinching, sigma-z conjugation, their average, the cyclic
-shift on M_3, and nearfix: the average of the identity and conjugation by
+shift on M_3, nearfix: the average of the identity and conjugation by
 diag(1, e^{i delta}, e^{2 pi i / 3}) on M_3 at delta = 1e-10, whose
-eigenvalue 1 - O(delta) lies inside the fixed-space cut), operator spaces
-(diagonals, span{I}, span{E_12}, span{I, x, x^*} for a normal x in M_4, and
-span{I, x} for a Hermitian x in M_8), and Cayley tables, matching the
-examples in the README.
+eigenvalue 1 - O(delta) lies inside the fixed-space cut, and the transpose
+on M_2, which is not CP), operator spaces (diagonals, span{I}, span{E_12},
+span{I, x, x^*} for a normal x in M_4, span{I, x} for a Hermitian x in M_8,
+and span{G_0, G_1} for a complex Gaussian pair in M_4), and Cayley tables,
+matching the examples in the README.
 """
 
 import argparse
@@ -42,6 +43,7 @@ def main() -> None:
         "channel_shift_m3.json": shift3,
         "channel_trace_state_m2.json": ChannelMap.trace_state(2),
         "channel_nearfix_m3.json": nearfix,
+        "channel_transpose_m2.json": ChannelMap.transpose_map(2),
     }
     for name, phi in channels.items():
         (dest / name).write_text(json.dumps(phi.to_json(), default=np.ndarray.tolist, indent=2) + "\n")
@@ -56,6 +58,10 @@ def main() -> None:
     # C^2, certified on a face of dimension 50
     g = np.random.default_rng(1).standard_normal((2, 8, 8))
     hermitian = (g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T) / 2
+    # a complex Gaussian pair in M_4: span{G_0, G_1} is a plain operator space
+    # whose envelope is all of M_4 (rank 16); its lifted set is one point
+    rng = np.random.default_rng(1)
+    pair = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
     spaces = {
         "space_diag_m2.json": (OperatorSubspace.from_matrices(
             [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
@@ -71,6 +77,7 @@ def main() -> None:
         "space_corner_e12.json": (OperatorSubspace.from_matrices([e12]), "space"),
         "space_normal_m4.json": (OperatorSubspace.from_matrices([np.eye(4), normal, normal.conj().T]), "system"),
         "space_spanix_m8.json": (OperatorSubspace.from_matrices([np.eye(8), hermitian]), "system"),
+        "space_pair_m4.json": (OperatorSubspace.from_matrices([pair[0], pair[1]]), "space"),
     }
     for name, (space, mode) in spaces.items():
         (dest / name).write_text(json.dumps(space.to_json(mode), default=np.ndarray.tolist, indent=2) + "\n")

@@ -23,10 +23,10 @@ from ellis_envelope import (
     ChannelMap,
     OperatorSubspace,
     build_T_set,
-    cb_norm,
     cb_norm_bracket,
     cesaro_idempotent,
     check_absorption,
+    check_structure,
     compute_boundary,
     compute_envelope,
     dykstra_project,
@@ -203,7 +203,7 @@ def noncp3_cb():
 
 
 def identity_cb():
-    return f"{cb_norm(ChannelMap.identity(2)):.4f}"
+    return f"{check_structure(ChannelMap.identity(2)).cb_bound:.4f}"
 
 
 def main() -> None:

@@ -15,8 +15,10 @@ from conftest import lift_kraus, random_unital_kraus, subspace_equal
 from ellis_envelope.boundary import build_T_set, compute_boundary
 from ellis_envelope.channels import (
     ChannelMap,
+    cb_norm_bracket,
     cesaro_idempotent,
     check_absorption,
+    check_structure,
     random_unital_channel,
 )
 from ellis_envelope.cli import main
@@ -36,12 +38,7 @@ from ellis_envelope.semigroups import (
     random_subsemigroup,
     transformation_monoid,
 )
-from ellis_envelope.spectrahedron import (
-    build_system_set,
-    cb_norm,
-    cb_norm_bracket,
-    sample,
-)
+from ellis_envelope.spectrahedron import build_system_set, sample
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -248,9 +245,9 @@ def test_08_boundaries_live_on_commutants(sz_boundary, shift_boundary):
 
 
 def test_09_cb_norms_match_known_values():
-    assert abs(cb_norm(ChannelMap.identity(2)) - 1.0) <= 1e-12
+    assert abs(check_structure(ChannelMap.identity(2)).cb_bound - 1.0) <= 1e-12
     halved = ChannelMap.from_kraus([I2 / np.sqrt(2.0)])
-    assert abs(cb_norm(halved) - 0.5) <= 1e-12
+    assert abs(check_structure(halved).cb_bound - 0.5) <= 1e-12
     bracket = cb_norm_bracket(ChannelMap.transpose_map(2), tol=1e-3)
     assert bracket.converged
     assert abs(0.5 * (bracket.lower + bracket.upper) - 2.0) <= 1e-3

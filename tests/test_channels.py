@@ -18,6 +18,7 @@ from ellis_envelope.channels import (
     ChannelMap,
     NonConvergenceError,
     _iterative_ergodic_projection,
+    cb_norm_bracket,
     cesaro_idempotent,
     check_absorption,
     check_structure,
@@ -30,7 +31,7 @@ from ellis_envelope.channels import (
 from ellis_envelope.linalg import OperatorSubspace, frobenius, herm, hermitian_eig, vec
 from ellis_envelope.tolerances import TOL
 
-from conftest import I2, SZ, nearfix, random_complex, random_hermitian, random_unitary, schur_map, subspace_equal
+from conftest import I2, SZ, nearfix, noncp_draw, random_complex, random_hermitian, random_unitary, schur_map, subspace_equal
 from dense_slice import real_to_herm
 
 
@@ -256,6 +257,123 @@ def test_structure_choi_rank_counts_singular_values():
     for phi, rank in maps:
         sv = np.linalg.svd(phi.choi, compute_uv=False)
         assert check_structure(phi).choi_rank == int(np.sum(sv > channels.TOL.rank)) == rank
+
+
+# ----------------------------------------------------------------- cb norm
+
+
+def test_cb_norm_of_cp_maps_is_output_norm():
+    halve = ChannelMap.from_kraus([I2 / np.sqrt(2.0)])
+    for phi, value in ((ChannelMap.identity(2), 1.0), (ChannelMap.pinching(2), 1.0), (halve, 0.5)):
+        assert check_structure(phi).cb_bound == pytest.approx(value, abs=1e-9)
+        # the bracket itself closes at I/m on CP maps
+        b = cb_norm_bracket(phi)
+        assert b.converged and b.bisections == 0
+        assert b.lower <= b.upper
+        assert b.lower == pytest.approx(value, abs=1e-9)
+        assert b.upper == pytest.approx(value, abs=1e-9)
+
+
+def test_cb_norm_of_transpose():
+    for n in range(2, 6):
+        tn = ChannelMap.transpose_map(n)
+        assert check_structure(tn).cb_bound == pytest.approx(n, abs=1e-3)
+        bracket = cb_norm_bracket(tn, tol=1e-3)
+        assert bracket.converged and bracket.bisections == 0
+        assert bracket.lower <= bracket.upper
+        assert bracket.lower == pytest.approx(n, abs=1e-9)
+        assert bracket.upper == pytest.approx(n, abs=1e-9)
+
+
+def test_cb_norm_scaling_and_mixtures():
+    t2 = ChannelMap.transpose_map(2)
+    scaled = ChannelMap(2, 2, 0.7 * t2.choi)
+    b = cb_norm_bracket(scaled, tol=1e-3)
+    assert b.lower == pytest.approx(1.4, abs=1e-9)
+    assert b.upper == pytest.approx(1.4, abs=1e-9)
+    mixed = ChannelMap(2, 2, ChannelMap.identity(2).choi - 0.5 * t2.choi)
+    b = cb_norm_bracket(mixed, tol=1e-3)
+    assert b.converged
+    assert b.upper == pytest.approx(1.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("n, value", [(2, 1.958801), (3, 2.652554), (4, 3.684799)])
+def test_cb_bracket_converges_on_noncp_draws(n, value):
+    b = cb_norm_bracket(noncp_draw(n), tol=1e-3)
+    assert b.converged
+    assert b.lower <= b.upper
+    assert b.lower - 1e-6 <= value <= b.upper + 1e-6
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_cb_bracket_converges_on_non_square_maps(n, m):
+    phi = ChannelMap(n, m, random_complex(np.random.default_rng(5), n * m, n * m))
+    b = cb_norm_bracket(phi, tol=1e-3)
+    assert b.converged
+    assert b.lower <= b.upper
+    assert b.densities[0].shape == b.densities[1].shape == (m, m)
+
+
+def test_cb_bracket_of_zero_map_is_zero():
+    zero = ChannelMap(2, 3, np.zeros((6, 6), dtype=complex))
+    b = cb_norm_bracket(zero)
+    assert (b.lower, b.upper, b.bisections) == (0.0, 0.0, 0)
+    assert b.converged
+    # an unreachable width makes the ascent run: the zero linear form has no
+    # positive part to normalise, and the pair must stay finite
+    b = cb_norm_bracket(zero, tol=-1.0)
+    assert (b.lower, b.upper) == (0.0, 0.0)
+    assert b.bisections == channels.CB_ASCENT_STEPS
+    assert all(np.isfinite(rho).all() for rho in b.densities)
+
+
+def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
+    rng = np.random.default_rng(23)
+    phi = ChannelMap(2, 2, random_hermitian(rng, 4))
+    monkeypatch.setattr(channels, "CB_ASCENT_STEPS", 1)
+    bracket = cb_norm_bracket(phi, tol=1e-12)
+    assert bracket.lower <= bracket.upper
+    assert not bracket.converged
+    assert bracket.bisections == 1
+    assert bracket.history[-1] == (1, pytest.approx(bracket.upper - bracket.lower))
+    # the bracket is as open at TOL.cb_norm, where check_structure refuses it
+    with pytest.raises(NonConvergenceError, match="cb_norm: bracket") as exc:
+        check_structure(phi)
+    assert exc.value.history[-1] == (1, pytest.approx(bracket.upper - bracket.lower))
+    monkeypatch.undo()
+    full = cb_norm_bracket(phi)
+    assert full.converged
+    # each step keeps the best end of each side, so the width never grows
+    widths = [w for _, w in full.history]
+    assert all(b <= a for a, b in zip(widths, widths[1:]))
+    assert widths[-1] == full.upper - full.lower
+    upper = check_structure(phi).cb_bound
+    assert upper == full.upper
+    assert upper >= bracket.lower - 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_structure_decomposes_the_choi_matrix_once(monkeypatch, n):
+    # the transpose is Hermitian and not CP: its CP decision, choi_rank and
+    # choi_min_eig come from one eigendecomposition, which the cb bracket
+    # does not repeat
+    phi = ChannelMap.transpose_map(n)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape == phi.choi.shape and np.array_equal(a, herm(phi.choi)):
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigvalsh", "eigh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    rep = check_structure(phi)
+    assert not rep.cp and rep.cb_bound == pytest.approx(n, abs=1e-9)
+    assert len(calls) == 1, calls
 
 
 # ------------------------------------------------------------- fixed space

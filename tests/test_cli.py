@@ -498,7 +498,7 @@ def test_envelope_nonconvergence_exits_two(capsys, inputs, monkeypatch):
 
 def test_open_cb_bracket_exits_two(capsys, tmp_path, monkeypatch):
     # one ascent step leaves the bracket open, so cb_contraction is unproven
-    monkeypatch.setattr(spectrahedron, "CB_ASCENT_STEPS", 1)
+    monkeypatch.setattr(channels, "CB_ASCENT_STEPS", 1)
     code, out, err = run(capsys, ["channel", "info", noncp3_json(tmp_path)])
     assert code == 2
     assert out == ""

@@ -489,6 +489,25 @@ def test_certified_envelopes_read_no_center(monkeypatch, mats, seed, phi, rank):
     assert res.rank == rank
 
 
+def pair_space(n, seed):
+    """span{G_0, G_1} for a complex Gaussian pair in M_n: a plain operator space
+    whose lift is irreducible, so its envelope is all of M_n (Arveson 1972)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    return OperatorSubspace.from_matrices([g[0], g[1]])
+
+
+@pytest.mark.parametrize("n, seed", [(3, s) for s in range(6)] + [(4, s) for s in range(3)])
+def test_generic_pair_envelope_is_all_of_m_n(n, seed):
+    # the lifted set is one point, the identity; its center is that point,
+    # so Newton never runs short of it and the descent certifies at once
+    res = compute_envelope(pair_space(n, seed))
+    assert res.mode == "space"
+    assert res.certificate == "certified"
+    assert res.rank == n * n
+    assert res.inclusion_residual <= 1e-10
+
+
 def test_seed_idempotent_from_sampled_member(d2_set):
     theta = sample(d2_set, seed=2)
     e = seed_idempotent(theta, d2_set)

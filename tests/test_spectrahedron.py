@@ -22,6 +22,8 @@ from ellis_envelope.boundary import build_T_set
 from ellis_envelope.channels import (
     ChannelMap,
     NonConvergenceError,
+    _pair_bounds,
+    cb_norm_bracket,
     cesaro_idempotent,
     choi_to_superop,
     compose,
@@ -33,11 +35,8 @@ from ellis_envelope.linalg import frobenius, herm, hermitian_eig
 from ellis_envelope.spectrahedron import (
     FeasibleSet,
     OperatorSubspace,
-    _pair_bounds,
     _structural_face,
     build_system_set,
-    cb_norm,
-    cb_norm_bracket,
     dykstra_project,
     maximize_linear,
     sample,
@@ -803,6 +802,20 @@ def test_absorb_set_closed_under_composition(absorb_set):
     assert rep.ok, rep.residuals
 
 
+def test_center_of_a_one_point_set_is_its_member(monkeypatch):
+    # span{I, sx, sz} is rigid: the identity is its only member, the face is
+    # proper, and the laws leave no direction on it
+    fset = build_system_set(OperatorSubspace.from_matrices([I2, SX, SZ]))
+    assert fset.face_dim < fset.choi_dim
+    assert fset.face_law_span.shape[1] == fset.face_dim**2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the center of a one-point set needs no projection")
+
+    monkeypatch.setattr(spectrahedron, "dykstra_project", refuse)
+    assert np.array_equal(fset.center.choi, fset.member)
+
+
 def test_absorb_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="ambient"):
         build_system_set(
@@ -817,29 +830,6 @@ def random_density(rng, m):
     g = random_complex(rng, m, m)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def test_cb_norm_of_cp_maps_is_output_norm():
-    halve = ChannelMap.from_kraus([I2 / np.sqrt(2.0)])
-    for phi, value in ((ChannelMap.identity(2), 1.0), (ChannelMap.pinching(2), 1.0), (halve, 0.5)):
-        assert cb_norm(phi) == pytest.approx(value, abs=1e-9)
-        # the bracket itself closes at I/m on CP maps
-        b = cb_norm_bracket(phi)
-        assert b.converged and b.bisections == 0
-        assert b.lower <= b.upper
-        assert b.lower == pytest.approx(value, abs=1e-9)
-        assert b.upper == pytest.approx(value, abs=1e-9)
-
-
-def test_cb_norm_of_transpose():
-    for n in range(2, 6):
-        tn = ChannelMap.transpose_map(n)
-        assert cb_norm(tn, tol=1e-3) == pytest.approx(n, abs=1e-3)
-        bracket = cb_norm_bracket(tn, tol=1e-3)
-        assert bracket.converged and bracket.bisections == 0
-        assert bracket.lower <= bracket.upper
-        assert bracket.lower == pytest.approx(n, abs=1e-9)
-        assert bracket.upper == pytest.approx(n, abs=1e-9)
 
 
 def test_transpose_witness_oracle():
@@ -863,18 +853,6 @@ def test_transpose_witness_oracle():
         assert upper >= 2.0 - 1e-9
 
 
-def test_cb_norm_scaling_and_mixtures():
-    t2 = ChannelMap.transpose_map(2)
-    scaled = ChannelMap(2, 2, 0.7 * t2.choi)
-    b = cb_norm_bracket(scaled, tol=1e-3)
-    assert b.lower == pytest.approx(1.4, abs=1e-9)
-    assert b.upper == pytest.approx(1.4, abs=1e-9)
-    mixed = ChannelMap(2, 2, ChannelMap.identity(2).choi - 0.5 * t2.choi)
-    b = cb_norm_bracket(mixed, tol=1e-3)
-    assert b.converged
-    assert b.upper == pytest.approx(1.5, abs=1e-3)
-
-
 def test_witness_never_exceeds_dual_bound():
     # weak duality: the lower end at one density pair never exceeds the
     # upper end at another, on Hermitian, non-Hermitian and non-square maps
@@ -887,36 +865,6 @@ def test_witness_never_exceeds_dual_bound():
             lower, _, _ = _pair_bounds(phi.choi, n, m, random_density(rng, m), random_density(rng, m))
             _, upper, _ = _pair_bounds(phi.choi, n, m, random_density(rng, m), random_density(rng, m))
             assert lower <= upper + 1e-9 * max(1.0, upper)
-
-
-@pytest.mark.parametrize("n, value", [(2, 1.958801), (3, 2.652554), (4, 3.684799)])
-def test_cb_bracket_converges_on_noncp_draws(n, value):
-    b = cb_norm_bracket(noncp_draw(n), tol=1e-3)
-    assert b.converged
-    assert b.lower <= b.upper
-    assert b.lower - 1e-6 <= value <= b.upper + 1e-6
-
-
-@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
-def test_cb_bracket_converges_on_non_square_maps(n, m):
-    phi = ChannelMap(n, m, random_complex(np.random.default_rng(5), n * m, n * m))
-    b = cb_norm_bracket(phi, tol=1e-3)
-    assert b.converged
-    assert b.lower <= b.upper
-    assert b.densities[0].shape == b.densities[1].shape == (m, m)
-
-
-def test_cb_bracket_of_zero_map_is_zero():
-    zero = ChannelMap(2, 3, np.zeros((6, 6), dtype=complex))
-    b = cb_norm_bracket(zero)
-    assert (b.lower, b.upper, b.bisections) == (0.0, 0.0, 0)
-    assert b.converged
-    # an unreachable width makes the ascent run: the zero linear form has no
-    # positive part to normalise, and the pair must stay finite
-    b = cb_norm_bracket(zero, tol=-1.0)
-    assert (b.lower, b.upper) == (0.0, 0.0)
-    assert b.bisections == spectrahedron.CB_ASCENT_STEPS
-    assert all(np.isfinite(rho).all() for rho in b.densities)
 
 
 def test_completion_upper_end_is_a_repaired_psd_certificate():
@@ -974,32 +922,9 @@ def test_upper_end_is_proven_when_the_density_pair_is_near_singular():
     y0 = inv_roots[0] @ (u * s) @ u.conj().T @ inv_roots[0]
     y1 = inv_roots[1] @ (vh.conj().T * s) @ vh @ inv_roots[1]
     assert np.linalg.eigvalsh(herm(np.block([[y0, phi.choi], [phi.choi.conj().T, y1]])))[0] < -1e-9
-    delta, shifted = spectrahedron._shifted_upper(phi.choi, n, m, *bracket.densities)
+    delta, shifted = channels._shifted_upper(phi.choi, n, m, *bracket.densities)
     assert delta > 1e-9
     tops = [np.linalg.eigvalsh(herm(np.einsum("iaib->ab", y.reshape(n, m, n, m))))[-1] for y in (y0, y1)]
     assert shifted >= np.sqrt(tops[0] * tops[1]) + delta
     assert bracket.upper >= shifted
     assert bracket.upper >= cb_norm_bracket(phi, tol=-1.0).lower
-
-
-def test_cb_bracket_reports_gap_when_budget_exhausted(monkeypatch):
-    rng = np.random.default_rng(23)
-    phi = ChannelMap(2, 2, random_hermitian(rng, 4))
-    monkeypatch.setattr(spectrahedron, "CB_ASCENT_STEPS", 1)
-    bracket = cb_norm_bracket(phi, tol=1e-12)
-    assert bracket.lower <= bracket.upper
-    assert not bracket.converged
-    assert bracket.bisections == 1
-    with pytest.raises(NonConvergenceError) as exc:
-        cb_norm(phi, tol=1e-12)
-    assert exc.value.history[-1] == (1, pytest.approx(bracket.upper - bracket.lower))
-    monkeypatch.undo()
-    full = cb_norm_bracket(phi)
-    assert full.converged
-    # each step keeps the best end of each side, so the width never grows
-    widths = [w for _, w in full.history]
-    assert all(b <= a for a, b in zip(widths, widths[1:]))
-    assert widths[-1] == full.upper - full.lower
-    upper = cb_norm(phi)
-    assert upper == full.upper
-    assert upper >= bracket.lower - 1e-9
